@@ -1,0 +1,677 @@
+"""Constructive classification of 3-dimensional non-Lie omega-Lie algebras.
+
+Every input is moved by explicit stabilizer elements onto one of four
+canonical families (A, B, C with a nonzero parameter, D), and the composed
+move is returned as a witness whose action on the input reproduces the
+canonical algebra entry-exactly.  Isomorphism testing reduces to comparing
+labels and composing witnesses.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+from dataclasses import dataclass
+
+from .fields import (
+    ExtensionRequired,
+    FieldDescriptor,
+    FieldElement,
+    quadratic_roots,
+)
+from .linalg import (
+    Matrix,
+    SkewForm,
+    pair_min,
+    skew_congruence_reduce,
+    sl2_trace_minus_one_canonical,
+    solve_vector,
+    standard_j,
+)
+from .omega import (
+    GroupElement,
+    OmegaAlgebra,
+    StructureConstants,
+    change_basis,
+    derived_dimension,
+    in_stabilizer,
+    transform,
+    validate,
+)
+from .report import ReportTable
+
+
+class NotOmegaLie(Exception):
+    def __init__(self, report):
+        self.report = report
+        super().__init__("; ".join(report.messages) or "bracket identity fails")
+
+
+class IsLie(Exception):
+    pass
+
+
+class InvalidAlpha(Exception):
+    pass
+
+
+@dataclass(frozen=True)
+class CanonicalLabel:
+    kind: str  # "A" | "B" | "C" | "D"
+    alpha: FieldElement | None = None
+
+    def __post_init__(self):
+        if self.kind == "C":
+            if self.alpha is None or self.alpha.is_zero():
+                raise InvalidAlpha("the C family needs a nonzero parameter")
+        elif self.alpha is not None:
+            raise InvalidAlpha(f"family {self.kind} takes no parameter")
+
+    def __str__(self):
+        if self.kind == "C":
+            return f"C:{self.alpha.encode()}"
+        return self.kind
+
+
+def c_pair_representative(alpha: FieldElement) -> FieldElement:
+    """Deterministic representative of the parameter pair {a, -(a+1)}.
+
+    The two members label the same isomorphism class; the one with the
+    lexicographically smaller text encoding is chosen, except that the pair
+    {-1, 0} is represented by -1 (the zero parameter is excluded).
+    """
+    if alpha.is_zero():
+        raise InvalidAlpha("zero is not a valid parameter")
+    other = -(alpha + 1)
+    if other.is_zero():
+        return alpha
+    return pair_min(alpha, other)
+
+
+def canonical_algebra(label: CanonicalLabel, field: FieldDescriptor) -> OmegaAlgebra:
+    """The reference algebra of a label, with the canonical rank-2 form."""
+    zero, one = field.zero, field.one
+    half = one / 2
+    if label.kind == "A":
+        table = {(0, 1): (one, one, zero),    # [x,y] = x + y
+                 (0, 2): (zero, one, zero),   # [x,z] = y
+                 (1, 2): (zero, zero, one)}   # [y,z] = z
+    elif label.kind == "B":
+        table = {(0, 1): (zero, zero, one),   # [x,y] = z
+                 (0, 2): (-half, zero, zero),  # [x,z] = -x/2
+                 (1, 2): (one, -half, zero)}  # [y,z] = x - y/2
+    elif label.kind == "C":
+        alpha = label.alpha
+        if alpha.field != field:
+            raise InvalidAlpha("parameter lives in a different field")
+        table = {(0, 1): (zero, zero, one),
+                 (0, 2): (alpha, zero, zero),
+                 (1, 2): (zero, -(alpha + 1), zero)}
+    elif label.kind == "D":
+        table = {(0, 1): (zero, one, zero),   # [x,y] = y
+                 (1, 2): (zero, zero, one)}   # [y,z] = z
+    else:
+        raise ValueError(f"unknown label kind {label.kind!r}")
+    sc = StructureConstants(field, 3, table)
+    return OmegaAlgebra(field, sc, SkewForm(standard_j(field, 3, 2)))
+
+
+def label_a():
+    return CanonicalLabel("A")
+
+
+def label_b():
+    return CanonicalLabel("B")
+
+
+def label_c(alpha):
+    return CanonicalLabel("C", alpha)
+
+
+def label_d():
+    return CanonicalLabel("D")
+
+
+@dataclass(frozen=True)
+class ClassificationResult:
+    label: CanonicalLabel
+    witness: GroupElement
+    field: FieldDescriptor
+    trace: tuple  # ((tag, GroupElement), ...) in application order
+    extension: tuple | None = None  # minpoly (c0, c1) over the base field
+
+    def to_json(self) -> str:
+        payload = {
+            "label": str(self.label),
+            "field": self.field.encode(),
+            "witness": _matrix_rows(self.witness.matrix),
+            "trace": [{"tag": tag, "matrix": _matrix_rows(g.matrix)}
+                      for tag, g in self.trace],
+        }
+        if self.extension is not None:
+            c0, c1 = self.extension
+            payload["extension_minpoly"] = [c0.encode(), c1.encode()]
+        return json.dumps(payload, indent=2)
+
+
+def _matrix_rows(m: Matrix):
+    return [[m[i, j].encode() for j in range(m.cols)] for i in range(m.rows)]
+
+
+def c_pair_swap(field: FieldDescriptor) -> GroupElement:
+    """x -> y, y -> -x, z -> z: carries the C parameter a to -(a+1)."""
+    one, zero = field.one, field.zero
+    g = Matrix.from_rows(field, [[zero, -one, zero],
+                                 [one, zero, zero],
+                                 [zero, zero, one]])
+    gi = Matrix.from_rows(field, [[zero, one, zero],
+                                  [-one, zero, zero],
+                                  [zero, zero, one]])
+    return GroupElement(g, gi)
+
+
+# ---------------------------------------------------------------------------
+# the reduction pipeline
+# ---------------------------------------------------------------------------
+
+class _Pipeline:
+    def __init__(self, alg: OmegaAlgebra):
+        self.work = alg
+        self.field = alg.field
+        self.steps = []
+
+    def apply(self, tag: str, g: GroupElement):
+        self.work = change_basis(g, self.work)
+        self.steps.append((tag, g))
+
+    def extend_to(self, ext):
+        self.work = self.work.embed(ext)
+        self.steps = [(tag, g.embed(ext)) for tag, g in self.steps]
+        self.field = ext
+
+    def read(self):
+        sc = self.work.sc
+        return sc.bracket(0, 1), sc.bracket(0, 2), sc.bracket(1, 2)
+
+    def witness(self) -> GroupElement:
+        out = GroupElement.identity(self.field, 3)
+        for _, g in self.steps:
+            out = g.compose(out)
+        return out
+
+
+def _from_inverse(field, rows) -> GroupElement:
+    gi = Matrix.from_rows(field, rows)
+    return GroupElement(gi.inverse(), gi)
+
+
+def _diag(field, d1, d2, d3) -> GroupElement:
+    e = [x if isinstance(x, FieldElement) else field.elem(x) for x in (d1, d2, d3)]
+    m = Matrix.from_rows(field, [[e[0], field.zero, field.zero],
+                                 [field.zero, e[1], field.zero],
+                                 [field.zero, field.zero, e[2]]])
+    mi = Matrix.from_rows(field, [[e[0].inverse(), field.zero, field.zero],
+                                  [field.zero, e[1].inverse(), field.zero],
+                                  [field.zero, field.zero, e[2].inverse()]])
+    return GroupElement(m, mi)
+
+
+def _match_canonical(alg: OmegaAlgebra):
+    """Exact-pattern fast path: (label, optional pre-move) or None."""
+    field = alg.field
+    for label in (label_d(), label_a(), label_b()):
+        if alg.sc == canonical_algebra(label, field).sc:
+            return label, None
+    a, b, c = (alg.sc.bracket(0, 1), alg.sc.bracket(0, 2), alg.sc.bracket(1, 2))
+    zero, one = field.zero, field.one
+    if (a == (zero, zero, one) and not b[0].is_zero()
+            and b[1].is_zero() and b[2].is_zero()
+            and c == (zero, -(b[0] + 1), zero)):
+        alpha = b[0]
+        rep = c_pair_representative(alpha)
+        if rep == alpha:
+            return label_c(alpha), None
+        return label_c(rep), c_pair_swap(field)
+    return None
+
+
+def classify(alg: OmegaAlgebra, allow_extension: bool = False,
+             strict_c_labels: bool = False) -> ClassificationResult:
+    """Find the canonical family of a 3-dimensional non-Lie algebra, with an
+    explicit verified witness.
+
+    The input must live over the rationals or an odd prime field; at most one
+    quadratic extension is introduced (eigenvalue splitting or the scaling
+    square root in the non-diagonalizable case) when allow_extension is set.
+    """
+    if alg.dim != 3:
+        raise ValueError("only 3-dimensional algebras are classified")
+    report = validate(alg)
+    if not report.ok:
+        raise NotOmegaLie(report)
+    if alg.omega.is_zero():
+        raise IsLie("the bilinear form vanishes; this is a classical bracket")
+    pipe = _Pipeline(alg)
+    field = pipe.field
+    j2 = standard_j(field, 3, 2)
+    if alg.omega.matrix != j2:
+        cong = skew_congruence_reduce(alg.omega)
+        if cong.rank != 2:
+            raise IsLie("degenerate form of rank 0")
+        pipe.apply("form-normalize", GroupElement(cong.q.inverse(), cong.q))
+        assert pipe.work.omega.matrix == j2
+    extension = None
+
+    fast = _match_canonical(pipe.work)
+    if fast is not None:
+        label, move = fast
+        if move is not None:
+            pipe.apply("c-pair-swap", move)
+        return _finish(alg, pipe, label, extension)
+
+    a, b, c = pipe.read()
+    if a[2].is_zero():
+        # some center translation gives the product bracket a z-component
+        for t1, t2 in ((0, 1), (0, -1), (1, 0), (-1, 0)):
+            u = _from_inverse(field, [[1, 0, 0], [0, 1, 0], [t1, t2, 1]])
+            if not transform(u, pipe.work, check=False).sc.bracket(0, 1)[2].is_zero():
+                pipe.apply("reenter-translation", u)
+                break
+        else:
+            raise AssertionError("no translation re-enters the generic branch")
+        a, b, c = pipe.read()
+
+    if a[2] != field.one:
+        pipe.apply("scale-z", _diag(field, 1, 1, a[2].inverse()))
+        a, b, c = pipe.read()
+
+    delta = b[0] * c[1] - b[1] * c[0]
+    if not delta.is_zero():
+        label, extension = _generic_branch(pipe, allow_extension, strict_c_labels)
+    else:
+        label = _degenerate_branch(pipe)
+    return _finish(alg, pipe, label, extension)
+
+
+def _generic_branch(pipe: _Pipeline, allow_extension, strict_c_labels):
+    """Nonzero 2x2 minor of the z-adjoint: normalize the product bracket to z,
+    then split by the conjugacy class of the trace -1 adjoint matrix."""
+    field = pipe.field
+    a, b, c = pipe.read()
+    if not (a[0].is_zero() and a[1].is_zero()):
+        t_mat = Matrix.from_rows(field, [
+            [c[0], -b[0], field.zero],
+            [c[1], -b[1], field.zero],
+            [c[2], -b[2], field.one],
+        ])
+        t1, t2, d = solve_vector(t_mat, (a[0], a[1], field.one))
+        assert not d.is_zero()
+        pipe.apply("center-translate",
+                   _from_inverse(field, [[1, 0, 0], [0, 1, 0], [t1, t2, d]]))
+        a, b, c = pipe.read()
+    assert a == (field.zero, field.zero, field.one)
+    assert b[2].is_zero() and c[2].is_zero()
+    m = Matrix.from_rows(field, [[b[0], c[0]], [b[1], c[1]]])
+    assert m[0, 0] + m[1, 1] == -field.one
+    roots = quadratic_roots(m.det())
+    extension = None
+
+    if roots.kind == "needs_extension":
+        if not allow_extension:
+            raise ExtensionRequired(*roots.minpoly)
+        ext = roots.extension()
+        extension = roots.minpoly
+        pipe.extend_to(ext)
+        field = ext
+        m = m.embed(ext)
+        pair = roots.roots_in_extension(ext)
+    elif roots.kind == "two_roots":
+        pair = roots.roots
+    else:
+        # double eigenvalue -1/2: scalar matrix or the Jordan block
+        half = -field.one / 2
+        if m == Matrix.from_rows(field, [[half, field.zero], [field.zero, half]]):
+            return label_c(half), None
+        canon = sl2_trace_minus_one_canonical(m, allow_extension=allow_extension)
+        if canon.extension is not None:
+            extension = canon.extension
+            pipe.extend_to(canon.p.field)
+            field = canon.p.field
+        if canon.p != Matrix.identity(field, 2):
+            pipe.apply("adjoint-conjugate", _sl2_block(canon.p))
+        return label_b(), extension
+
+    raw = pair[0]
+    alpha = raw if strict_c_labels else c_pair_representative(raw)
+    canon = sl2_trace_minus_one_canonical(m, first_eigenvalue=alpha)
+    if canon.p != Matrix.identity(field, 2):
+        pipe.apply("adjoint-conjugate", _sl2_block(canon.p))
+    return label_c(alpha), extension
+
+
+def _sl2_block(p: Matrix) -> GroupElement:
+    """dia{P^-1, 1}: conjugates the z-adjoint by P while fixing [x,y] = z."""
+    field = p.field
+    pi = p.inverse()
+    zero, one = field.zero, field.one
+    g = Matrix.from_rows(field, [[pi[0, 0], pi[0, 1], zero],
+                                 [pi[1, 0], pi[1, 1], zero],
+                                 [zero, zero, one]])
+    gi = Matrix.from_rows(field, [[p[0, 0], p[0, 1], zero],
+                                  [p[1, 0], p[1, 1], zero],
+                                  [zero, zero, one]])
+    return GroupElement(g, gi)
+
+
+def _degenerate_branch(pipe: _Pipeline) -> CanonicalLabel:
+    """Vanishing minor: the two adjoint columns are dependent.  Clear the
+    xy-part of the second one, then split on its z-coefficient."""
+    field = pipe.field
+    zero, one = field.zero, field.one
+    a, b, c = pipe.read()
+    if b[0].is_zero() and b[1].is_zero() and not (c[0].is_zero() and c[1].is_zero()):
+        pipe.apply("swap-xy", c_pair_swap(field))
+        a, b, c = pipe.read()
+    if not (c[0].is_zero() and c[1].is_zero()):
+        k = c[0] / b[0] if not b[0].is_zero() else c[1] / b[1]
+        pipe.apply("clear-second-column",
+                   _from_inverse(field, [[1, -k, 0], [0, 1, 0], [0, 0, 1]]))
+        a, b, c = pipe.read()
+        assert c[0].is_zero() and c[1].is_zero()
+    if c[2].is_zero() and b[0].is_zero() and b[1].is_zero():
+        # [x,z] = b3 z, [y,z] = 0: swapping x and y moves b3 into [y,z]
+        pipe.apply("swap-xy", c_pair_swap(field))
+        a, b, c = pipe.read()
+    if c[2].is_zero():
+        # everything collapses onto the parameter -1 representative
+        if not (a[0].is_zero() and a[1].is_zero()):
+            k2 = a[0] / b[0] if not b[0].is_zero() else a[1] / b[1]
+            if not k2.is_zero():
+                pipe.apply("clear-product-xy",
+                           _from_inverse(field, [[1, 0, 0], [0, 1, 0], [0, -k2, 1]]))
+                a, b, c = pipe.read()
+        assert a[0].is_zero() and a[1].is_zero()
+        if a[2] != one:
+            pipe.apply("rescale-z", _diag(field, 1, 1, a[2].inverse()))
+            a, b, c = pipe.read()
+        assert b[0] == -one
+        pipe.apply("absorb-first-column",
+                   _from_inverse(field, [[one, zero, zero],
+                                         [-b[1], one, zero],
+                                         [-b[2], zero, one]]))
+        return label_c(-one)
+    # second column is c3 * z with c3 != 0
+    if c[2] != one:
+        inv = c[2].inverse()
+        pipe.apply("scale-to-unit", _diag(field, inv, c[2], 1))
+        a, b, c = pipe.read()
+    assert b[0].is_zero()
+    assert (one - a[0]) * b[1] == zero and a[0] * b[2] + a[1] == one
+    if not b[2].is_zero():
+        pipe.apply("clear-b3",
+                   _from_inverse(field, [[one, zero, zero],
+                                         [-b[2], one, zero],
+                                         [zero, zero, one]]))
+        a, b, c = pipe.read()
+    assert a[1] == one
+    if b[1].is_zero():
+        pipe.apply("absorb-into-y",
+                   _from_inverse(field, [[one, a[0], zero],
+                                         [zero, one, zero],
+                                         [zero, a[2], one]]))
+        return label_d()
+    assert a[0] == one
+    if b[1] != one:
+        pipe.apply("scale-middle", _diag(field, 1, 1, b[1]))
+        a, b, c = pipe.read()
+    if not a[2].is_zero():
+        t = a[2] / 2
+        pipe.apply("final-translate",
+                   _from_inverse(field, [[one, zero, zero],
+                                         [zero, one, zero],
+                                         [t, zero, one]]))
+    return label_a()
+
+
+def _finish(original: OmegaAlgebra, pipe: _Pipeline, label: CanonicalLabel,
+            extension) -> ClassificationResult:
+    target = canonical_algebra(label, pipe.field)
+    if pipe.work != target:
+        raise AssertionError(f"pipeline did not land on {label}")
+    witness = pipe.witness()
+    source = original if original.field == pipe.field else original.embed(pipe.field)
+    if change_basis(witness, source) != target:
+        raise AssertionError("witness does not reproduce the canonical algebra")
+    if source.omega.matrix == standard_j(pipe.field, 3, 2):
+        assert in_stabilizer(witness, "G", source.omega)
+    return ClassificationResult(label=label, witness=witness, field=pipe.field,
+                                trace=tuple(pipe.steps), extension=extension)
+
+
+def replay_trace(result: ClassificationResult, alg: OmegaAlgebra) -> OmegaAlgebra:
+    """Feed the trace back through the action; lands on the canonical algebra."""
+    work = alg if alg.field == result.field else alg.embed(result.field)
+    for _, g in result.trace:
+        work = change_basis(g, work)
+    return work
+
+
+# ---------------------------------------------------------------------------
+# isomorphism testing
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class NonIsomorphic:
+    reason: str
+    label1: CanonicalLabel | None = None
+    label2: CanonicalLabel | None = None
+
+    def __bool__(self):
+        return False
+
+
+def iso_witness(alg1: OmegaAlgebra, alg2: OmegaAlgebra,
+                allow_extension: bool = False):
+    """A verified isomorphism between the two algebras, or NonIsomorphic.
+
+    Classification labels decide the orbit; the witness is the composition of
+    the two classification witnesses and is re-verified to carry the first
+    bracket and form onto the second.
+    """
+    d1, d2 = derived_dimension(alg1.sc), derived_dimension(alg2.sc)
+    if d1 != d2:
+        return NonIsomorphic(
+            reason=f"derived algebra dimensions differ: {d1} vs {d2}")
+    r1 = classify(alg1, allow_extension=allow_extension)
+    a2 = alg2 if alg2.field == r1.field else alg2.embed(r1.field)
+    r2 = classify(a2, allow_extension=allow_extension)
+    if r2.field != r1.field:
+        # the second algebra forced the extension; redo the first over it
+        r1 = classify(alg1.embed(r2.field), allow_extension=allow_extension)
+        a2 = alg2.embed(r2.field)
+    if r1.label != r2.label:
+        return NonIsomorphic(reason="different canonical families",
+                             label1=r1.label, label2=r2.label)
+    witness = r2.witness.inverse().compose(r1.witness)
+    source = alg1 if alg1.field == r1.field else alg1.embed(r1.field)
+    if change_basis(witness, source) != a2:
+        raise AssertionError("composed witness failed re-verification")
+    return witness
+
+
+# ---------------------------------------------------------------------------
+# verification suite for the classification layer
+# ---------------------------------------------------------------------------
+
+def random_stabilizer_element(field, rng) -> GroupElement:
+    """Random block element (SL2 block, translation row, nonzero scalar)."""
+    from .fields import PrimeField
+
+    def rand():
+        if isinstance(field, PrimeField):
+            return field.elem(rng.randrange(field.p))
+        from fractions import Fraction
+        return field.elem(Fraction(rng.randint(-6, 6), rng.randint(1, 3)))
+
+    while True:
+        s1, s2, s3 = rand(), rand(), rand()
+        if not s1.is_zero():
+            s4 = (field.one + s2 * s3) / s1
+            break
+    t1, t2 = rand(), rand()
+    while True:
+        d = rand()
+        if not d.is_zero():
+            break
+    m = Matrix.from_rows(field, [[s1, s3, field.zero],
+                                 [s2, s4, field.zero],
+                                 [t1, t2, d]])
+    return GroupElement(m)
+
+
+def random_nonzero(field, rng) -> FieldElement:
+    from .fields import PrimeField
+    while True:
+        if isinstance(field, PrimeField):
+            v = field.elem(rng.randrange(field.p))
+        else:
+            from fractions import Fraction
+            v = field.elem(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+        if not v.is_zero():
+            return v
+
+
+def c_pair_audit(field, count: int = 50, seed: int = 101) -> ReportTable:
+    """Machine-verify the parameter-pair collapse of the C family."""
+    table = ReportTable(f"C-family parameter pairs over {field!r}")
+    rng = random.Random(seed)
+    swap = c_pair_swap(field)
+    with table.timed("swap-is-form-preserving") as rec:
+        rec.expect(in_stabilizer(swap, "G", SkewForm(standard_j(field, 3, 2))),
+                   "the swap does not preserve the form")
+    with table.timed("swap-carries-parameter-pairs") as rec:
+        for _ in range(count):
+            alpha = random_nonzero(field, rng)
+            src = canonical_algebra(label_c(alpha), field)
+            moved = transform(swap, src)
+            beta = -(alpha + 1)
+            if beta.is_zero():
+                # the zero-parameter bracket pattern is excluded as a label but
+                # still the literal image of the pair map
+                expected_sc = StructureConstants(field, 3, {
+                    (0, 1): (field.zero, field.zero, field.one),
+                    (1, 2): (field.zero, -field.one, field.zero)})
+                rec.expect(moved.sc == expected_sc,
+                           f"pair image wrong for parameter {alpha.encode()}")
+            else:
+                rec.expect(moved == canonical_algebra(label_c(beta), field),
+                           f"pair image wrong for parameter {alpha.encode()}")
+    with table.timed("representative-is-involution-stable") as rec:
+        for _ in range(count):
+            alpha = random_nonzero(field, rng)
+            other = -(alpha + 1)
+            rep = c_pair_representative(alpha)
+            rec.expect(rep in (alpha, other), "representative left the pair")
+            if not other.is_zero():
+                rec.expect(c_pair_representative(other) == rep,
+                           "representative depends on the pair member")
+    table.add_note("the two parameters a and -(a+1) label isomorphic algebras,"
+                   " so C-family labels are unique only up to this pair;"
+                   " distinct pairs remain non-isomorphic")
+    return table
+
+
+def verify_classification(field, samples: int = 40, seed: int = 7) -> ReportTable:
+    """End-to-end checks of the classification layer over one field."""
+    table = ReportTable(f"classification over {field!r}")
+    rng = random.Random(seed)
+    half = -field.one / 2
+
+    with table.timed("canonical-self-classification") as rec:
+        for label in (label_a(), label_b(), label_d()):
+            res = classify(canonical_algebra(label, field))
+            rec.expect(res.label == label, f"{label} did not classify to itself")
+            rec.expect(res.witness == GroupElement.identity(field, 3),
+                       f"{label} witness is not the identity")
+        for alpha_int in (2, 3, -4):
+            alpha = field.elem(alpha_int)
+            res = classify(canonical_algebra(label_c(alpha), field))
+            rec.expect(res.label.kind == "C"
+                       and res.label.alpha == c_pair_representative(alpha),
+                       f"C({alpha_int}) label mismatch")
+        res = classify(canonical_algebra(label_c(half), field))
+        rec.expect(res.label == label_c(half), "C(-1/2) label mismatch")
+
+    with table.timed("orbit-roundtrip") as rec:
+        labels = [label_a(), label_b(), label_d()]
+        for _ in range(samples):
+            label = (rng.choice(labels) if rng.random() < 0.5
+                     else label_c(random_nonzero(field, rng)))
+            g = random_stabilizer_element(field, rng)
+            moved = transform(g, canonical_algebra(label, field))
+            res = classify(moved, allow_extension=True)
+            want = (label if label.kind != "C"
+                    else label_c(c_pair_representative(label.alpha)))
+            rec.expect(res.label == want,
+                       f"roundtrip of {label} returned {res.label}")
+            target = canonical_algebra(res.label, res.field)
+            src = moved if moved.field == res.field else moved.embed(res.field)
+            rec.expect(change_basis(res.witness, src) == target,
+                       "witness identity failed")
+
+    with table.timed("family-separation") as rec:
+        reps = [("A", canonical_algebra(label_a(), field)),
+                ("B", canonical_algebra(label_b(), field)),
+                ("D", canonical_algebra(label_d(), field)),
+                ("C2", canonical_algebra(label_c(field.elem(2)), field)),
+                ("C5", canonical_algebra(label_c(field.elem(5)), field))]
+        for i in range(len(reps)):
+            for j in range(i + 1, len(reps)):
+                out = iso_witness(reps[i][1], reps[j][1], allow_extension=True)
+                rec.expect(isinstance(out, NonIsomorphic),
+                           f"{reps[i][0]} and {reps[j][0]} compared isomorphic")
+
+    with table.timed("derived-dimensions") as rec:
+        rec.expect(derived_dimension(canonical_algebra(label_d(), field).sc) == 2,
+                   "D derived dimension wrong")
+        rec.expect(derived_dimension(
+            canonical_algebra(label_c(-field.one), field).sc) == 2,
+            "C(-1) derived dimension wrong")
+        for label in (label_a(), label_b(), label_c(field.elem(3))):
+            rec.expect(derived_dimension(canonical_algebra(label, field).sc) == 3,
+                       f"{label} derived dimension wrong")
+
+    with table.timed("product-stabilizer-block") as rec:
+        probe = canonical_algebra(label_c(field.elem(2)), field)
+        for _ in range(15):
+            g = random_stabilizer_element(field, rng)
+            h_mat = Matrix.from_rows(field, [
+                [g.matrix[0, 0], g.matrix[0, 1], field.zero],
+                [g.matrix[1, 0], g.matrix[1, 1], field.zero],
+                [field.zero, field.zero, field.one]])
+            h = GroupElement(h_mat)
+            moved = transform(h, probe)
+            rec.expect(moved.sc.bracket(0, 1) == (field.zero, field.zero, field.one),
+                       "block element moved the product bracket")
+            d = g.matrix[2, 2]
+            if d != field.one:
+                moved = transform(g, probe)
+                rec.expect(moved.sc.bracket(0, 1)
+                           != (field.zero, field.zero, field.one),
+                           "scalar part != 1 still fixed the product bracket")
+
+    with table.timed("translation-solvability") as rec:
+        for _ in range(15):
+            b = [random_nonzero(field, rng) for _ in range(3)]
+            c = [random_nonzero(field, rng) for _ in range(3)]
+            delta = b[0] * c[1] - b[1] * c[0]
+            if delta.is_zero():
+                continue
+            t_mat = Matrix.from_rows(field, [
+                [c[0], -b[0], field.zero],
+                [c[1], -b[1], field.zero],
+                [c[2], -b[2], field.one]])
+            rec.expect(t_mat.det() == delta, "determinant formula failed")
+            solve_vector(t_mat, (field.one, field.zero, field.one))  # unique
+
+    return table

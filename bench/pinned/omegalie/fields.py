@@ -1,0 +1,554 @@
+"""Exact scalar arithmetic: rationals, odd prime fields, and one quadratic extension.
+
+Every value is immutable and every operation is a pure function, so elements
+are safe to share between threads.  No floating point is used anywhere.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from math import isqrt
+
+
+class FieldError(Exception):
+    pass
+
+
+class DescriptorMismatch(FieldError):
+    """Arithmetic attempted between elements of different fields."""
+
+
+class ZeroInput(FieldError):
+    """An operation required a nonzero argument."""
+
+
+class ExtensionRequired(FieldError):
+    """A root does not exist in the current field.
+
+    Carries the monic minimal polynomial t^2 + c1*t + c0 that would have to be
+    adjoined, as the pair (c0, c1) of field elements.
+    """
+
+    def __init__(self, c0, c1, message=None):
+        self.minpoly = (c0, c1)
+        super().__init__(message or f"needs extension by t^2 + ({c1})*t + ({c0})")
+
+
+class ExtensionDepthExceeded(ExtensionRequired):
+    """A second quadratic extension would be needed; the tower is capped at one."""
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
+
+
+class FieldDescriptor:
+    """Base class for field descriptors.  Payload formats:
+
+    - Rationals:  ``Fraction``
+    - PrimeField: ``int`` in ``[0, p)``
+    - QuadExt:    pair ``(a, b)`` of base payloads, meaning ``a + b*theta``
+    """
+
+    depth = 0
+
+    def elem(self, value) -> "FieldElement":
+        return FieldElement(self, self.coerce(value))
+
+    @property
+    def zero(self):
+        return self.elem(0)
+
+    @property
+    def one(self):
+        return self.elem(1)
+
+    def parse(self, text: str) -> "FieldElement":
+        return FieldElement(self, self.payload_from_str(text))
+
+    # subclasses implement: coerce, add, neg, mul, inv, is_zero,
+    # payload_to_str, payload_from_str, encode (descriptor string)
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def div(self, a, b):
+        if self.is_zero(b):
+            raise ZeroDivisionError("division by zero field element")
+        return self.mul(a, self.inv(b))
+
+
+class Rationals(FieldDescriptor):
+    def coerce(self, value):
+        if isinstance(value, Fraction):
+            return value
+        if isinstance(value, int):
+            return Fraction(value)
+        if isinstance(value, str):
+            return self.payload_from_str(value)
+        raise TypeError(f"cannot coerce {value!r} into Q")
+
+    def add(self, a, b):
+        return a + b
+
+    def neg(self, a):
+        return -a
+
+    def mul(self, a, b):
+        return a * b
+
+    def inv(self, a):
+        if a == 0:
+            raise ZeroDivisionError("division by zero field element")
+        return 1 / a
+
+    def is_zero(self, a):
+        return a == 0
+
+    def payload_to_str(self, a):
+        return str(a)
+
+    def payload_from_str(self, text):
+        return Fraction(text.strip())
+
+    def encode(self):
+        return "Q"
+
+    def __repr__(self):
+        return "Q"
+
+    def __eq__(self, other):
+        return isinstance(other, Rationals)
+
+    def __hash__(self):
+        return hash("Q")
+
+
+class PrimeField(FieldDescriptor):
+    def __init__(self, p: int):
+        if not _is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if p == 2:
+            raise ValueError("characteristic 2 is not supported")
+        self.p = p
+
+    def coerce(self, value):
+        if isinstance(value, int):
+            return value % self.p
+        if isinstance(value, Fraction):
+            if value.denominator % self.p == 0:
+                raise ZeroDivisionError(f"denominator divisible by {self.p}")
+            return value.numerator * pow(value.denominator, -1, self.p) % self.p
+        if isinstance(value, str):
+            return self.payload_from_str(value)
+        raise TypeError(f"cannot coerce {value!r} into F_{self.p}")
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def neg(self, a):
+        return -a % self.p
+
+    def mul(self, a, b):
+        return (a * b) % self.p
+
+    def inv(self, a):
+        if a == 0:
+            raise ZeroDivisionError("division by zero field element")
+        return pow(a, -1, self.p)
+
+    def is_zero(self, a):
+        return a == 0
+
+    def payload_to_str(self, a):
+        return str(a)
+
+    def payload_from_str(self, text):
+        text = text.strip()
+        if "/" in text:
+            num, den = text.split("/")
+            return self.coerce(Fraction(int(num), int(den)))
+        return int(text) % self.p
+
+    def encode(self):
+        return f"Fp:{self.p}"
+
+    def __repr__(self):
+        return f"F_{self.p}"
+
+    def __eq__(self, other):
+        return isinstance(other, PrimeField) and other.p == self.p
+
+    def __hash__(self):
+        return hash(("Fp", self.p))
+
+
+class QuadExt(FieldDescriptor):
+    """Quadratic extension base(theta) with theta^2 + c1*theta + c0 = 0.
+
+    The base must itself be depth 0 (Q or F_p); towers are capped at one step.
+    """
+
+    depth = 1
+
+    def __init__(self, base: FieldDescriptor, c0, c1, _checked=False):
+        if base.depth != 0:
+            raise ExtensionDepthExceeded(c0, c1, "extension tower depth is capped at 1")
+        self.base = base
+        self.c0 = base.coerce(c0)
+        self.c1 = base.coerce(c1)
+        if not _checked:
+            disc = base.sub(base.mul(self.c1, self.c1),
+                            base.mul(base.coerce(4), self.c0))
+            if _sqrt_in_depth0(base, disc) is not None:
+                raise ValueError(
+                    f"t^2 + ({base.payload_to_str(self.c1)})*t + "
+                    f"({base.payload_to_str(self.c0)}) is reducible over {base!r}")
+
+    def coerce(self, value):
+        if isinstance(value, tuple) and len(value) == 2:
+            return (self.base.coerce(value[0]), self.base.coerce(value[1]))
+        if isinstance(value, str):
+            return self.payload_from_str(value)
+        return (self.base.coerce(value), self.base.coerce(0))
+
+    def add(self, a, b):
+        return (self.base.add(a[0], b[0]), self.base.add(a[1], b[1]))
+
+    def neg(self, a):
+        return (self.base.neg(a[0]), self.base.neg(a[1]))
+
+    def mul(self, a, b):
+        # (a0 + a1 t)(b0 + b1 t) with t^2 = -c1 t - c0
+        base = self.base
+        a0, a1 = a
+        b0, b1 = b
+        tt = base.mul(a1, b1)
+        lin = base.add(base.mul(a0, b1), base.mul(a1, b0))
+        return (base.sub(base.mul(a0, b0), base.mul(tt, self.c0)),
+                base.sub(lin, base.mul(tt, self.c1)))
+
+    def inv(self, a):
+        # conjugate of a0 + a1 t is (a0 - a1 c1) - a1 t; norm = a0^2 - a0 a1 c1 + a1^2 c0
+        base = self.base
+        a0, a1 = a
+        norm = base.add(base.sub(base.mul(a0, a0), base.mul(base.mul(a0, a1), self.c1)),
+                        base.mul(base.mul(a1, a1), self.c0))
+        if base.is_zero(norm):
+            raise ZeroDivisionError("division by zero field element")
+        ninv = base.inv(norm)
+        return (base.mul(base.sub(a0, base.mul(a1, self.c1)), ninv),
+                base.neg(base.mul(a1, ninv)))
+
+    def is_zero(self, a):
+        return self.base.is_zero(a[0]) and self.base.is_zero(a[1])
+
+    @property
+    def theta(self):
+        return self.elem((0, 1))
+
+    def embed(self, element: "FieldElement") -> "FieldElement":
+        if element.field != self.base:
+            raise DescriptorMismatch(f"{element.field!r} is not the base of {self!r}")
+        return FieldElement(self, (element.value, self.base.coerce(0)))
+
+    def payload_to_str(self, a):
+        return f"[{self.base.payload_to_str(a[0])},{self.base.payload_to_str(a[1])}]"
+
+    def payload_from_str(self, text):
+        text = text.strip()
+        if not (text.startswith("[") and text.endswith("]")):
+            return (self.base.payload_from_str(text), self.base.coerce(0))
+        inner = text[1:-1]
+        parts = inner.split(",")
+        if len(parts) != 2:
+            raise ValueError(f"bad quadratic-extension element: {text!r}")
+        return (self.base.payload_from_str(parts[0]), self.base.payload_from_str(parts[1]))
+
+    def encode(self):
+        return (f"QuadExt:{self.base.encode()}:"
+                f"{self.base.payload_to_str(self.c0)},{self.base.payload_to_str(self.c1)}")
+
+    def __repr__(self):
+        return (f"{self.base!r}(t), t^2 + ({self.base.payload_to_str(self.c1)})t"
+                f" + ({self.base.payload_to_str(self.c0)}) = 0")
+
+    def __eq__(self, other):
+        return (isinstance(other, QuadExt) and other.base == self.base
+                and other.c0 == self.c0 and other.c1 == self.c1)
+
+    def __hash__(self):
+        return hash(("QuadExt", self.base, self.c0, self.c1))
+
+
+QQ = Rationals()
+
+
+def parse_descriptor(text: str) -> FieldDescriptor:
+    """Parse "Q", "Fp:<p>" or "QuadExt:<base>:<c0>,<c1>"."""
+    text = text.strip()
+    if text == "Q":
+        return QQ
+    if text.startswith("Fp:"):
+        return PrimeField(int(text[3:]))
+    if text.startswith("QuadExt:"):
+        rest = text[len("QuadExt:"):]
+        base_txt, minpoly = rest.rsplit(":", 1)
+        base = parse_descriptor(base_txt)
+        c0_txt, c1_txt = minpoly.split(",")
+        return QuadExt(base, base.payload_from_str(c0_txt), base.payload_from_str(c1_txt))
+    raise ValueError(f"unknown field descriptor {text!r}")
+
+
+class FieldElement:
+    __slots__ = ("field", "value")
+
+    def __init__(self, field: FieldDescriptor, payload):
+        self.field = field
+        self.value = payload
+
+    def _coerce_other(self, other):
+        if isinstance(other, FieldElement):
+            if other.field != self.field:
+                raise DescriptorMismatch(
+                    f"mixed fields: {self.field!r} and {other.field!r}")
+            return other.value
+        if isinstance(other, (int, Fraction)):
+            return self.field.coerce(other)
+        return NotImplemented
+
+    def __add__(self, other):
+        v = self._coerce_other(other)
+        if v is NotImplemented:
+            return NotImplemented
+        return FieldElement(self.field, self.field.add(self.value, v))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        v = self._coerce_other(other)
+        if v is NotImplemented:
+            return NotImplemented
+        return FieldElement(self.field, self.field.sub(self.value, v))
+
+    def __rsub__(self, other):
+        v = self._coerce_other(other)
+        if v is NotImplemented:
+            return NotImplemented
+        return FieldElement(self.field, self.field.sub(v, self.value))
+
+    def __mul__(self, other):
+        v = self._coerce_other(other)
+        if v is NotImplemented:
+            return NotImplemented
+        return FieldElement(self.field, self.field.mul(self.value, v))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        v = self._coerce_other(other)
+        if v is NotImplemented:
+            return NotImplemented
+        return FieldElement(self.field, self.field.div(self.value, v))
+
+    def __rtruediv__(self, other):
+        v = self._coerce_other(other)
+        if v is NotImplemented:
+            return NotImplemented
+        return FieldElement(self.field, self.field.div(v, self.value))
+
+    def __neg__(self):
+        return FieldElement(self.field, self.field.neg(self.value))
+
+    def __eq__(self, other):
+        if isinstance(other, FieldElement):
+            if other.field != self.field:
+                return False
+            return other.value == self.value
+        if isinstance(other, (int, Fraction)):
+            return self.value == self.field.coerce(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.field, self.value))
+
+    def __bool__(self):
+        return not self.field.is_zero(self.value)
+
+    def is_zero(self):
+        return self.field.is_zero(self.value)
+
+    def inverse(self):
+        return FieldElement(self.field, self.field.inv(self.value))
+
+    def encode(self) -> str:
+        return self.field.payload_to_str(self.value)
+
+    def __repr__(self):
+        return self.encode()
+
+
+def field_arith(a: FieldElement, b: FieldElement, op: str) -> FieldElement:
+    """Dispatch form of the four basic operations ("add", "sub", "mul", "div")."""
+    if op == "add":
+        return a + b
+    if op == "sub":
+        return a - b
+    if op == "mul":
+        return a * b
+    if op == "div":
+        return a / b
+    raise ValueError(f"unknown op {op!r}")
+
+
+# ---------------------------------------------------------------------------
+# square roots and quadratic splitting
+# ---------------------------------------------------------------------------
+
+def _sqrt_in_depth0(field: FieldDescriptor, payload):
+    """Canonical square root of a payload in Q or F_p, or None.
+
+    Q: positive root.  F_p: Euler criterion, then the representative in
+    [0, p/2] (exhaustive search; moduli here are desk scale).
+    """
+    if isinstance(field, Rationals):
+        if payload == 0:
+            return Fraction(0)
+        if payload < 0:
+            return None
+        n, d = payload.numerator, payload.denominator
+        rn, rd = isqrt(n), isqrt(d)
+        if rn * rn == n and rd * rd == d:
+            return Fraction(rn, rd)
+        return None
+    if isinstance(field, PrimeField):
+        p = field.p
+        if payload == 0:
+            return 0
+        if pow(payload, (p - 1) // 2, p) != 1:
+            return None
+        for r in range(p // 2 + 1):
+            if r * r % p == payload:
+                return r
+        return None
+    raise TypeError(f"{field!r} is not depth 0")
+
+
+def _sqrt_in_field(element: FieldElement):
+    """Square root inside the element's own field, or None.
+
+    Over a quadratic extension base(t), only values with zero t-component are
+    supported; that covers every value produced by embedding from the base,
+    which is the only way extension scalars arise here.
+    """
+    field = element.field
+    if field.depth == 0:
+        r = _sqrt_in_depth0(field, element.value)
+        return None if r is None else FieldElement(field, r)
+    base = field.base
+    a0, a1 = element.value
+    if not base.is_zero(a1):
+        raise ExtensionDepthExceeded(
+            -element, field.zero,
+            "square roots of generic extension elements are out of scope")
+    r = _sqrt_in_depth0(base, a0)
+    if r is not None:
+        return FieldElement(field, (r, base.coerce(0)))
+    # maybe a0 = (v*(t + c1/2))^2 = v^2 * (c1^2 - 4 c0)/4
+    disc = base.sub(base.mul(field.c1, field.c1), base.mul(base.coerce(4), field.c0))
+    v2 = base.div(base.mul(base.coerce(4), a0), disc)
+    v = _sqrt_in_depth0(base, v2)
+    if v is None:
+        return None
+    half_c1 = base.div(field.c1, base.coerce(2))
+    return FieldElement(field, (base.mul(v, half_c1), v))
+
+
+@dataclass(frozen=True)
+class SqrtReport:
+    kind: str  # "root" | "needs_extension"
+    root: FieldElement | None = None
+    minpoly: tuple | None = None  # (c0, c1) for t^2 + c1 t + c0
+
+    def extension(self) -> QuadExt:
+        if self.kind != "needs_extension":
+            raise ValueError("root already exists in the field")
+        c0, c1 = self.minpoly
+        # construction re-checks that the discriminant is a non-square
+        return QuadExt(c0.field, c0.value, c1.value)
+
+    def root_in_extension(self, ext: QuadExt) -> FieldElement:
+        # the minpoly here is t^2 - s, so theta itself is the root
+        return ext.theta
+
+
+def sqrt_or_extend(s: FieldElement) -> SqrtReport:
+    """Square root of a nonzero element, or the minpoly t^2 - s to adjoin."""
+    if s.is_zero():
+        raise ZeroInput("sqrt of zero")
+    r = _sqrt_in_field(s)
+    if r is not None:
+        return SqrtReport("root", root=r)
+    if s.field.depth != 0:
+        raise ExtensionDepthExceeded(-s, s.field.zero,
+                                     "second quadratic extension refused")
+    return SqrtReport("needs_extension", minpoly=(-s, s.field.zero))
+
+
+@dataclass(frozen=True)
+class RootReport:
+    """Roots of t^2 + t + delta.
+
+    kind is "two_roots" (roots attribute set, both in the field),
+    "double" (single root -1/2), or "needs_extension" (minpoly set).
+    """
+    kind: str
+    roots: tuple | None = None
+    root: FieldElement | None = None
+    minpoly: tuple | None = None
+
+    def extension(self) -> QuadExt:
+        if self.kind != "needs_extension":
+            raise ValueError("roots already exist in the field")
+        c0, c1 = self.minpoly
+        # construction re-checks that the discriminant is a non-square
+        return QuadExt(c0.field, c0.value, c1.value)
+
+    def roots_in_extension(self, ext: QuadExt) -> tuple:
+        # minpoly is t^2 + t + delta, so the roots are theta and -1 - theta
+        return (ext.theta, -ext.theta - 1)
+
+
+def quadratic_roots(delta: FieldElement) -> RootReport:
+    """Split t^2 + t + delta over delta's field if possible.
+
+    The returned pair is ((-1 + s)/2, (-1 - s)/2) for the canonical square
+    root s of the discriminant 1 - 4*delta.
+    """
+    field = delta.field
+    disc = field.one - 4 * delta
+    if disc.is_zero():
+        return RootReport("double", root=-field.one / 2)
+    s = _sqrt_in_field(disc)
+    if s is not None:
+        two = field.elem(2)
+        return RootReport("two_roots", roots=((s - 1) / two, (-s - 1) / two))
+    if field.depth != 0:
+        raise ExtensionDepthExceeded(delta, field.one,
+                                     "second quadratic extension refused")
+    return RootReport("needs_extension", minpoly=(delta, field.one))
+
+
+def quadratic_extension(base: FieldDescriptor, c0, c1) -> QuadExt:
+    """Build base(theta) with theta^2 + c1*theta + c0 = 0, checking irreducibility."""
+    return QuadExt(base, c0, c1)

@@ -1,0 +1,669 @@
+"""Sparse multivariate polynomials under grevlex and a small Buchberger engine.
+
+Covers exactly what the ideal-theoretic checks need: normal forms, reduced
+Groebner bases, intersection via an elimination variable, colon ideals, and
+the combinatorial Krull dimension of a quotient.  Coefficients are field
+elements, so division is always exact.
+"""
+
+from __future__ import annotations
+
+from itertools import combinations
+
+from .fields import FieldDescriptor, FieldElement, Rationals
+
+# When enabled (the test suite turns it on), every Buchberger run re-verifies
+# its output by reducing all S-polynomials of the final basis.
+CHECK_POSTCONDITIONS = False
+
+
+class RingMismatch(Exception):
+    pass
+
+
+class NotAGroebnerBasis(Exception):
+    pass
+
+
+class InexactDivision(Exception):
+    pass
+
+
+class UnitIdeal(Exception):
+    pass
+
+
+class PolyRing:
+    """Polynomial ring with named variables and a fixed monomial order.
+
+    order "grevlex": total degree, ties by the last differing exponent with
+    the smaller exponent winning.  order "elim1": the first variable forms an
+    elimination block above a grevlex tail (used for intersections).
+    """
+
+    __slots__ = ("field", "variables", "order", "_var_index", "_key_cache")
+
+    def __init__(self, field: FieldDescriptor, variables, order: str = "grevlex"):
+        variables = tuple(variables)
+        if len(set(variables)) != len(variables):
+            raise ValueError("variable names must be unique")
+        if order not in ("grevlex", "elim1"):
+            raise ValueError(f"unknown order {order!r}")
+        self.field = field
+        self.variables = variables
+        self.order = order
+        self._var_index = {v: i for i, v in enumerate(variables)}
+        self._key_cache = {}
+
+    @property
+    def nvars(self):
+        return len(self.variables)
+
+    def sort_key(self, exps):
+        key = self._key_cache.get(exps)
+        if key is None:
+            if self.order == "grevlex":
+                key = (sum(exps), tuple(-e for e in reversed(exps)))
+            else:
+                rest = exps[1:]
+                key = (exps[0], sum(rest), tuple(-e for e in reversed(rest)))
+            self._key_cache[exps] = key
+        return key
+
+    def cmp(self, e1, e2):
+        k1, k2 = self.sort_key(e1), self.sort_key(e2)
+        return (k1 > k2) - (k1 < k2)
+
+    def zero(self):
+        return Polynomial(self, {})
+
+    def const(self, value):
+        c = value if isinstance(value, FieldElement) else self.field.elem(value)
+        if c.is_zero():
+            return self.zero()
+        return Polynomial(self, {(0,) * self.nvars: c})
+
+    def one(self):
+        return self.const(1)
+
+    def var(self, name):
+        i = self._var_index[name]
+        e = [0] * self.nvars
+        e[i] = 1
+        return Polynomial(self, {tuple(e): self.field.one})
+
+    def gens(self):
+        return [self.var(v) for v in self.variables]
+
+    def __eq__(self, other):
+        return (isinstance(other, PolyRing) and other.field == self.field
+                and other.variables == self.variables and other.order == self.order)
+
+    def __hash__(self):
+        return hash((self.field, self.variables, self.order))
+
+    def __repr__(self):
+        return f"{self.field!r}[{', '.join(self.variables)}] ({self.order})"
+
+
+def grevlex_cmp(e1, e2) -> int:
+    """Compare exponent vectors: total degree first, ties broken by the last
+    variable in which they differ, smaller exponent winning.  Returns -1, 0
+    or 1."""
+    if len(e1) != len(e2):
+        raise ValueError(f"exponent lengths differ: {len(e1)} vs {len(e2)}")
+    d1, d2 = sum(e1), sum(e2)
+    if d1 != d2:
+        return 1 if d1 > d2 else -1
+    for a, b in zip(reversed(e1), reversed(e2)):
+        if a != b:
+            return 1 if a < b else -1
+    return 0
+
+
+def _exp_mul(e1, e2):
+    return tuple(a + b for a, b in zip(e1, e2))
+
+
+def _exp_div(e1, e2):
+    return tuple(a - b for a, b in zip(e1, e2))
+
+
+def _divides(e1, e2):
+    return all(a <= b for a, b in zip(e1, e2))
+
+
+def _exp_lcm(e1, e2):
+    return tuple(max(a, b) for a, b in zip(e1, e2))
+
+
+def _coprime(e1, e2):
+    return all(a == 0 or b == 0 for a, b in zip(e1, e2))
+
+
+class Polynomial:
+    __slots__ = ("ring", "terms", "_sorted")
+
+    def __init__(self, ring: PolyRing, terms: dict, _clean=False):
+        if not _clean:
+            terms = {e: c for e, c in terms.items() if not c.is_zero()}
+        self.ring = ring
+        self.terms = terms
+        self._sorted = None
+
+    def sorted_terms(self):
+        """Terms as (exponent, coefficient) pairs, descending in the ring order."""
+        if self._sorted is None:
+            key = self.ring.sort_key
+            self._sorted = tuple(sorted(self.terms.items(),
+                                        key=lambda t: key(t[0]), reverse=True))
+        return self._sorted
+
+    def is_zero(self):
+        return not self.terms
+
+    def lm(self):
+        if not self.terms:
+            raise ValueError("zero polynomial has no leading monomial")
+        return self.sorted_terms()[0][0]
+
+    def lc(self):
+        return self.sorted_terms()[0][1]
+
+    def degree(self):
+        if not self.terms:
+            return -1
+        return max(sum(e) for e in self.terms)
+
+    def _check_ring(self, other):
+        if other.ring != self.ring:
+            raise RingMismatch("polynomials from different rings")
+
+    def __add__(self, other):
+        if isinstance(other, (int, FieldElement)):
+            other = self.ring.const(other)
+        self._check_ring(other)
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            acc = out.get(e)
+            acc = c if acc is None else acc + c
+            if acc.is_zero():
+                out.pop(e, None)
+            else:
+                out[e] = acc
+        return Polynomial(self.ring, out, _clean=True)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Polynomial(self.ring, {e: -c for e, c in self.terms.items()},
+                          _clean=True)
+
+    def __sub__(self, other):
+        if isinstance(other, (int, FieldElement)):
+            other = self.ring.const(other)
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, (int, FieldElement)):
+            c = other if isinstance(other, FieldElement) else self.ring.field.elem(other)
+            if c.is_zero():
+                return self.ring.zero()
+            return Polynomial(self.ring,
+                              {e: k * c for e, k in self.terms.items()}, _clean=True)
+        self._check_ring(other)
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = _exp_mul(e1, e2)
+                acc = out.get(e)
+                prod = c1 * c2
+                acc = prod if acc is None else acc + prod
+                if acc.is_zero():
+                    out.pop(e, None)
+                else:
+                    out[e] = acc
+        return Polynomial(self.ring, out, _clean=True)
+
+    __rmul__ = __mul__
+
+    def monomial_mul(self, coeff: FieldElement, exps):
+        return Polynomial(self.ring,
+                          {_exp_mul(e, exps): c * coeff for e, c in self.terms.items()},
+                          _clean=True)
+
+    def monic(self):
+        if not self.terms:
+            return self
+        lc = self.lc()
+        if lc == self.ring.field.one:
+            return self
+        inv = lc.inverse()
+        return Polynomial(self.ring, {e: c * inv for e, c in self.terms.items()},
+                          _clean=True)
+
+    def evaluate(self, point: dict) -> FieldElement:
+        """Evaluate at a total assignment {variable name: FieldElement}."""
+        field = self.ring.field
+        vals = [point[v] for v in self.ring.variables]
+        acc = field.zero
+        for e, c in self.terms.items():
+            term = c
+            for i, exp in enumerate(e):
+                for _ in range(exp):
+                    term = term * vals[i]
+            acc = acc + term
+        return acc
+
+    def __eq__(self, other):
+        return (isinstance(other, Polynomial) and other.ring == self.ring
+                and other.terms == self.terms)
+
+    def __hash__(self):
+        return hash((self.ring, frozenset(self.terms.items())))
+
+    def __repr__(self):
+        return format_polynomial(self)
+
+
+# ---------------------------------------------------------------------------
+# canonical text form
+# ---------------------------------------------------------------------------
+
+def _monomial_str(ring, exps):
+    parts = []
+    for name, e in zip(ring.variables, exps):
+        if e == 1:
+            parts.append(name)
+        elif e > 1:
+            parts.append(f"{name}^{e}")
+    return "*".join(parts)
+
+
+def _coeff_display(field, coeff):
+    """(is_negative, magnitude_string); only rationals carry a display sign."""
+    if isinstance(field, Rationals):
+        v = coeff.value
+        return (v < 0, str(-v) if v < 0 else str(v))
+    return (False, coeff.encode())
+
+
+def format_polynomial(p: Polynomial) -> str:
+    if p.is_zero():
+        return "0"
+    field = p.ring.field
+    chunks = []
+    for i, (exps, coeff) in enumerate(p.sorted_terms()):
+        neg, mag = _coeff_display(field, coeff)
+        mono = _monomial_str(p.ring, exps)
+        if not mono:
+            body = mag
+        elif mag == "1":
+            body = mono
+        else:
+            body = f"{mag}*{mono}"
+        if i == 0:
+            chunks.append(f"-{body}" if neg else body)
+        else:
+            chunks.append(f"{' - ' if neg else ' + '}{body}")
+    return "".join(chunks)
+
+
+def _split_top_level(text, seps):
+    """Split on separator characters that are not inside [...] brackets."""
+    parts = []
+    depth = 0
+    cur = []
+    for ch in text:
+        if ch == "[":
+            depth += 1
+        elif ch == "]":
+            depth -= 1
+        if depth == 0 and ch in seps:
+            parts.append(("".join(cur), ch))
+            cur = []
+        else:
+            cur.append(ch)
+    parts.append(("".join(cur), None))
+    return parts
+
+
+def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
+    """Inverse of format_polynomial (whitespace-insensitive)."""
+    text = text.strip()
+    if text == "0":
+        return ring.zero()
+    pieces = _split_top_level(text, "+-")
+    # re-assemble into signed term strings
+    terms = []
+    sign = 1
+    for body, sep in pieces:
+        body = body.strip()
+        if body:
+            terms.append((sign, body))
+        elif sep is not None and terms:
+            raise ValueError(f"dangling operator in {text!r}")
+        sign = -1 if sep == "-" else 1
+    result = ring.zero()
+    field = ring.field
+    for sgn, body in terms:
+        coeff = field.one
+        exps = [0] * ring.nvars
+        for factor, _ in _split_top_level(body, "*"):
+            factor = factor.strip()
+            if not factor:
+                raise ValueError(f"empty factor in {body!r}")
+            if "^" in factor and not factor.startswith("["):
+                name, _, power = factor.partition("^")
+                name = name.strip()
+                if name not in ring._var_index:
+                    raise ValueError(f"unknown variable {name!r}")
+                exps[ring._var_index[name]] += int(power)
+            elif factor in ring._var_index:
+                exps[ring._var_index[factor]] += 1
+            else:
+                coeff = coeff * field.parse(factor)
+        if sgn < 0:
+            coeff = -coeff
+        result = result + Polynomial(ring, {tuple(exps): coeff})
+    return result
+
+
+# ---------------------------------------------------------------------------
+# division, S-polynomials, Buchberger
+# ---------------------------------------------------------------------------
+
+def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
+    if f.is_zero() or g.is_zero():
+        raise ValueError("S-polynomial of the zero polynomial")
+    f._check_ring(g)
+    t = _exp_lcm(f.lm(), g.lm())
+    left = f.monomial_mul(g.lc(), _exp_div(t, f.lm()))
+    right = g.monomial_mul(f.lc(), _exp_div(t, g.lm()))
+    return left - right
+
+
+def normal_form(f: Polynomial, basis) -> Polynomial:
+    """Remainder of f under multivariate division by the basis (full tail
+    reduction: no term of the result is divisible by any basis leading
+    monomial)."""
+    basis = [g for g in basis if not g.is_zero()]
+    if not basis or f.is_zero():
+        return f
+    ring = f.ring
+    key = ring.sort_key
+    data = [(g.lm(), g.lc(), g.terms) for g in basis]
+    work = dict(f.terms)
+    out = {}
+    while work:
+        m = max(work, key=key)
+        c = work.pop(m)
+        for glm, glc, gterms in data:
+            if _divides(glm, m):
+                q = _exp_div(m, glm)
+                factor = c / glc
+                for e, a in gterms.items():
+                    if e == glm:
+                        continue
+                    me = _exp_mul(e, q)
+                    acc = work.get(me)
+                    delta = factor * a
+                    acc = -delta if acc is None else acc - delta
+                    if acc.is_zero():
+                        work.pop(me, None)
+                    else:
+                        work[me] = acc
+                break
+        else:
+            out[m] = c
+    return Polynomial(ring, out, _clean=True)
+
+
+def _select_pair(pairs, lcms, key):
+    """Normal strategy: smallest lcm in the ring order, ties by pair index."""
+    return min(pairs, key=lambda pr: (key(lcms[pr]), pr))
+
+
+def buchberger(gens) -> list:
+    """Groebner basis of the given generators (monic, not inter-reduced).
+
+    Normal selection strategy with the coprime-leading-monomial criterion.
+    Termination is guaranteed by the ascending chain of leading-term ideals.
+    """
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
+        return []
+    ring = gens[0].ring
+    basis = []
+    for g in gens:
+        g = normal_form(g, basis)
+        if not g.is_zero():
+            basis.append(g.monic())
+    pairs = set()
+    lcms = {}
+    for i in range(len(basis)):
+        for j in range(i):
+            pairs.add((j, i))
+            lcms[(j, i)] = _exp_lcm(basis[j].lm(), basis[i].lm())
+    key = ring.sort_key
+    while pairs:
+        i, j = _select_pair(pairs, lcms, key)
+        pairs.discard((i, j))
+        f, g = basis[i], basis[j]
+        if _coprime(f.lm(), g.lm()):
+            continue
+        r = normal_form(s_polynomial(f, g), basis)
+        if r.is_zero():
+            continue
+        r = r.monic()
+        basis.append(r)
+        new = len(basis) - 1
+        for k in range(new):
+            pairs.add((k, new))
+            lcms[(k, new)] = _exp_lcm(basis[k].lm(), basis[new].lm())
+    if CHECK_POSTCONDITIONS:
+        _assert_groebner(basis)
+    return basis
+
+
+def _assert_groebner(basis):
+    for i in range(len(basis)):
+        for j in range(i):
+            if _coprime(basis[i].lm(), basis[j].lm()):
+                continue
+            if not normal_form(s_polynomial(basis[i], basis[j]), basis).is_zero():
+                raise NotAGroebnerBasis(
+                    f"S-polynomial of elements {j} and {i} does not reduce to zero")
+
+
+def reduce_basis(basis, check: bool = True) -> list:
+    """The unique reduced Groebner basis: monic, mutually reduced, sorted
+    ascending in the ring order.  With check=True the input is verified to be
+    a Groebner basis first."""
+    basis = [g.monic() for g in basis if not g.is_zero()]
+    if check:
+        _assert_groebner(basis)
+    if not basis:
+        return []
+    ring = basis[0].ring
+    key = ring.sort_key
+    # minimize: drop elements whose lead is divisible by another lead
+    basis = sorted(basis, key=lambda g: key(g.lm()))
+    minimal = []
+    for g in basis:
+        if not any(_divides(h.lm(), g.lm()) for h in minimal):
+            minimal.append(g)
+    # reduce each element against the others
+    out = []
+    for i, g in enumerate(minimal):
+        rest = minimal[:i] + minimal[i + 1:]
+        r = normal_form(g, rest)
+        if not r.is_zero():
+            out.append(r.monic())
+    return sorted(out, key=lambda g: key(g.lm()))
+
+
+class Ideal:
+    """Generator list with a cached reduced Groebner basis."""
+
+    __slots__ = ("ring", "gens", "_reduced")
+
+    def __init__(self, ring: PolyRing, gens, reduced=None):
+        gens = tuple(gens)
+        for g in gens:
+            if g.ring != ring:
+                raise RingMismatch("generator from a different ring")
+        self.ring = ring
+        self.gens = gens
+        self._reduced = reduced
+
+    def groebner_basis(self) -> list:
+        if self._reduced is None:
+            self._reduced = reduce_basis(buchberger(list(self.gens)), check=False)
+        return self._reduced
+
+    def __repr__(self):
+        return f"Ideal({', '.join(format_polynomial(g) for g in self.gens)})"
+
+
+def ideal_member(f: Polynomial, ideal: Ideal) -> bool:
+    if f.ring != ideal.ring:
+        raise RingMismatch("polynomial from a different ring")
+    return normal_form(f, ideal.groebner_basis()).is_zero()
+
+
+def ideal_equal(i1: Ideal, i2: Ideal) -> bool:
+    if i1.ring != i2.ring:
+        raise RingMismatch("ideals from different rings")
+    return i1.groebner_basis() == i2.groebner_basis()
+
+
+def _fresh_aux_name(variables):
+    if "t" not in variables:
+        return "t"
+    k = 0
+    while f"t{k}" in variables:
+        k += 1
+    return f"t{k}"
+
+
+def intersect(i1: Ideal, i2: Ideal) -> Ideal:
+    """I1 cap I2 via the auxiliary variable t: eliminate t from t*I1 + (1-t)*I2.
+
+    The auxiliary variable is prepended as an elimination block above the
+    grevlex tail, so dropping every basis element involving t leaves a
+    Groebner basis of the intersection in the original ring.
+    """
+    if i1.ring != i2.ring:
+        raise RingMismatch("ideals from different rings")
+    ring = i1.ring
+    if ring.order != "grevlex":
+        raise ValueError("intersection requires a grevlex base ring")
+    aux = _fresh_aux_name(ring.variables)
+    ext = PolyRing(ring.field, (aux,) + ring.variables, order="elim1")
+
+    def lift(p, t_exp):
+        return Polynomial(ext, {(t_exp,) + e: c for e, c in p.terms.items()},
+                          _clean=True)
+
+    t_poly = ext.var(aux)
+    one = ext.one()
+    gens = [lift(g, 1) for g in i1.gens]
+    gens += [(one - t_poly) * lift(g, 0) for g in i2.gens]
+    gb = buchberger(gens)
+    kept = []
+    for g in gb:
+        if all(e[0] == 0 for e in g.terms):
+            kept.append(Polynomial(ring, {e[1:]: c for e, c in g.terms.items()},
+                                   _clean=True))
+    return Ideal(ring, kept)
+
+
+def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
+    """The quotient f/g when g divides f exactly; InexactDivision otherwise."""
+    if g.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    ring = f.ring
+    key = ring.sort_key
+    glm, glc = g.lm(), g.lc()
+    work = dict(f.terms)
+    quot = {}
+    while work:
+        m = max(work, key=key)
+        c = work[m]
+        if not _divides(glm, m):
+            raise InexactDivision(format_polynomial(Polynomial(ring, work)))
+        q = _exp_div(m, glm)
+        factor = c / glc
+        quot[q] = factor
+        for e, a in g.terms.items():
+            me = _exp_mul(e, q)
+            acc = work.get(me)
+            delta = factor * a
+            acc = -delta if acc is None else acc - delta
+            if acc.is_zero():
+                work.pop(me, None)
+            else:
+                work[me] = acc
+    return Polynomial(ring, quot, _clean=True)
+
+
+def colon(ideal: Ideal, f: Polynomial) -> Ideal:
+    """The colon ideal I : f, computed as (1/f) * (I cap <f>)."""
+    if f.is_zero():
+        raise ZeroDivisionError("colon by the zero polynomial")
+    meet = intersect(ideal, Ideal(ideal.ring, [f]))
+    return Ideal(ideal.ring, [exact_divide(g, f) for g in meet.gens])
+
+
+def quotient_dimension(ideal: Ideal) -> int:
+    """Krull dimension of ring/ideal: the size of the largest variable subset
+    that meets no leading monomial's support."""
+    gb = ideal.groebner_basis()
+    n = ideal.ring.nvars
+    if not gb:
+        return n
+    if any(sum(g.lm()) == 0 for g in gb):
+        raise UnitIdeal("the ideal is the whole ring")
+    supports = [frozenset(i for i, e in enumerate(g.lm()) if e) for g in gb]
+    for size in range(n, 0, -1):
+        for subset in combinations(range(n), size):
+            s = set(subset)
+            if not any(sup <= s for sup in supports):
+                return size
+    return 0
+
+
+# ---------------------------------------------------------------------------
+# ideal file format
+# ---------------------------------------------------------------------------
+
+def write_ideal_text(ideal: Ideal) -> str:
+    """Ring header plus one polynomial per line in canonical text form."""
+    ring = ideal.ring
+    head = f"ring {' '.join(ring.variables)} over {ring.field.encode()}"
+    lines = [head] + [format_polynomial(g) for g in ideal.gens]
+    return "\n".join(lines) + "\n"
+
+
+def read_ideal_text(text: str) -> Ideal:
+    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+    if not lines or not lines[0].startswith("ring "):
+        raise ValueError("missing ring header line")
+    head = lines[0][len("ring "):]
+    if " over " not in head:
+        raise ValueError("ring header must name its field after 'over'")
+    vars_part, field_part = head.rsplit(" over ", 1)
+    from .fields import parse_descriptor
+    field = parse_descriptor(field_part.strip())
+    ring = PolyRing(field, vars_part.split())
+    gens = []
+    for idx, ln in enumerate(lines[1:], start=2):
+        try:
+            gens.append(parse_polynomial(ring, ln))
+        except ValueError as exc:
+            raise ValueError(f"line {idx}: {exc}") from None
+    return Ideal(ring, gens)

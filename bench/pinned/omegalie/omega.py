@@ -1,0 +1,443 @@
+"""Core omega-Lie algebra model: structure constants, validation of the
+omega-Jacobi identity, recovery of the unique compatible bilinear form, the
+stabilizer action on brackets, and the algebra file format."""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass, field as dc_field
+
+from .fields import FieldDescriptor, FieldElement, parse_descriptor
+from .linalg import (
+    InconsistentSystem,
+    Matrix,
+    SingularMatrix,
+    SkewForm,
+    solve,
+    standard_j,
+)
+
+
+class DimensionTooSmall(Exception):
+    pass
+
+
+class NoSolution(Exception):
+    """No bilinear form makes the given bracket an omega-Lie algebra."""
+
+
+class StructureConstants:
+    """Antisymmetric bracket tensor: [e_i, e_j] = sum_k c[i][j][k] e_k.
+
+    Only the i < j half is stored; the other half is derived by sign, which
+    makes antisymmetry structural.
+    """
+
+    __slots__ = ("field", "dim", "_table")
+
+    def __init__(self, field: FieldDescriptor, dim: int, table: dict):
+        if dim < 1:
+            raise ValueError("dimension must be positive")
+        self.field = field
+        self.dim = dim
+        zero_vec = (field.zero,) * dim
+        clean = {}
+        for (i, j), vec in table.items():
+            if not (0 <= i < j < dim):
+                raise IndexError(f"bracket key ({i},{j}) out of range for i<j<{dim}")
+            vec = tuple(v if isinstance(v, FieldElement) else field.elem(v)
+                        for v in vec)
+            if len(vec) != dim:
+                raise ValueError(f"bracket ({i},{j}) must have {dim} coefficients")
+            if vec != zero_vec:
+                clean[(i, j)] = vec
+        self._table = clean
+
+    @classmethod
+    def from_tensor(cls, field, tensor):
+        """Build from a full n*n*n nested sequence, checking antisymmetry."""
+        n = len(tensor)
+        table = {}
+        for i in range(n):
+            for j in range(n):
+                vec = tuple(x if isinstance(x, FieldElement) else field.elem(x)
+                            for x in tensor[i][j])
+                if i == j:
+                    if any(v for v in vec):
+                        raise ValueError(f"[e_{i}, e_{i}] must vanish")
+                    continue
+                mirror = tuple(x if isinstance(x, FieldElement) else field.elem(x)
+                               for x in tensor[j][i])
+                if tuple(-v for v in vec) != mirror:
+                    raise ValueError(f"entries ({i},{j}) and ({j},{i}) not opposite")
+                if i < j:
+                    table[(i, j)] = vec
+        return cls(field, n, table)
+
+    def bracket(self, i: int, j: int) -> tuple:
+        """[e_i, e_j] as a coefficient tuple (sign handled for i > j)."""
+        if not (0 <= i < self.dim and 0 <= j < self.dim):
+            raise IndexError(f"basis index out of range: ({i},{j})")
+        if i == j:
+            return (self.field.zero,) * self.dim
+        if i < j:
+            return self._table.get((i, j), (self.field.zero,) * self.dim)
+        vec = self._table.get((j, i))
+        if vec is None:
+            return (self.field.zero,) * self.dim
+        return tuple(-v for v in vec)
+
+    def bracket_vectors(self, u: tuple, v: tuple) -> tuple:
+        """[u, v] for arbitrary coefficient vectors."""
+        field = self.field
+        out = [field.zero] * self.dim
+        for (i, j), vec in self._table.items():
+            coeff = u[i] * v[j] - u[j] * v[i]
+            if coeff.is_zero():
+                continue
+            for k in range(self.dim):
+                out[k] = out[k] + coeff * vec[k]
+        return tuple(out)
+
+    def entries(self):
+        return dict(self._table)
+
+    def embed(self, ext):
+        return StructureConstants(
+            ext, self.dim,
+            {k: tuple(ext.embed(v) for v in vec) for k, vec in self._table.items()})
+
+    def __eq__(self, other):
+        return (isinstance(other, StructureConstants) and other.field == self.field
+                and other.dim == self.dim and other._table == self._table)
+
+    def __hash__(self):
+        return hash((self.field, self.dim, frozenset(self._table.items())))
+
+
+@dataclass(frozen=True)
+class OmegaAlgebra:
+    field: FieldDescriptor
+    sc: StructureConstants
+    omega: SkewForm
+
+    def __post_init__(self):
+        if self.sc.dim != self.omega.dim:
+            raise ValueError("bracket and form dimensions differ")
+        if self.sc.field != self.field or self.omega.field != self.field:
+            raise ValueError("mixed field descriptors")
+
+    @property
+    def dim(self):
+        return self.sc.dim
+
+    def embed(self, ext):
+        return OmegaAlgebra(ext, self.sc.embed(ext), self.omega.embed(ext))
+
+
+class GroupElement:
+    """An invertible basis transformation with its inverse cached."""
+
+    __slots__ = ("matrix", "inverse_matrix")
+
+    def __init__(self, matrix: Matrix, inverse_matrix: Matrix | None = None):
+        if inverse_matrix is None:
+            inverse_matrix = matrix.inverse()
+        else:
+            n = matrix.rows
+            if matrix * inverse_matrix != Matrix.identity(matrix.field, n):
+                raise SingularMatrix("supplied inverse is wrong")
+        self.matrix = matrix
+        self.inverse_matrix = inverse_matrix
+
+    @classmethod
+    def identity(cls, field, n):
+        eye = Matrix.identity(field, n)
+        return cls(eye, eye)
+
+    def compose(self, other: "GroupElement") -> "GroupElement":
+        """self after other: (self*other) acts like applying other first."""
+        return GroupElement(self.matrix * other.matrix,
+                            other.inverse_matrix * self.inverse_matrix)
+
+    def inverse(self) -> "GroupElement":
+        return GroupElement(self.inverse_matrix, self.matrix)
+
+    def embed(self, ext):
+        return GroupElement(self.matrix.embed(ext), self.inverse_matrix.embed(ext))
+
+    def __eq__(self, other):
+        return isinstance(other, GroupElement) and other.matrix == self.matrix
+
+    def __hash__(self):
+        return hash(self.matrix)
+
+    def __repr__(self):
+        return f"GroupElement({self.matrix!r})"
+
+
+def jacobi_residual(sc: StructureConstants, omega: SkewForm,
+                    i: int, j: int, k: int) -> tuple:
+    """Coefficients of the omega-Jacobi defect on the basis triple (i, j, k)."""
+    n = sc.dim
+    for idx in (i, j, k):
+        if not 0 <= idx < n:
+            raise IndexError(f"basis index {idx} out of range")
+    field = sc.field
+    basis = [tuple(field.one if t == m else field.zero for t in range(n))
+             for m in range(n)]
+    out = [field.zero] * n
+    for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+        inner = sc.bracket(a, b)
+        term = sc.bracket_vectors(inner, basis[c])
+        for m in range(n):
+            out[m] = out[m] + term[m]
+    for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+        w = omega(a, b)
+        if not w.is_zero():
+            out[c] = out[c] - w
+    return tuple(out)
+
+
+@dataclass
+class ValidationReport:
+    ok: bool
+    failures: list = dc_field(default_factory=list)  # [(triple, residual)]
+    messages: list = dc_field(default_factory=list)
+
+    def __bool__(self):
+        return self.ok
+
+
+def validate(alg: OmegaAlgebra) -> ValidationReport:
+    """Check the skew-form invariants, bracket antisymmetry through the public
+    accessor, and the omega-Jacobi identity on every ordered basis triple,
+    repeated indices included."""
+    report = ValidationReport(ok=True)
+    n = alg.dim
+    SkewForm(alg.omega.matrix)  # re-verify rather than trust construction
+    for i in range(n):
+        if any(not v.is_zero() for v in alg.sc.bracket(i, i)):
+            report.ok = False
+            report.messages.append(f"[e_{i}, e_{i}] is nonzero")
+        for j in range(i + 1, n):
+            fwd, bwd = alg.sc.bracket(i, j), alg.sc.bracket(j, i)
+            if tuple(-v for v in fwd) != bwd:
+                report.ok = False
+                report.messages.append(f"brackets ({i},{j}) and ({j},{i}) not opposite")
+    for i, j, k in ((i, j, k) for i in range(n) for j in range(n) for k in range(n)):
+        res = jacobi_residual(alg.sc, alg.omega, i, j, k)
+        if any(not x.is_zero() for x in res):
+            report.ok = False
+            report.failures.append(((i, j, k), res))
+    if report.failures:
+        report.messages.append(
+            f"{len(report.failures)} basis triples violate the bracket identity")
+    return report
+
+
+def _distinct_triples(n):
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                yield (i, j, k)
+
+
+def quick_jacobi_ok(sc: StructureConstants, omega: SkewForm) -> bool:
+    """Identity check on strictly increasing triples only (the repeated-index
+    instances vanish automatically for a skew form)."""
+    for i, j, k in _distinct_triples(sc.dim):
+        if any(not x.is_zero() for x in jacobi_residual(sc, omega, i, j, k)):
+            return False
+    return True
+
+
+def recover_omega(sc: StructureConstants) -> SkewForm:
+    """The unique skew form making the bracket an omega-Lie algebra.
+
+    Solves the linear system that the identity imposes on the n(n-1)/2
+    unknown form values over all strictly increasing basis triples.  Raises
+    NoSolution when the system is inconsistent and DimensionTooSmall below
+    dimension 3.
+    """
+    n = sc.dim
+    if n < 3:
+        raise DimensionTooSmall("no meaningful form below dimension 3")
+    field = sc.field
+    unknowns = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    index = {pair: t for t, pair in enumerate(unknowns)}
+
+    def coeff_of(a, b):
+        """(unknown index, sign) for omega(e_a, e_b)."""
+        if a < b:
+            return index[(a, b)], field.one
+        return index[(b, a)], -field.one
+
+    rows = []
+    rhs = []
+    basis = [tuple(field.one if t == m else field.zero for t in range(n))
+             for m in range(n)]
+    for i, j, k in _distinct_triples(n):
+        jac = [field.zero] * n
+        for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+            term = sc.bracket_vectors(sc.bracket(a, b), basis[c])
+            for m in range(n):
+                jac[m] = jac[m] + term[m]
+        # jac must equal w_ij e_k + w_jk e_i + w_ki e_j
+        for m in range(n):
+            row = [field.zero] * len(unknowns)
+            for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+                if c == m:
+                    t, sign = coeff_of(a, b)
+                    row[t] = row[t] + sign
+            rows.append(row)
+            rhs.append(jac[m])
+    a_mat = Matrix.from_rows(field, rows)
+    b_mat = Matrix(field, len(rhs), 1, rhs)
+    try:
+        sol = solve(a_mat, b_mat)
+    except InconsistentSystem:
+        raise NoSolution("no compatible bilinear form exists") from None
+    except SingularMatrix as exc:
+        # a consistent system here is always determined (uniqueness of the form)
+        raise NoSolution(f"underdetermined form system: {exc}") from None
+    m = Matrix.zeros(field, n, n)
+    for (i, j), t in index.items():
+        m = m.with_entry(i, j, sol[t, 0]).with_entry(j, i, -sol[t, 0])
+    return SkewForm(m)
+
+
+def is_lie(sc: StructureConstants) -> bool:
+    """Does the bracket satisfy the classical Jacobi identity?"""
+    field = sc.field
+    zero_form = SkewForm(Matrix.zeros(field, sc.dim, sc.dim))
+    return quick_jacobi_ok(sc, zero_form)
+
+
+def transform(g: GroupElement, alg: OmegaAlgebra,
+              check: bool = True) -> OmegaAlgebra:
+    """The bracket moved by g: [x, y] -> g[g^-1 x, g^-1 y], form unchanged.
+
+    When g preserves the form, the result is re-checked to satisfy the
+    bracket identity (cheap: strictly increasing triples only).
+    """
+    if g.matrix.rows != alg.dim:
+        raise ValueError("dimension mismatch between element and algebra")
+    n = alg.dim
+    ginv_cols = [g.inverse_matrix.col(j) for j in range(n)]
+    table = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = alg.sc.bracket_vectors(ginv_cols[i], ginv_cols[j])
+            table[(i, j)] = g.matrix.apply(w)
+    sc = StructureConstants(alg.field, n, table)
+    out = OmegaAlgebra(alg.field, sc, alg.omega)
+    if check and in_stabilizer(g, "G", alg.omega):
+        if not quick_jacobi_ok(sc, alg.omega):
+            raise AssertionError("stabilizer action broke the bracket identity")
+    return out
+
+
+def change_basis(g: GroupElement, alg: OmegaAlgebra) -> OmegaAlgebra:
+    """Full base change: brackets moved as in transform, and the form moved to
+    omega(g^-1 x, g^-1 y)."""
+    moved = transform(g, alg, check=False)
+    gi = g.inverse_matrix
+    new_omega = SkewForm(gi.transpose() * alg.omega.matrix * gi)
+    return OmegaAlgebra(alg.field, moved.sc, new_omega)
+
+
+def in_stabilizer(g: GroupElement, which: str, omega: SkewForm) -> bool:
+    """Membership tests: "G" is the form stabilizer g^t W g = W (any
+    dimension); "H" and "N" are the block shapes that additionally fix
+    [x,y] = z, respectively [y,z] = z and [x,z] = y, for the canonical
+    rank-2 form on a 3-space.  Long tags ("G_omega", ...) are accepted."""
+    which = which.split("_")[0]
+    m = g.matrix
+    if which == "G":
+        if m.rows != omega.dim:
+            raise ValueError("dimension mismatch")
+        w = omega.matrix
+        return m.transpose() * w * m == w
+    field = m.field
+    if m.rows != 3 or omega.dim != 3:
+        raise ValueError("H and N stabilizers are defined on a 3-space")
+    if omega.matrix != standard_j(field, 3, 2):
+        raise ValueError("H and N stabilizers require the canonical form")
+    if which == "H":
+        zero, one = field.zero, field.one
+        shape = (m[0, 2] == zero and m[1, 2] == zero and m[2, 0] == zero
+                 and m[2, 1] == zero and m[2, 2] == one)
+        det_s = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+        return shape and det_s == one
+    if which == "N":
+        gi = g.inverse_matrix
+        zero, one = field.zero, field.one
+        return (gi[0, 0] == one and gi[1, 1] == one and gi[2, 2] == one
+                and gi[0, 1] == zero and gi[0, 2] == zero and gi[1, 2] == zero
+                and gi[1, 0] == gi[2, 1])
+    raise ValueError(f"unknown stabilizer tag {which!r}")
+
+
+def derived_dimension(sc: StructureConstants) -> int:
+    """Dimension of the span of all basis brackets [e_i, e_j], i < j."""
+    rows = [sc.bracket(i, j) for i in range(sc.dim) for j in range(i + 1, sc.dim)]
+    if not rows:
+        return 0
+    return Matrix.from_rows(sc.field, rows).rank()
+
+
+# ---------------------------------------------------------------------------
+# algebra file format
+# ---------------------------------------------------------------------------
+
+def algebra_to_json(alg: OmegaAlgebra) -> str:
+    n = alg.dim
+    payload = {
+        "field": alg.field.encode(),
+        "dim": n,
+        "omega": [[alg.omega(i, j).encode() for j in range(n)] for i in range(n)],
+        "brackets": {f"{i},{j}": [c.encode() for c in alg.sc.bracket(i, j)]
+                     for i in range(n) for j in range(i + 1, n)},
+    }
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def algebra_from_json(text: str) -> OmegaAlgebra:
+    """Parse the algebra format, rejecting invariant violations with errors
+    naming the offending entry."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"not valid JSON: {exc}") from None
+    for key in ("field", "dim", "omega", "brackets"):
+        if key not in payload:
+            raise ValueError(f"missing key {key!r}")
+    field = parse_descriptor(payload["field"])
+    n = int(payload["dim"])
+    omega_rows = payload["omega"]
+    if len(omega_rows) != n or any(len(r) != n for r in omega_rows):
+        raise ValueError(f"'omega' must be a {n}x{n} matrix")
+    try:
+        omega_mat = Matrix.from_rows(
+            field, [[field.parse(x) for x in row] for row in omega_rows])
+    except ValueError as exc:
+        raise ValueError(f"bad field element in 'omega': {exc}") from None
+    omega = SkewForm(omega_mat)  # NotSkew names the offending entry
+    table = {}
+    for key, coeffs in payload["brackets"].items():
+        try:
+            i_txt, j_txt = key.split(",")
+            i, j = int(i_txt), int(j_txt)
+        except ValueError:
+            raise ValueError(f"bracket key {key!r} is not of the form 'i,j'") from None
+        if not (0 <= i < j < n):
+            raise ValueError(f"bracket key {key!r} must satisfy 0 <= i < j < {n}")
+        if len(coeffs) != n:
+            raise ValueError(f"bracket {key!r} needs {n} coefficients")
+        try:
+            table[(i, j)] = tuple(field.parse(x) for x in coeffs)
+        except ValueError as exc:
+            raise ValueError(f"bad field element in bracket {key!r}: {exc}") from None
+    sc = StructureConstants(field, n, table)
+    return OmegaAlgebra(field, sc, omega)
