@@ -70,10 +70,6 @@ class PolyRing:
             self._key_cache[exps] = key
         return key
 
-    def cmp(self, e1, e2):
-        k1, k2 = self.sort_key(e1), self.sort_key(e2)
-        return (k1 > k2) - (k1 < k2)
-
     def zero(self):
         return Polynomial(self, {})
 
@@ -422,48 +418,53 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
     return Polynomial(ring, out, _clean=True)
 
 
-def _select_pair(pairs, lcms, key):
-    """Normal strategy: smallest lcm in the ring order, ties by pair index."""
-    return min(pairs, key=lambda pr: (key(lcms[pr]), pr))
-
-
 def buchberger(gens) -> list:
     """Groebner basis of the given generators (monic, not inter-reduced).
 
-    Normal selection strategy with the coprime-leading-monomial criterion.
-    Termination is guaranteed by the ascending chain of leading-term ideals.
+    Normal selection strategy (smallest lcm, ties by pair index) with the
+    Gebauer-Moeller update (Gebauer & Moeller, JSC 1988): a new element h pairs
+    only with the active elements (those whose lead no later lead divides),
+    keeping one pair per lcm that no other new pair's lcm properly divides and
+    dropping it when the leads are coprime; old pairs (i, j) whose lcm lm(h)
+    divides are cancelled unless it equals lcm(i, h) or lcm(j, h).  Termination
+    is guaranteed by the ascending chain of leading-term ideals.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return []
-    ring = gens[0].ring
+    key = gens[0].ring.sort_key
     basis = []
+    active = []  # indices that still form new pairs
+    pairs = {}   # (i, j) with i < j -> lcm of the leading monomials
+
+    def add(h):
+        new = len(basis)
+        basis.append(h)
+        hlm = h.lm()
+        for (i, j), t in list(pairs.items()):
+            if (_divides(hlm, t) and _exp_lcm(basis[i].lm(), hlm) != t
+                    and _exp_lcm(basis[j].lm(), hlm) != t):
+                del pairs[(i, j)]
+        lcms = {}  # lcm -> lowest active index with it
+        for k in active:
+            lcms.setdefault(_exp_lcm(basis[k].lm(), hlm), k)
+        for t, k in lcms.items():
+            if not (_coprime(basis[k].lm(), hlm)
+                    or any(s != t and _divides(s, t) for s in lcms)):
+                pairs[(k, new)] = t
+        active[:] = [k for k in active if not _divides(hlm, basis[k].lm())]
+        active.append(new)
+
     for g in gens:
         g = normal_form(g, basis)
         if not g.is_zero():
-            basis.append(g.monic())
-    pairs = set()
-    lcms = {}
-    for i in range(len(basis)):
-        for j in range(i):
-            pairs.add((j, i))
-            lcms[(j, i)] = _exp_lcm(basis[j].lm(), basis[i].lm())
-    key = ring.sort_key
+            add(g.monic())
     while pairs:
-        i, j = _select_pair(pairs, lcms, key)
-        pairs.discard((i, j))
-        f, g = basis[i], basis[j]
-        if _coprime(f.lm(), g.lm()):
-            continue
-        r = normal_form(s_polynomial(f, g), basis)
-        if r.is_zero():
-            continue
-        r = r.monic()
-        basis.append(r)
-        new = len(basis) - 1
-        for k in range(new):
-            pairs.add((k, new))
-            lcms[(k, new)] = _exp_lcm(basis[k].lm(), basis[new].lm())
+        i, j = min(pairs, key=lambda pr: (key(pairs[pr]), pr))
+        del pairs[(i, j)]
+        r = normal_form(s_polynomial(basis[i], basis[j]), basis)
+        if not r.is_zero():
+            add(r.monic())
     if CHECK_POSTCONDITIONS:
         _assert_groebner(basis)
     return basis

@@ -1,5 +1,6 @@
 import random
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,7 @@ from omegalie.groebner import (
     InexactDivision,
     NotAGroebnerBasis,
     PolyRing,
+    Polynomial,
     UnitIdeal,
     buchberger,
     colon,
@@ -321,3 +323,109 @@ def test_elimination_ideal_members():
                                " - t*z1")
     assert ideal_member(h1, aux)
     assert ideal_member(h2, aux)
+
+
+# ---------------------------------------------------------------------------
+# Gebauer-Moeller pair criteria
+# ---------------------------------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _xyz_ring():
+    return PolyRing(QQ, ("x", "y", "z"))
+
+
+def _reduced_pairs(monkeypatch, gens):
+    """Run buchberger and return (basis, index pairs whose S-polynomial was
+    reduced).  The postcondition check is off here so that its exhaustive
+    S-polynomials are not counted; callers check the basis with reduce_basis."""
+    from omegalie import groebner as gmod
+    monkeypatch.setattr(gmod, "CHECK_POSTCONDITIONS", False)
+    seen = []
+    real = gmod.s_polynomial
+
+    def spy(f, g):
+        seen.append((f, g))
+        return real(f, g)
+
+    monkeypatch.setattr(gmod, "s_polynomial", spy)
+    basis = buchberger(gens)
+    index = {id(p): i for i, p in enumerate(basis)}
+    return basis, [(index[id(f)], index[id(g)]) for f, g in seen]
+
+
+@pytest.mark.parametrize("texts, want", [
+    # coprime leads: the only pair is dropped
+    (("x*y", "z^2"), []),
+    # (0, 2) and (1, 2) share the lcm x*y*z: only (0, 2) is kept
+    (("x*y", "y*z", "x*z"), [(0, 1), (0, 2)]),
+    # lcm(1, 2) = x*y*z properly divides lcm(0, 2) = x*y*z^2: (0, 2) never forms
+    (("x*z^2", "y*z", "x*y"), [(1, 2), (0, 1)]),
+    # lm(x*y) divides lcm(0, 1) = x^2*y^2*z but equals neither x^2*y*z nor
+    # x*y^2*z: the old pair (0, 1) is cancelled
+    (("x^2*z", "y^2*z", "x*y"), [(1, 2), (0, 2)]),
+])
+def test_criteria_on_monomial_ideals(monkeypatch, texts, want):
+    ring = _xyz_ring()
+    gens = [parse_polynomial(ring, t) for t in texts]
+    basis, reduced = _reduced_pairs(monkeypatch, gens)
+    assert reduced == want
+    assert basis == gens
+    assert reduce_basis(basis) == sorted(gens, key=lambda g: ring.sort_key(g.lm()))
+
+
+def test_monomial_heavy_ideal(monkeypatch):
+    ring = _xyz_ring()
+    gens = [parse_polynomial(ring, t) for t in ("x*y", "y*z", "x*z", "x^2 - y")]
+    basis, reduced = _reduced_pairs(monkeypatch, gens)
+    assert [format_polynomial(g) for g in basis[4:]] == ["y^2"]
+    # pairs with a coprime lcm, or an lcm divisible by another new pair's, never form
+    assert reduced == [(0, 1), (0, 2), (2, 3), (0, 3), (1, 4), (0, 4)]
+    assert [format_polynomial(g) for g in reduce_basis(basis)] == [
+        "y*z", "x*z", "y^2", "x*y", "x^2 - y"]
+
+
+def test_new_lead_dividing_an_older_lead_shrinks_the_active_list(monkeypatch):
+    ring = _xyz_ring()
+    gens = [parse_polynomial(ring, t) for t in ("x^2*y - z", "x*y + z", "x^2 + z")]
+    basis, reduced = _reduced_pairs(monkeypatch, gens)
+    # lm(x*y + z) divides lm(x^2*y - z): element 0 pairs with element 1, then
+    # leaves the active list, so x^2 + z pairs with element 1 on the shared
+    # lcm x^2*y and element 0 forms no further pair
+    assert [format_polynomial(g) for g in basis[3:]] == ["x*z + z", "y*z - z^2", "z^2 + z"]
+    assert reduced == [(0, 1), (1, 3), (1, 4), (2, 3), (4, 5), (3, 5), (1, 2)]
+    assert [format_polynomial(g) for g in reduce_basis(basis)] == [
+        "z^2 + z", "y*z + z", "x*z + z", "x*y + z", "x^2 + z"]
+
+
+@pytest.mark.parametrize("texts", [
+    ("x*y", "y*z", "x*z", "x^2 - y"),
+    ("x^2*y - z", "x*y^2 - z", "x*y - 1"),
+    ("x^2*y - z", "x*y + z", "x^2 + z"),
+])
+def test_reduced_basis_independent_of_generator_order(texts):
+    ring = _xyz_ring()
+    gens = [parse_polynomial(ring, t) for t in texts]
+    reference = reduce_basis(buchberger(gens))
+    for perm in permutations(gens):
+        assert reduce_basis(buchberger(list(perm))) == reference
+
+
+@pytest.mark.parametrize("field, name", [(QQ, "Q"), (F101, "Fp101")])
+def test_elimination_basis_golden(field, name):
+    # t*<f1, f2, f3> + (1 - t)*<det M>, the ideal behind intersect(P, <det M>)
+    ring = sc_ring(field)
+    f1, f2, f3, _, _ = sc_polys(ring)
+    detm = parse_polynomial(ring, DETM_TEXT)
+    ext = PolyRing(field, ("t",) + ring.variables, order="elim1")
+
+    def lift(p, t_exp):
+        return Polynomial(ext, {(t_exp,) + e: c for e, c in p.terms.items()})
+
+    t = ext.var("t")
+    gens = [lift(f, 1) for f in (f1, f2, f3)] + [(ext.one() - t) * lift(detm, 0)]
+    got = [format_polynomial(g) for g in reduce_basis(buchberger(gens))]
+    want = (GOLDEN / f"elimination_basis_{name}.txt").read_text().splitlines()
+    assert len(want) == 25
+    assert got == want
