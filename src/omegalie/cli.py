@@ -27,6 +27,7 @@ from .classify3 import (
     IsLie,
     NonIsomorphic,
     NotOmegaLie,
+    _matrix_rows,
     c_pair_audit,
     canonical_algebra,
     classify,
@@ -56,10 +57,6 @@ def _read_text(path: str) -> str:
 
 def _load_algebra(path: str):
     return algebra_from_json(_read_text(path))
-
-
-def _matrix_rows(m):
-    return [[m[i, j].encode() for j in range(m.cols)] for i in range(m.rows)]
 
 
 def _print_matrix(m, indent="  "):

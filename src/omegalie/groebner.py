@@ -616,8 +616,12 @@ def colon(ideal: Ideal, f: Polynomial) -> Ideal:
     """The colon ideal I : f, computed as (1/f) * (I cap <f>)."""
     if f.is_zero():
         raise ZeroDivisionError("colon by the zero polynomial")
-    meet = intersect(ideal, Ideal(ideal.ring, [f]))
-    return Ideal(ideal.ring, [exact_divide(g, f) for g in meet.gens])
+    return colon_of_meet(intersect(ideal, Ideal(ideal.ring, [f])), f)
+
+
+def colon_of_meet(meet: Ideal, f: Polynomial) -> Ideal:
+    """I : f from an already computed meet = I cap <f>, as (1/f) * meet."""
+    return Ideal(meet.ring, [exact_divide(g, f) for g in meet.gens])
 
 
 def quotient_dimension(ideal: Ideal) -> int:

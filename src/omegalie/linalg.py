@@ -4,8 +4,10 @@ and SL2 conjugacy canonical forms for trace -1 matrices."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .fields import (
+    DescriptorMismatch,
     ExtensionRequired,
     FieldDescriptor,
     FieldElement,
@@ -102,15 +104,12 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise ValueError("shape mismatch in product")
-            out = []
-            for i in range(self.rows):
-                ri = self.row(i)
-                for j in range(other.cols):
-                    acc = self.field.zero
-                    for k in range(self.cols):
-                        acc = acc + ri[k] * other[k, j]
-                    out.append(acc)
-            return Matrix(self.field, self.rows, other.cols, out)
+            field = self.field
+            add, mul, zero = field.add, field.mul, field.zero.value
+            cols = list(zip(*_payload_rows(other, field))) or [()] * other.cols
+            out = [reduce(add, map(mul, ri, cj), zero)
+                   for ri in _payload_rows(self, field) for cj in cols]
+            return _from_payloads(field, self.rows, other.cols, out)
         if isinstance(other, FieldElement) or isinstance(other, int):
             s = other if isinstance(other, FieldElement) else self.field.elem(other)
             return Matrix(self.field, self.rows, self.cols,
@@ -123,14 +122,11 @@ class Matrix:
         """Matrix times coefficient vector (a tuple), returning a tuple."""
         if len(vec) != self.cols:
             raise ValueError("length mismatch")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            acc = self.field.zero
-            for k in range(self.cols):
-                acc = acc + ri[k] * vec[k]
-            out.append(acc)
-        return tuple(out)
+        field = self.field
+        add, mul, zero = field.add, field.mul, field.zero.value
+        v = [_payload(x, field) for x in vec]
+        return tuple(FieldElement(field, reduce(add, map(mul, ri, v), zero))
+                     for ri in _payload_rows(self, field))
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and other.rows == self.rows
@@ -153,40 +149,48 @@ class Matrix:
     def det(self):
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
+        field = self.field
+        add, mul, neg, is_zero = field.add, field.mul, field.neg, field.is_zero
         n = self.rows
-        m = [list(self.row(i)) for i in range(n)]
-        det = self.field.one
+        m = _payload_rows(self, field)
+        det = field.one.value
         for c in range(n):
-            piv = next((r for r in range(c, n) if not m[r][c].is_zero()), None)
+            piv = next((r for r in range(c, n) if not is_zero(m[r][c])), None)
             if piv is None:
-                return self.field.zero
+                return field.zero
             if piv != c:
                 m[c], m[piv] = m[piv], m[c]
-                det = -det
-            det = det * m[c][c]
-            inv = m[c][c].inverse()
+                det = neg(det)
+            det = mul(det, m[c][c])
+            inv = field.inv(m[c][c])
+            pivot_row = m[c]
             for r in range(c + 1, n):
-                if m[r][c].is_zero():
+                row = m[r]
+                if is_zero(row[c]):
                     continue
-                f = m[r][c] * inv
+                f = neg(mul(row[c], inv))
                 for k in range(c, n):
-                    m[r][k] = m[r][k] - f * m[c][k]
-        return det
+                    row[k] = add(row[k], mul(f, pivot_row[k]))
+        return FieldElement(field, det)
 
     def rank(self):
-        m = [list(self.row(i)) for i in range(self.rows)]
+        field = self.field
+        add, mul, neg, is_zero = field.add, field.mul, field.neg, field.is_zero
+        m = _payload_rows(self, field)
         rank = 0
         for c in range(self.cols):
-            piv = next((r for r in range(rank, self.rows) if not m[r][c].is_zero()), None)
+            piv = next((r for r in range(rank, self.rows) if not is_zero(m[r][c])), None)
             if piv is None:
                 continue
             m[rank], m[piv] = m[piv], m[rank]
-            inv = m[rank][c].inverse()
+            pivot_row = m[rank]
+            inv = field.inv(pivot_row[c])
             for r in range(self.rows):
-                if r != rank and not m[r][c].is_zero():
-                    f = m[r][c] * inv
+                row = m[r]
+                if r != rank and not is_zero(row[c]):
+                    f = neg(mul(row[c], inv))
                     for k in range(c, self.cols):
-                        m[r][k] = m[r][k] - f * m[rank][k]
+                        row[k] = add(row[k], mul(f, pivot_row[k]))
             rank += 1
             if rank == self.rows:
                 break
@@ -214,33 +218,34 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
     """
     if a.rows != b.rows:
         raise ValueError("row mismatch between matrix and right-hand side")
+    field = a.field
+    add, mul, neg, is_zero = field.add, field.mul, field.neg, field.is_zero
     n, m, k = a.rows, a.cols, b.cols
-    aug = [list(a.row(i)) + list(b.row(i)) for i in range(n)]
+    aug = [ra + rb for ra, rb in zip(_payload_rows(a, field), _payload_rows(b, field))]
     pivots = []
     r = 0
     for c in range(m):
-        piv = next((i for i in range(r, n) if not aug[i][c].is_zero()), None)
+        piv = next((i for i in range(r, n) if not is_zero(aug[i][c])), None)
         if piv is None:
             continue
         aug[r], aug[piv] = aug[piv], aug[r]
-        inv = aug[r][c].inverse()
-        aug[r] = [x * inv for x in aug[r]]
+        inv = field.inv(aug[r][c])
+        aug[r] = pivot_row = [mul(x, inv) for x in aug[r]]
         for i in range(n):
-            if i != r and not aug[i][c].is_zero():
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+            if i != r and not is_zero(aug[i][c]):
+                f = neg(aug[i][c])
+                aug[i] = [add(x, mul(f, y)) for x, y in zip(aug[i], pivot_row)]
         pivots.append(c)
         r += 1
     for i in range(r, n):
-        if any(not aug[i][m + j].is_zero() for j in range(k)):
+        if any(not is_zero(x) for x in aug[i][m:]):
             raise InconsistentSystem("no solution")
     if len(pivots) < m:
         raise SingularMatrix("solution is not unique")
-    out = [[None] * k for _ in range(m)]
+    out = [None] * (m * k)
     for row_idx, c in enumerate(pivots):
-        for j in range(k):
-            out[c][j] = aug[row_idx][m + j]
-    return Matrix.from_rows(a.field, out)
+        out[c * k:(c + 1) * k] = aug[row_idx][m:]
+    return _from_payloads(field, m, k, out)
 
 
 def solve_vector(a: Matrix, rhs) -> tuple:
@@ -310,65 +315,74 @@ class CongruenceResult:
     rank: int
 
 
-def _congruence(m: Matrix, c: Matrix) -> Matrix:
-    return c.transpose() * m * c
-
-
 def skew_congruence_reduce(form: SkewForm) -> CongruenceResult:
     """Invertible Q with Q^t A Q = dia{J,..,J,0,..,0}.
 
     Pivot scan is first nonzero entry in row-major order within the still
-    unreduced block, so the output is deterministic.
+    unreduced block, so the output is deterministic.  Each elementary step C
+    acts in place, as A -> C^t A C on rows and columns and Q -> Q C on
+    columns, at O(n^2) cost.
     """
     field = form.field
+    add, mul, neg, is_zero = field.add, field.mul, field.neg, field.is_zero
+    zero = field.zero.value
     n = form.dim
-    m = form.matrix
-    q = Matrix.identity(field, n)
+    m = _payload_rows(form.matrix, field)
+    q = _payload_rows(Matrix.identity(field, n), field)
     offset = 0
     while offset < n - 1:
-        piv = None
-        for i in range(offset, n):
-            for j in range(offset, n):
-                if not m[i, j].is_zero():
-                    piv = (i, j)
-                    break
-            if piv:
-                break
+        piv = next(((i, j) for i in range(offset, n) for j in range(offset, n)
+                    if not is_zero(m[i][j])), None)
         if piv is None:
             break
         i, j = piv  # i < j since earlier rows of the block are zero
-        if i != offset:
-            perm = _swap_matrix(field, n, i, offset)
-            m = _congruence(m, perm)
-            q = q * perm
-        if j != offset + 1:
-            perm = _swap_matrix(field, n, j, offset + 1)
-            m = _congruence(m, perm)
-            q = q * perm
-        a = m[offset, offset + 1]
-        if a != field.one:
-            scale = Matrix.identity(field, n).with_entry(offset + 1, offset + 1,
-                                                         a.inverse())
-            m = _congruence(m, scale)
-            q = q * scale
-        # clear the off-blocks: top block is now J, so U = [[I, J*B],[0, I]]
-        if offset + 2 < n:
-            u = Matrix.identity(field, n)
-            for col in range(offset + 2, n):
-                # (J*B) rows: J * (B column) where B[r][col] = m[offset+r, col]
-                u = u.with_entry(offset, col, m[offset + 1, col])
-                u = u.with_entry(offset + 1, col, -m[offset, col])
-            m = _congruence(m, u)
-            q = q * u
+        for src, dst in ((i, offset), (j, offset + 1)):
+            if src != dst:
+                m[src], m[dst] = m[dst], m[src]
+                for row in m + q:
+                    row[src], row[dst] = row[dst], row[src]
+        a = m[offset][offset + 1]
+        if a != field.one.value:
+            s = field.inv(a)
+            m[offset + 1] = [mul(x, s) for x in m[offset + 1]]
+            for row in m + q:
+                row[offset + 1] = mul(row[offset + 1], s)
+        # clear the off-block B by C = [[I, J*B], [0, I]], u0 and u1 the rows of
+        # J*B: the column step zeroes B, so by skew symmetry the row step only
+        # zeroes its mirror image below the J block
+        rest = range(offset + 2, n)
+        u0 = {c: m[offset + 1][c] for c in rest}
+        u1 = {c: neg(m[offset][c]) for c in rest}
+        for row in m + q:
+            r0, r1 = row[offset], row[offset + 1]
+            for c in rest:
+                row[c] = add(row[c], add(mul(u0[c], r0), mul(u1[c], r1)))
+        for c in rest:
+            m[c][offset] = m[c][offset + 1] = zero
         offset += 2
-    return CongruenceResult(q=q, rank=offset)
+    return CongruenceResult(q=_from_payloads(field, n, n, [x for row in q for x in row]),
+                            rank=offset)
 
 
-def _swap_matrix(field, n, i, j):
-    m = Matrix.identity(field, n)
-    m = m.with_entry(i, i, field.zero).with_entry(j, j, field.zero)
-    m = m.with_entry(i, j, field.one).with_entry(j, i, field.one)
-    return m
+def _payload(x, field):
+    """The payload of a scalar, checked to lie in field; ints are coerced."""
+    if isinstance(x, FieldElement):
+        if x.field is not field and x.field != field:
+            raise DescriptorMismatch(f"mixed fields: {field!r} and {x.field!r}")
+        return x.value
+    return field.coerce(x)
+
+
+def _payload_rows(m: Matrix, field) -> list:
+    """The entries of m as fresh rows of payloads, each checked to lie in field."""
+    if m.field != field:
+        raise DescriptorMismatch(f"mixed fields: {field!r} and {m.field!r}")
+    flat = [_payload(x, field) for x in m.entries]
+    return [flat[i * m.cols:(i + 1) * m.cols] for i in range(m.rows)]
+
+
+def _from_payloads(field, rows, cols, payloads) -> Matrix:
+    return Matrix(field, rows, cols, [FieldElement(field, x) for x in payloads])
 
 
 # ---------------------------------------------------------------------------

@@ -404,26 +404,34 @@ def algebra_to_json(alg: OmegaAlgebra) -> str:
 
 
 def algebra_from_json(text: str) -> OmegaAlgebra:
-    """Parse the algebra format, rejecting invariant violations with errors
-    naming the offending entry."""
+    """Parse the algebra format, rejecting invariant violations and wrong JSON
+    types with ValueErrors naming the offending entry."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ValueError("the algebra must be a JSON object")
     for key in ("field", "dim", "omega", "brackets"):
         if key not in payload:
             raise ValueError(f"missing key {key!r}")
+    if not isinstance(payload["field"], str):
+        raise ValueError("'field' must be a descriptor string")
     field = parse_descriptor(payload["field"])
-    n = int(payload["dim"])
+    n = payload["dim"]
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"'dim' must be an integer, got {n!r}")
+    if n < 3:
+        raise ValueError(f"'dim' must be at least 3, got {n}")
     omega_rows = payload["omega"]
-    if len(omega_rows) != n or any(len(r) != n for r in omega_rows):
+    if (not isinstance(omega_rows, list) or len(omega_rows) != n
+            or any(not isinstance(r, list) or len(r) != n for r in omega_rows)):
         raise ValueError(f"'omega' must be a {n}x{n} matrix")
-    try:
-        omega_mat = Matrix.from_rows(
-            field, [[field.parse(x) for x in row] for row in omega_rows])
-    except ValueError as exc:
-        raise ValueError(f"bad field element in 'omega': {exc}") from None
+    omega_mat = Matrix.from_rows(
+        field, [[_parse_scalar(field, x, "'omega'") for x in row] for row in omega_rows])
     omega = SkewForm(omega_mat)  # NotSkew names the offending entry
+    if not isinstance(payload["brackets"], dict):
+        raise ValueError("'brackets' must be an object mapping 'i,j' to coefficients")
     table = {}
     for key, coeffs in payload["brackets"].items():
         try:
@@ -433,11 +441,19 @@ def algebra_from_json(text: str) -> OmegaAlgebra:
             raise ValueError(f"bracket key {key!r} is not of the form 'i,j'") from None
         if not (0 <= i < j < n):
             raise ValueError(f"bracket key {key!r} must satisfy 0 <= i < j < {n}")
-        if len(coeffs) != n:
+        if not isinstance(coeffs, list) or len(coeffs) != n:
             raise ValueError(f"bracket {key!r} needs {n} coefficients")
-        try:
-            table[(i, j)] = tuple(field.parse(x) for x in coeffs)
-        except ValueError as exc:
-            raise ValueError(f"bad field element in bracket {key!r}: {exc}") from None
+        table[(i, j)] = tuple(_parse_scalar(field, x, f"bracket {key!r}") for x in coeffs)
     sc = StructureConstants(field, n, table)
     return OmegaAlgebra(field, sc, omega)
+
+
+def _parse_scalar(field, text, where: str):
+    if not isinstance(text, str):
+        raise ValueError(f"bad field element in {where}: {text!r} is not a string")
+    try:
+        return field.parse(text)
+    except ValueError as exc:
+        raise ValueError(f"bad field element in {where}: {exc}") from None
+    except ZeroDivisionError:
+        raise ValueError(f"bad field element in {where}: {text!r} divides by zero") from None

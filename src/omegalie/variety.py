@@ -12,7 +12,7 @@ from .groebner import (
     PolyRing,
     Polynomial,
     buchberger,
-    colon,
+    colon_of_meet,
     format_polynomial,
     ideal_equal,
     ideal_member,
@@ -204,7 +204,8 @@ def verify_section3(field: FieldDescriptor = QQ) -> ReportTable:
         meet = intersect(i12, Ideal(ring, [delta]))
         rec.expect(ideal_equal(meet, Ideal(ring, [delta * f1, delta * f2])),
                    "intersection with the principal ideal is not <D f1, D f2>")
-        rec.expect(ideal_equal(colon(i12, delta), i12), "colon moved the pair ideal")
+        rec.expect(ideal_equal(colon_of_meet(meet, delta), i12),
+                   "colon moved the pair ideal")
 
     with table.timed("colon-full-ideal") as rec:
         detm = parse_polynomial(ring, DETM_TEXT)
@@ -212,7 +213,7 @@ def verify_section3(field: FieldDescriptor = QQ) -> ReportTable:
         expected = Ideal(ring, [detm * q for q in (f1, f2, f3, g, h)])
         rec.expect(ideal_equal(meet, expected),
                    "intersection is not det(M) times the basis")
-        rec.expect(ideal_equal(colon(p, detm), p), "colon moved the full ideal")
+        rec.expect(ideal_equal(colon_of_meet(meet, detm), p), "colon moved the full ideal")
 
     with table.timed("quotient-dimension") as rec:
         dim = quotient_dimension(p)

@@ -1,10 +1,11 @@
+import io
 import json
 
 import pytest
 
 from omegalie.cli import main
 from omegalie.classify3 import canonical_algebra, label_c, label_d
-from omegalie.fields import QQ
+from omegalie.fields import QQ, PrimeField
 from omegalie.omega import algebra_to_json
 
 
@@ -184,3 +185,44 @@ def test_bad_file_exit_code(capsys, tmp_path):
     bad.write_text("{not json")
     code, _, err = run(capsys, ["check", str(bad)])
     assert code == 1
+
+
+def _check_stdin(capsys, monkeypatch, payload):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    return run(capsys, ["check", "-"])
+
+
+def _d_payload(field=QQ):
+    return json.loads(algebra_to_json(canonical_algebra(label_d(), field)))
+
+
+def test_check_rejects_brackets_list(capsys, monkeypatch):
+    payload = _d_payload()
+    payload["brackets"] = []
+    code, out, err = _check_stdin(capsys, monkeypatch, payload)
+    assert (code, out) == (1, "")
+    assert "'brackets' must be an object" in err
+
+
+def test_check_rejects_numeric_scalars(capsys, monkeypatch):
+    payload = _d_payload()
+    payload["omega"] = [[int(x) for x in row] for row in payload["omega"]]
+    code, out, err = _check_stdin(capsys, monkeypatch, payload)
+    assert (code, out) == (1, "")
+    assert "bad field element in 'omega': 0 is not a string" in err
+
+
+def test_check_rejects_zero_denominator(capsys, monkeypatch):
+    payload = _d_payload(PrimeField(7))
+    payload["brackets"]["0,1"] = ["1/7", "0", "0"]
+    code, out, err = _check_stdin(capsys, monkeypatch, payload)
+    assert (code, out) == (1, "")
+    assert "bad field element in bracket '0,1': '1/7' divides by zero" in err
+
+
+def test_check_rejects_dimension_two(capsys, monkeypatch):
+    payload = {"field": "Q", "dim": 2, "omega": [["0", "1"], ["-1", "0"]],
+               "brackets": {"0,1": ["0", "0"]}}
+    code, out, err = _check_stdin(capsys, monkeypatch, payload)
+    assert (code, out) == (1, "")
+    assert "'dim' must be at least 3, got 2" in err

@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from omegalie.fields import QQ, ExtensionRequired, PrimeField
+from omegalie.fields import QQ, DescriptorMismatch, ExtensionRequired, PrimeField
 from omegalie.linalg import (
     InconsistentSystem,
     Matrix,
@@ -12,6 +13,7 @@ from omegalie.linalg import (
     SkewForm,
     skew_congruence_reduce,
     sl2_trace_minus_one_canonical,
+    solve,
     solve_vector,
     standard_j,
 )
@@ -56,6 +58,26 @@ def test_solve_and_errors():
         solve_vector(singular, (QQ.elem(1), QQ.elem(2)))
     with pytest.raises(SingularMatrix):
         singular.inverse()
+
+
+def test_mixed_field_product_raises():
+    with pytest.raises(DescriptorMismatch):
+        Matrix.identity(QQ, 2) * Matrix.identity(F101, 2)
+    with pytest.raises(DescriptorMismatch):
+        Matrix.identity(QQ, 2).apply((F101.one, F101.zero))
+
+
+def test_foreign_entry_raises():
+    # the matrix claims Q but holds an F_101 entry
+    foreign = Matrix(QQ, 2, 2, [QQ.one, F101.one, QQ.zero, QQ.one])
+    with pytest.raises(DescriptorMismatch):
+        foreign * Matrix.identity(QQ, 2)
+    with pytest.raises(DescriptorMismatch):
+        Matrix.identity(QQ, 2) * foreign
+    with pytest.raises(DescriptorMismatch):
+        foreign.det()
+    with pytest.raises(DescriptorMismatch):
+        solve(Matrix.identity(QQ, 2), foreign)
 
 
 def test_rank():
@@ -113,6 +135,31 @@ def _planted_skew(field, n, rank, rng):
     j = standard_j(field, n, rank)
     p = _rand_invertible(field, n, rng)
     return SkewForm(p.transpose() * j * p)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _congruence_golden_lines(field, seed):
+    """One line per form: two seeded planted forms and standard_j for every
+    n = 1..10 and every even rank, with the form and its reduction Q."""
+    rng = random.Random(seed)
+    lines = []
+    for n in range(1, 11):
+        for rank in range(0, n + 1, 2):
+            forms = [_planted_skew(field, n, rank, rng) for _ in range(2)]
+            forms.append(SkewForm(standard_j(field, n, rank)))
+            for form in forms:
+                res = skew_congruence_reduce(form)
+                lines.append(f"n={n} rank={res.rank} A={form.matrix!r} Q={res.q!r}")
+    return lines
+
+
+@pytest.mark.parametrize("field, name, seed", [(QQ, "Q", 31), (F101, "Fp101", 32)])
+def test_congruence_golden(field, name, seed):
+    want = (GOLDEN / f"congruence_{name}.txt").read_text().splitlines()
+    assert len(want) == 105
+    assert _congruence_golden_lines(field, seed) == want
 
 
 def test_congruence_planted_rank():

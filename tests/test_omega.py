@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -279,3 +280,22 @@ def test_algebra_json_rejects_bad_input():
     payload["omega"][0][0] = "1"  # nonzero diagonal entry breaks skewness
     with pytest.raises(Exception):
         algebra_from_json(_json.dumps(payload))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda p: [p], "must be a JSON object"),
+    (lambda p: {**p, "field": 101}, "'field' must be a descriptor string"),
+    (lambda p: {**p, "dim": 3.0}, "'dim' must be an integer"),
+    (lambda p: {**p, "dim": True}, "'dim' must be an integer"),
+    (lambda p: {**p, "dim": "3"}, "'dim' must be an integer"),
+    (lambda p: {**p, "omega": "0"}, "'omega' must be a 3x3 matrix"),
+    (lambda p: {**p, "omega": ["000"] * 3}, "'omega' must be a 3x3 matrix"),
+    (lambda p: {**p, "brackets": {"0,1": "001"}}, "bracket '0,1' needs 3 coefficients"),
+    (lambda p: {**p, "brackets": {"0,1": ["0", None, "1"]}}, "None is not a string"),
+    (lambda p: {**p, "brackets": {"0,1": ["0", "1/0", "1"]}}, "'1/0' divides by zero"),
+])
+def test_algebra_json_rejects_wrong_types(edit, message):
+    import json as _json
+    payload = _json.loads(algebra_to_json(algebra_d()))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        algebra_from_json(_json.dumps(edit(payload)))
