@@ -39,16 +39,34 @@ class ExtensionDepthExceeded(ExtensionRequired):
     """A second quadratic extension would be needed; the tower is capped at one."""
 
 
+# Miller-Rabin with the first 13 primes as bases has no strong pseudoprime
+# below this bound (Sorenson and Webster, Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact below _MR_BOUND; larger n is refused."""
+    if n >= _MR_BOUND:
+        raise ValueError(f"primality is only decided below {_MR_BOUND}, got {n}")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -398,19 +416,6 @@ class FieldElement:
         return self.encode()
 
 
-def field_arith(a: FieldElement, b: FieldElement, op: str) -> FieldElement:
-    """Dispatch form of the four basic operations ("add", "sub", "mul", "div")."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # square roots and quadratic splitting
 # ---------------------------------------------------------------------------
@@ -418,8 +423,8 @@ def field_arith(a: FieldElement, b: FieldElement, op: str) -> FieldElement:
 def _sqrt_in_depth0(field: FieldDescriptor, payload):
     """Canonical square root of a payload in Q or F_p, or None.
 
-    Q: positive root.  F_p: Euler criterion, then the representative in
-    [0, p/2] (exhaustive search; moduli here are desk scale).
+    Q: positive root.  F_p: Euler criterion, then Tonelli-Shanks, returning
+    the representative in [0, p/2].
     """
     if isinstance(field, Rationals):
         if payload == 0:
@@ -437,10 +442,23 @@ def _sqrt_in_depth0(field: FieldDescriptor, payload):
             return 0
         if pow(payload, (p - 1) // 2, p) != 1:
             return None
-        for r in range(p // 2 + 1):
-            if r * r % p == payload:
-                return r
-        return None
+        # Tonelli-Shanks: p - 1 = q * 2^s with q odd, z a non-residue
+        q, s = p - 1, 0
+        while q % 2 == 0:
+            q, s = q // 2, s + 1
+        z = 2
+        while pow(z, (p - 1) // 2, p) != p - 1:
+            z += 1
+        c, t, r = pow(z, q, p), pow(payload, q, p), pow(payload, (q + 1) // 2, p)
+        while t != 1:
+            # least i with t^(2^i) = 1; then i < s, and s shrinks to i
+            i, t2 = 0, t
+            while t2 != 1:
+                t2, i = t2 * t2 % p, i + 1
+            b = pow(c, 1 << (s - i - 1), p)
+            s, c = i, b * b % p
+            t, r = t * c % p, r * b % p
+        return min(r, p - r)
     raise TypeError(f"{field!r} is not depth 0")
 
 
@@ -475,42 +493,12 @@ def _sqrt_in_field(element: FieldElement):
 
 
 @dataclass(frozen=True)
-class SqrtReport:
-    kind: str  # "root" | "needs_extension"
-    root: FieldElement | None = None
-    minpoly: tuple | None = None  # (c0, c1) for t^2 + c1 t + c0
-
-    def extension(self) -> QuadExt:
-        if self.kind != "needs_extension":
-            raise ValueError("root already exists in the field")
-        c0, c1 = self.minpoly
-        # construction re-checks that the discriminant is a non-square
-        return QuadExt(c0.field, c0.value, c1.value)
-
-    def root_in_extension(self, ext: QuadExt) -> FieldElement:
-        # the minpoly here is t^2 - s, so theta itself is the root
-        return ext.theta
-
-
-def sqrt_or_extend(s: FieldElement) -> SqrtReport:
-    """Square root of a nonzero element, or the minpoly t^2 - s to adjoin."""
-    if s.is_zero():
-        raise ZeroInput("sqrt of zero")
-    r = _sqrt_in_field(s)
-    if r is not None:
-        return SqrtReport("root", root=r)
-    if s.field.depth != 0:
-        raise ExtensionDepthExceeded(-s, s.field.zero,
-                                     "second quadratic extension refused")
-    return SqrtReport("needs_extension", minpoly=(-s, s.field.zero))
-
-
-@dataclass(frozen=True)
 class RootReport:
-    """Roots of t^2 + t + delta.
+    """Roots of a monic quadratic t^2 + c1*t + c0 over the element's field.
 
-    kind is "two_roots" (roots attribute set, both in the field),
-    "double" (single root -1/2), or "needs_extension" (minpoly set).
+    kind is "root" (root set: the canonical square root), "two_roots" (roots
+    set, both in the field), "double" (root set), or "needs_extension"
+    (minpoly set to (c0, c1)).
     """
     kind: str
     roots: tuple | None = None
@@ -525,8 +513,21 @@ class RootReport:
         return QuadExt(c0.field, c0.value, c1.value)
 
     def roots_in_extension(self, ext: QuadExt) -> tuple:
-        # minpoly is t^2 + t + delta, so the roots are theta and -1 - theta
-        return (ext.theta, -ext.theta - 1)
+        # theta is a root of the minpoly, and the roots sum to -c1
+        return (ext.theta, -ext.theta - ext.embed(self.minpoly[1]))
+
+
+def sqrt_or_extend(s: FieldElement) -> RootReport:
+    """Square root of a nonzero element, or the minpoly t^2 - s to adjoin."""
+    if s.is_zero():
+        raise ZeroInput("sqrt of zero")
+    r = _sqrt_in_field(s)
+    if r is not None:
+        return RootReport("root", root=r)
+    if s.field.depth != 0:
+        raise ExtensionDepthExceeded(-s, s.field.zero,
+                                     "second quadratic extension refused")
+    return RootReport("needs_extension", minpoly=(-s, s.field.zero))
 
 
 def quadratic_roots(delta: FieldElement) -> RootReport:

@@ -102,21 +102,6 @@ class PolyRing:
         return f"{self.field!r}[{', '.join(self.variables)}] ({self.order})"
 
 
-def grevlex_cmp(e1, e2) -> int:
-    """Compare exponent vectors: total degree first, ties broken by the last
-    variable in which they differ, smaller exponent winning.  Returns -1, 0
-    or 1."""
-    if len(e1) != len(e2):
-        raise ValueError(f"exponent lengths differ: {len(e1)} vs {len(e2)}")
-    d1, d2 = sum(e1), sum(e2)
-    if d1 != d2:
-        return 1 if d1 > d2 else -1
-    for a, b in zip(reversed(e1), reversed(e2)):
-        if a != b:
-            return 1 if a < b else -1
-    return 0
-
-
 def _exp_mul(e1, e2):
     return tuple(a + b for a, b in zip(e1, e2))
 

@@ -487,7 +487,7 @@ def sl2_trace_minus_one_canonical(m: Matrix, allow_extension: bool = False,
                 raise ExtensionRequired(*sq.minpoly)
             ext = sq.extension()
             extension = sq.minpoly
-            s = sq.root_in_extension(ext)
+            s = sq.roots_in_extension(ext)[0]
             v = tuple(ext.embed(x) for x in v)
             w = tuple(ext.embed(x) for x in w)
             m = m.embed(ext)

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
+from itertools import combinations, permutations
 
 from .fields import FieldDescriptor, FieldElement, parse_descriptor
 from .linalg import (
@@ -176,27 +177,61 @@ class GroupElement:
         return f"GroupElement({self.matrix!r})"
 
 
-def jacobi_residual(sc: StructureConstants, omega: SkewForm,
-                    i: int, j: int, k: int) -> tuple:
-    """Coefficients of the omega-Jacobi defect on the basis triple (i, j, k)."""
-    n = sc.dim
-    for idx in (i, j, k):
-        if not 0 <= idx < n:
-            raise IndexError(f"basis index {idx} out of range")
-    field = sc.field
-    basis = [tuple(field.one if t == m else field.zero for t in range(n))
-             for m in range(n)]
-    out = [field.zero] * n
-    for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-        inner = sc.bracket(a, b)
-        term = sc.bracket_vectors(inner, basis[c])
-        for m in range(n):
-            out[m] = out[m] + term[m]
-    for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-        w = omega(a, b)
-        if not w.is_zero():
-            out[c] = out[c] - w
-    return tuple(out)
+def full_bracket_table(upper: dict, zero, n: int) -> list:
+    """The n x n table whose entry [a][b] holds the coordinates of [e_a, e_b],
+    built from its strictly upper half {(a, b): coordinates}: missing pairs
+    are zero and the lower half is derived by sign."""
+    zero_vec = (zero,) * n
+    full = [[zero_vec] * n for _ in range(n)]
+    for (a, b), vec in upper.items():
+        full[a][b] = tuple(vec)
+        full[b][a] = tuple(-v for v in vec)
+    return full
+
+
+def cyclic_bracket_sum(full: list, zero, i: int, j: int, k: int) -> list:
+    """Coordinates of [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j].
+
+    full is a basis-bracket table as from full_bracket_table; its entries may
+    be field elements or polynomials.  Each double bracket is expanded as
+    [[e_a, e_b], e_c] = sum_m c_ab^m [e_m, e_c], so no vector is built.
+    """
+    out = [zero] * len(full)
+    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+        for m, w in enumerate(full[a][b]):
+            if w.is_zero():
+                continue
+            for t, v in enumerate(full[m][c]):
+                if not v.is_zero():
+                    out[t] = out[t] + w * v
+    return out
+
+
+def jacobi_defects(full: list, form, zero):
+    """((i, j, k), defect) for every ordered triple of distinct basis indices,
+    in lexicographic order.  The defect is the cyclic bracket sum minus
+    form(i, j) e_k + form(j, k) e_i + form(k, i) e_j.
+
+    Both sides alternate in the triple, so only strictly increasing triples
+    are evaluated and every other order takes the sign of its permutation.
+    Triples with a repeated index are left out: their defect vanishes for an
+    antisymmetric bracket and a skew form.
+    """
+    increasing = {}
+    for triple in permutations(range(len(full)), 3):
+        i, j, k = triple
+        if i < j < k:
+            defect = cyclic_bracket_sum(full, zero, i, j, k)
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                w = form(a, b)
+                if not w.is_zero():
+                    defect[c] = defect[c] - w
+            defect = increasing[triple] = tuple(defect)
+        else:
+            defect = increasing[tuple(sorted(triple))]
+            if ((i > j) + (i > k) + (j > k)) % 2:
+                defect = tuple(-x for x in defect)
+        yield triple, defect
 
 
 @dataclass
@@ -211,8 +246,7 @@ class ValidationReport:
 
 def validate(alg: OmegaAlgebra) -> ValidationReport:
     """Check the skew-form invariants, bracket antisymmetry through the public
-    accessor, and the omega-Jacobi identity on every ordered basis triple,
-    repeated indices included."""
+    accessor, and the omega-Jacobi identity on every ordered basis triple."""
     report = ValidationReport(ok=True)
     n = alg.dim
     SkewForm(alg.omega.matrix)  # re-verify rather than trust construction
@@ -225,31 +259,16 @@ def validate(alg: OmegaAlgebra) -> ValidationReport:
             if tuple(-v for v in fwd) != bwd:
                 report.ok = False
                 report.messages.append(f"brackets ({i},{j}) and ({j},{i}) not opposite")
-    for i, j, k in ((i, j, k) for i in range(n) for j in range(n) for k in range(n)):
-        res = jacobi_residual(alg.sc, alg.omega, i, j, k)
+    zero = alg.field.zero
+    full = full_bracket_table(alg.sc.entries(), zero, n)
+    for triple, res in jacobi_defects(full, alg.omega, zero):
         if any(not x.is_zero() for x in res):
             report.ok = False
-            report.failures.append(((i, j, k), res))
+            report.failures.append((triple, res))
     if report.failures:
         report.messages.append(
             f"{len(report.failures)} basis triples violate the bracket identity")
     return report
-
-
-def _distinct_triples(n):
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                yield (i, j, k)
-
-
-def quick_jacobi_ok(sc: StructureConstants, omega: SkewForm) -> bool:
-    """Identity check on strictly increasing triples only (the repeated-index
-    instances vanish automatically for a skew form)."""
-    for i, j, k in _distinct_triples(sc.dim):
-        if any(not x.is_zero() for x in jacobi_residual(sc, omega, i, j, k)):
-            return False
-    return True
 
 
 def recover_omega(sc: StructureConstants) -> SkewForm:
@@ -275,14 +294,9 @@ def recover_omega(sc: StructureConstants) -> SkewForm:
 
     rows = []
     rhs = []
-    basis = [tuple(field.one if t == m else field.zero for t in range(n))
-             for m in range(n)]
-    for i, j, k in _distinct_triples(n):
-        jac = [field.zero] * n
-        for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-            term = sc.bracket_vectors(sc.bracket(a, b), basis[c])
-            for m in range(n):
-                jac[m] = jac[m] + term[m]
+    full = full_bracket_table(sc.entries(), field.zero, n)
+    for i, j, k in combinations(range(n), 3):
+        jac = cyclic_bracket_sum(full, field.zero, i, j, k)
         # jac must equal w_ij e_k + w_jk e_i + w_ki e_j
         for m in range(n):
             row = [field.zero] * len(unknowns)
@@ -307,19 +321,12 @@ def recover_omega(sc: StructureConstants) -> SkewForm:
     return SkewForm(m)
 
 
-def is_lie(sc: StructureConstants) -> bool:
-    """Does the bracket satisfy the classical Jacobi identity?"""
-    field = sc.field
-    zero_form = SkewForm(Matrix.zeros(field, sc.dim, sc.dim))
-    return quick_jacobi_ok(sc, zero_form)
-
-
 def transform(g: GroupElement, alg: OmegaAlgebra,
               check: bool = True) -> OmegaAlgebra:
     """The bracket moved by g: [x, y] -> g[g^-1 x, g^-1 y], form unchanged.
 
     When g preserves the form, the result is re-checked to satisfy the
-    bracket identity (cheap: strictly increasing triples only).
+    bracket identity (cheap: only strictly increasing triples are evaluated).
     """
     if g.matrix.rows != alg.dim:
         raise ValueError("dimension mismatch between element and algebra")
@@ -333,7 +340,9 @@ def transform(g: GroupElement, alg: OmegaAlgebra,
     sc = StructureConstants(alg.field, n, table)
     out = OmegaAlgebra(alg.field, sc, alg.omega)
     if check and in_stabilizer(g, "G", alg.omega):
-        if not quick_jacobi_ok(sc, alg.omega):
+        zero = alg.field.zero
+        defects = jacobi_defects(full_bracket_table(sc.entries(), zero, n), alg.omega, zero)
+        if any(not x.is_zero() for _, res in defects for x in res):
             raise AssertionError("stabilizer action broke the bracket identity")
     return out
 

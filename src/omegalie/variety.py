@@ -24,6 +24,7 @@ from .groebner import (
     s_polynomial,
 )
 from .linalg import SkewForm, standard_j
+from .omega import full_bracket_table, jacobi_defects
 from .report import ReportTable
 
 
@@ -67,38 +68,6 @@ class VarietyIdeal:
         return Ideal(self.ring, self.generators)
 
 
-def _basis_bracket(table, dim, ring, a, b):
-    zero_vec = (ring.zero(),) * dim
-    if a == b:
-        return zero_vec
-    if a < b:
-        return table.get((a, b), zero_vec)
-    vec = table.get((b, a))
-    if vec is None:
-        return zero_vec
-    return tuple(-p for p in vec)
-
-
-def symbolic_jacobi_residual(ring: PolyRing, table: dict, omega: SkewForm,
-                             dim: int, i: int, j: int, k: int) -> tuple:
-    """The bracket-identity defect on a basis triple, with polynomial entries."""
-    out = [ring.zero()] * dim
-    for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-        w = _basis_bracket(table, dim, ring, a, b)
-        for m in range(dim):
-            if w[m].is_zero():
-                continue
-            vec = _basis_bracket(table, dim, ring, m, c)
-            for t in range(dim):
-                if not vec[t].is_zero():
-                    out[t] = out[t] + w[m] * vec[t]
-    for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-        w = omega(a, b)
-        if not w.is_zero():
-            out[c] = out[c] - ring.const(w)
-    return tuple(out)
-
-
 def _normalize_generators(raw):
     """Monic, deduplicated (sign pairs collapse), sorted ascending by lead."""
     polys = []
@@ -132,20 +101,21 @@ def defining_ideal(n: int, omega: SkewForm, field: FieldDescriptor) -> VarietyId
     x = [ring.var(f"x{i}") for i in (1, 2, 3)]
     y = [ring.var(f"y{i}") for i in (1, 2, 3)]
     z = [ring.var(f"z{i}") for i in (1, 2, 3)]
-    table = {(0, 1): tuple(x), (0, 2): tuple(y), (1, 2): tuple(z)}
+    return _identity_ideal(ring, {(0, 1): x, (0, 2): y, (1, 2): z}, omega)
+
+
+def _identity_ideal(ring: PolyRing, upper: dict, omega: SkewForm) -> VarietyIdeal:
+    """The components of the bracket-identity defect on every ordered triple
+    of distinct basis indices, for the symbolic bracket {(a, b): coordinates}."""
+    zero = ring.zero()
+    full = full_bracket_table(upper, zero, omega.dim)
     raw = []
     provenance = []
-    for (i, j, k) in _all_distinct_triples(3):
-        res = symbolic_jacobi_residual(ring, table, omega, 3, i, j, k)
+    for triple, res in jacobi_defects(full, lambda a, b: ring.const(omega(a, b)), zero):
         for comp, p in enumerate(res):
-            provenance.append(((i, j, k), comp, p))
+            provenance.append((triple, comp, p))
             raw.append(p)
     return VarietyIdeal(ring, _normalize_generators(raw), tuple(provenance))
-
-
-def _all_distinct_triples(n):
-    return [(i, j, k) for i in range(n) for j in range(n) for k in range(n)
-            if i != j and j != k and i != k]
 
 
 def algebra_point(alg) -> dict:
@@ -283,15 +253,7 @@ def x1_configuration_ideal(field: FieldDescriptor = QQ,
         for row, value in enumerate(omega_e_column):
             v = value if not isinstance(value, int) else field.elem(value)
             omega_mat = omega_mat.with_entry(row, 3, v).with_entry(3, row, -v)
-    omega = SkewForm(omega_mat)
-    raw = []
-    provenance = []
-    for (i, j, k) in _all_distinct_triples(4):
-        res = symbolic_jacobi_residual(ring, table, omega, 4, i, j, k)
-        for comp, poly in enumerate(res):
-            provenance.append(((i, j, k), comp, poly))
-            raw.append(poly)
-    return VarietyIdeal(ring, _normalize_generators(raw), tuple(provenance))
+    return _identity_ideal(ring, table, SkewForm(omega_mat))
 
 
 def x1_component_ideals(field: FieldDescriptor = QQ):

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from omegalie.fields import (
     PrimeField,
     QuadExt,
     ZeroInput,
-    field_arith,
+    _sqrt_in_depth0,
     parse_descriptor,
     quadratic_extension,
     quadratic_roots,
@@ -25,7 +26,7 @@ F101 = PrimeField(101)
 def test_fraction_arithmetic():
     a = QQ.elem(Fraction(2, 3))
     b = QQ.elem(Fraction(1, 6))
-    assert field_arith(a, b, "add") == QQ.elem(Fraction(5, 6))
+    assert a + b == QQ.elem(Fraction(5, 6))
 
 
 def test_prime_field_product():
@@ -74,7 +75,7 @@ def test_tower_depth_capped():
 
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
-        field_arith(QQ.one, QQ.zero, "div")
+        QQ.one / QQ.zero
     K = quadratic_extension(QQ, 1, 1)
     with pytest.raises(ZeroDivisionError):
         K.one / K.zero
@@ -126,6 +127,7 @@ def test_quadratic_roots_extension_case():
     assert (c0, c1) == (QQ.elem(1), QQ.elem(1))
     ext = rep.extension()
     r1, r2 = rep.roots_in_extension(ext)
+    assert r1 == ext.theta and r2 == -ext.theta - 1
     for r in (r1, r2):
         assert r * r + r + ext.one == ext.zero
 
@@ -170,8 +172,10 @@ def test_sqrt_needs_extension():
     rep = sqrt_or_extend(QQ.elem(2))
     assert rep.kind == "needs_extension"
     ext = rep.extension()
-    r = rep.root_in_extension(ext)
-    assert r * r == ext.embed(QQ.elem(2))
+    r1, r2 = rep.roots_in_extension(ext)
+    assert r1 == ext.theta and r2 == -ext.theta
+    for r in (r1, r2):
+        assert r * r == ext.embed(QQ.elem(2))
 
 
 def test_sqrt_zero_input():
@@ -191,8 +195,8 @@ def test_sqrt_randomized_roundtrip():
                 assert rep.root * rep.root == s
             else:
                 ext = rep.extension()
-                r = rep.root_in_extension(ext)
-                assert r * r == ext.embed(s)
+                for r in rep.roots_in_extension(ext):
+                    assert r * r == ext.embed(s)
 
 
 def test_sqrt_inside_extension_of_embedded_values():
@@ -222,3 +226,45 @@ def test_int_coercion_in_expressions():
     assert 2 * a == F101.elem(10)
     assert a / 2 == F101.elem(5) * F101.elem(2).inverse()
     assert -(a + 1) == F101.elem(-6)
+
+
+M61 = 2**61 - 1
+
+
+def test_large_prime_accepted_quickly():
+    start = time.perf_counter()
+    field = PrimeField(M61)
+    assert parse_descriptor(f"Fp:{M61}") == field
+    assert time.perf_counter() - start < 0.5
+
+
+def test_pseudoprimes_rejected():
+    for n in (561, 1152271):  # Carmichael numbers; 43 * 127 * 211 has no factor below 41
+        with pytest.raises(ValueError, match="not prime"):
+            PrimeField(n)
+    # strong pseudoprime to every prime base up to 23 (149491 * 747451 * 34233211)
+    with pytest.raises(ValueError, match="not prime"):
+        PrimeField(3825123056546413051)
+
+
+def test_descriptor_beyond_primality_bound_rejected():
+    with pytest.raises(ValueError, match="only decided below 3317044064679887385961981"):
+        parse_descriptor("Fp:" + "1" * 40)
+
+
+@pytest.mark.parametrize("p", [7, 101, 103, 113])
+def test_prime_field_sqrt_matches_brute_force(p):
+    field = PrimeField(p)
+    for a in range(p):
+        want = next((r for r in range(p // 2 + 1) if r * r % p == a), None)
+        assert _sqrt_in_depth0(field, a) == want
+
+
+@pytest.mark.parametrize("p", [M61, 998244353])  # 998244353 - 1 = 119 * 2^23
+def test_prime_field_sqrt_large_modulus(p):
+    field = PrimeField(p)
+    for x in (2, 123456789, p - 5):
+        a = x * x % p
+        rep = sqrt_or_extend(field.elem(a))
+        assert rep.kind == "root"
+        assert rep.root.value == min(x, p - x)

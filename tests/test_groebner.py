@@ -34,6 +34,7 @@ from helpers import (
     F101,
     G_TEXT,
     H_TEXT,
+    RING_VARS,
     ideal_p,
     sc_polys,
     sc_ring,
@@ -57,24 +58,29 @@ def test_grevlex_golden_comparisons():
     assert key("x1") == key("x1")
 
 
-def test_grevlex_cmp_function():
-    from omegalie.groebner import grevlex_cmp
-    ring = sc_ring()
-    e = lambda t: _mono(ring, t).lm()
-    assert grevlex_cmp(e("x1^2"), e("x1*x2")) == 1
-    assert grevlex_cmp(e("x1*x2"), e("x1^2")) == -1
-    assert grevlex_cmp(e("x1*x2"), e("x1*x2")) == 0
-    assert grevlex_cmp(e("z3"), e("x1^2")) == -1
-    with pytest.raises(ValueError):
-        grevlex_cmp((1, 0), (1, 0, 0))
-    # agreement with the ring's sort key on random pairs
+def test_grevlex_sort_key_comparisons():
+    ring = PolyRing(QQ, RING_VARS, order="grevlex")
+    key = lambda t: ring.sort_key(_mono(ring, t).lm())
+    assert key("x1^2") > key("x1*x2")
+    assert key("x1*x2") < key("x1^2")
+    assert key("x1*x2") == key("x1*x2")
+    assert key("z3") < key("x1^2")
+    # agreement with the grevlex definition on random pairs: total degree
+    # first, then the last differing variable, the smaller exponent winning
     rng = random.Random(3)
     for _ in range(300):
         e1 = tuple(rng.randrange(3) for _ in range(9))
         e2 = tuple(rng.randrange(3) for _ in range(9))
         k1, k2 = ring.sort_key(e1), ring.sort_key(e2)
-        want = (k1 > k2) - (k1 < k2)
-        assert grevlex_cmp(e1, e2) == want
+        diffs = [(a, b) for a, b in zip(reversed(e1), reversed(e2)) if a != b]
+        if sum(e1) != sum(e2):
+            want = sum(e1) > sum(e2)
+        elif diffs:
+            want = diffs[0][0] < diffs[0][1]
+        else:
+            assert k1 == k2
+            continue
+        assert (k1 > k2) == want and (k1 < k2) == (not want)
 
 
 def test_leading_monomials_of_reference_polynomials():

@@ -16,8 +16,6 @@ from omegalie.omega import (
     change_basis,
     derived_dimension,
     in_stabilizer,
-    is_lie,
-    jacobi_residual,
     recover_omega,
     transform,
     validate,
@@ -51,14 +49,16 @@ def algebra_c(field, alpha):
     })
 
 
+def zero_form(field=QQ, n=3):
+    return SkewForm(Matrix.zeros(field, n, n))
+
+
 def heisenberg(field=QQ):
-    zero = SkewForm(Matrix.zeros(field, 3, 3))
-    return make_algebra(field, {(0, 1): [0, 0, 1]}, omega=zero)
+    return make_algebra(field, {(0, 1): [0, 0, 1]}, omega=zero_form(field))
 
 
 def abelian(field=QQ):
-    zero = SkewForm(Matrix.zeros(field, 3, 3))
-    return make_algebra(field, {}, omega=zero)
+    return make_algebra(field, {}, omega=zero_form(field))
 
 
 def random_g_omega(field, rng, n=3):
@@ -83,26 +83,28 @@ def random_g_omega(field, rng, n=3):
 
 
 def test_jacobi_residual_on_d_vanishes():
-    alg = algebra_d()
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                res = jacobi_residual(alg.sc, alg.omega, i, j, k)
-                assert all(x.is_zero() for x in res)
+    report = validate(algebra_d())
+    assert report.ok
+    assert report.failures == [] and report.messages == []
 
 
 def test_jacobi_residual_abelian_zero_form():
-    alg = abelian()
-    res = jacobi_residual(alg.sc, alg.omega, 0, 1, 2)
-    assert all(x.is_zero() for x in res)
+    assert validate(abelian()).failures == []
+    assert recover_omega(abelian().sc).is_zero()
 
 
 def test_jacobi_residual_detects_missing_form():
     # the C_1 bracket with the zero form: the z-term of the identity is missing
     alg = algebra_c(QQ, 1)
-    zero = SkewForm(Matrix.zeros(QQ, 3, 3))
-    res = jacobi_residual(alg.sc, zero, 0, 1, 2)
-    assert any(not x.is_zero() for x in res)
+    report = validate(OmegaAlgebra(QQ, alg.sc, zero_form()))
+    assert not report.ok
+    # every ordered triple of distinct indices fails, with its permutation's sign
+    signs = [1, -1, -1, 1, 1, -1]
+    assert report.failures == [
+        (t, (QQ.zero, QQ.zero, QQ.elem(s)))
+        for t, s in zip([(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)],
+                        signs)]
+    assert not recover_omega(alg.sc).is_zero()
 
 
 def test_validate_canonical_families():
@@ -149,9 +151,9 @@ def test_non_lie_iff_nonzero_form():
         g = random_g_omega(F101, rng)
         alg = transform(g, algebra_c(F101, rng.randrange(1, 100)))
         assert validate(alg).ok
-        assert not is_lie(alg.sc)
+        assert not validate(OmegaAlgebra(F101, alg.sc, zero_form(F101))).ok
         assert not recover_omega(alg.sc).is_zero()
-    assert is_lie(heisenberg().sc)
+    assert validate(OmegaAlgebra(QQ, heisenberg().sc, zero_form())).ok
     assert recover_omega(heisenberg().sc).is_zero()
 
 

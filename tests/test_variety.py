@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -163,3 +164,31 @@ def test_example51_sensitive_to_form_convention():
     from omegalie.groebner import ideal_equal, intersect
     p1, p2 = x1_component_ideals(QQ)
     assert not ideal_equal(vi.ideal(), intersect(p1, p2))
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _ideal_golden_lines(field):
+    """Generators and provenance of the 3-dimensional ideal for the rank 0 and
+    rank 2 forms, and of the 4-dimensional configuration ideal with the zero
+    and a nonzero form column against the fourth vector."""
+    ideals = [(f"defining_ideal rank={rank}",
+               defining_ideal(3, SkewForm(standard_j(field, 3, rank)), field))
+              for rank in (0, 2)]
+    ideals += [(f"x1_configuration_ideal column={column}",
+                x1_configuration_ideal(field, omega_e_column=column))
+               for column in (None, (0, 0, 1), (1, 2, 3))]
+    lines = []
+    for name, vi in ideals:
+        lines.append(name)
+        lines += [f"gen {format_polynomial(g)}" for g in vi.generators]
+        lines += [f"from {triple} {comp}: {format_polynomial(p)}"
+                  for triple, comp, p in vi.provenance]
+    return lines
+
+
+@pytest.mark.parametrize("field, name", [(QQ, "Q"), (F101, "Fp101")])
+def test_ideal_golden(field, name):
+    want = (GOLDEN / f"variety_ideals_{name}.txt").read_text().splitlines()
+    assert _ideal_golden_lines(field) == want
