@@ -6,6 +6,7 @@ are safe to share between threads.  No floating point is used anywhere.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -94,8 +95,9 @@ class FieldDescriptor:
     def parse(self, text: str) -> "FieldElement":
         return FieldElement(self, self.payload_from_str(text))
 
-    # subclasses implement: coerce, add, neg, mul, inv, is_zero,
-    # payload_to_str, payload_from_str, encode (descriptor string)
+    # subclasses implement: coerce, add, neg, mul, inv, is_zero, dot (the sum
+    # of products of two equally long payload sequences), payload_to_str,
+    # payload_from_str, encode (descriptor string)
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -124,6 +126,18 @@ class Rationals(FieldDescriptor):
 
     def mul(self, a, b):
         return a * b
+
+    def dot(self, xs, ys):
+        # fraction-free: one numerator over one denominator, normalised once
+        num, den = 0, 1
+        for x, y in zip(xs, ys):
+            if x and y:
+                n, d = x.numerator * y.numerator, x.denominator * y.denominator
+                if d == den:
+                    num += n
+                else:
+                    num, den = num * d + n * den, den * d
+        return Fraction(num, den)
 
     def inv(self, a):
         if a == 0:
@@ -179,6 +193,9 @@ class PrimeField(FieldDescriptor):
 
     def mul(self, a, b):
         return (a * b) % self.p
+
+    def dot(self, xs, ys):
+        return sum(map(operator.mul, xs, ys)) % self.p
 
     def inv(self, a):
         if a == 0:
@@ -256,6 +273,16 @@ class QuadExt(FieldDescriptor):
         return (base.sub(base.mul(a0, b0), base.mul(tt, self.c0)),
                 base.sub(lin, base.mul(tt, self.c1)))
 
+    def dot(self, xs, ys):
+        # four base dots, then t^2 = -c1 t - c0 once
+        base = self.base
+        x0, x1 = [x[0] for x in xs], [x[1] for x in xs]
+        y0, y1 = [y[0] for y in ys], [y[1] for y in ys]
+        tt = base.dot(x1, y1)
+        lin = base.add(base.dot(x0, y1), base.dot(x1, y0))
+        return (base.sub(base.dot(x0, y0), base.mul(tt, self.c0)),
+                base.sub(lin, base.mul(tt, self.c1)))
+
     def inv(self, a):
         # conjugate of a0 + a1 t is (a0 - a1 c1) - a1 t; norm = a0^2 - a0 a1 c1 + a1^2 c0
         base = self.base
@@ -320,11 +347,18 @@ def parse_descriptor(text: str) -> FieldDescriptor:
     if text.startswith("Fp:"):
         return PrimeField(int(text[3:]))
     if text.startswith("QuadExt:"):
-        rest = text[len("QuadExt:"):]
-        base_txt, minpoly = rest.rsplit(":", 1)
+        base_txt, sep, minpoly = text[len("QuadExt:"):].rpartition(":")
+        coeffs = minpoly.split(",")
+        if not sep or len(coeffs) != 2:
+            raise ValueError(f"expected QuadExt:<base>:<c0>,<c1>, got {text!r}")
         base = parse_descriptor(base_txt)
-        c0_txt, c1_txt = minpoly.split(",")
-        return QuadExt(base, base.payload_from_str(c0_txt), base.payload_from_str(c1_txt))
+        if base.depth != 0:
+            raise ValueError(f"extension towers are capped at one step: {text!r}")
+        try:
+            c0, c1 = (base.payload_from_str(c) for c in coeffs)
+        except ZeroDivisionError:
+            raise ValueError(f"minimal polynomial of {text!r} divides by zero") from None
+        return QuadExt(base, c0, c1)
     raise ValueError(f"unknown field descriptor {text!r}")
 
 

@@ -649,11 +649,18 @@ def read_ideal_text(text: str) -> Ideal:
     vars_part, field_part = head.rsplit(" over ", 1)
     from .fields import parse_descriptor
     field = parse_descriptor(field_part.strip())
-    ring = PolyRing(field, vars_part.split())
+    names = vars_part.split()
+    bad = [v for v in names if not v.isidentifier()]
+    if bad:
+        # a name like 1 or x^2 would be read back as a coefficient or a power
+        raise ValueError(f"variable names must be identifiers: {', '.join(map(repr, bad))}")
+    ring = PolyRing(field, names)
     gens = []
     for idx, ln in enumerate(lines[1:], start=2):
         try:
             gens.append(parse_polynomial(ring, ln))
         except ValueError as exc:
             raise ValueError(f"line {idx}: {exc}") from None
+        except ZeroDivisionError:
+            raise ValueError(f"line {idx}: {ln!r} divides by zero") from None
     return Ideal(ring, gens)

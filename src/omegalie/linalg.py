@@ -4,7 +4,7 @@ and SL2 conjugacy canonical forms for trace -1 matrices."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from itertools import combinations
 
 from .fields import (
     DescriptorMismatch,
@@ -105,10 +105,9 @@ class Matrix:
             if self.cols != other.rows:
                 raise ValueError("shape mismatch in product")
             field = self.field
-            add, mul, zero = field.add, field.mul, field.zero.value
+            dot = field.dot
             cols = list(zip(*_payload_rows(other, field))) or [()] * other.cols
-            out = [reduce(add, map(mul, ri, cj), zero)
-                   for ri in _payload_rows(self, field) for cj in cols]
+            out = [dot(ri, cj) for ri in _payload_rows(self, field) for cj in cols]
             return _from_payloads(field, self.rows, other.cols, out)
         if isinstance(other, FieldElement) or isinstance(other, int):
             s = other if isinstance(other, FieldElement) else self.field.elem(other)
@@ -123,9 +122,8 @@ class Matrix:
         if len(vec) != self.cols:
             raise ValueError("length mismatch")
         field = self.field
-        add, mul, zero = field.add, field.mul, field.zero.value
         v = [_payload(x, field) for x in vec]
-        return tuple(FieldElement(field, reduce(add, map(mul, ri, v), zero))
+        return tuple(FieldElement(field, field.dot(ri, v))
                      for ri in _payload_rows(self, field))
 
     def __eq__(self, other):
@@ -195,6 +193,19 @@ class Matrix:
             if rank == self.rows:
                 break
         return rank
+
+    def second_compound(self):
+        """The matrix of 2x2 minors: its entry at ((a, b), (i, j)), over pairs
+        a < b and i < j in lexicographic order, is the minor on rows a, b and
+        columns i, j."""
+        field = self.field
+        mul, sub = field.mul, field.sub
+        m = _payload_rows(self, field)
+        rows = list(combinations(range(self.rows), 2))
+        cols = list(combinations(range(self.cols), 2))
+        return _from_payloads(field, len(rows), len(cols),
+                              [sub(mul(m[a][i], m[b][j]), mul(m[b][i], m[a][j]))
+                               for a, b in rows for i, j in cols])
 
     def inverse(self):
         if self.rows != self.cols:

@@ -88,18 +88,6 @@ class StructureConstants:
             return (self.field.zero,) * self.dim
         return tuple(-v for v in vec)
 
-    def bracket_vectors(self, u: tuple, v: tuple) -> tuple:
-        """[u, v] for arbitrary coefficient vectors."""
-        field = self.field
-        out = [field.zero] * self.dim
-        for (i, j), vec in self._table.items():
-            coeff = u[i] * v[j] - u[j] * v[i]
-            if coeff.is_zero():
-                continue
-            for k in range(self.dim):
-                out[k] = out[k] + coeff * vec[k]
-        return tuple(out)
-
     def entries(self):
         return dict(self._table)
 
@@ -325,19 +313,23 @@ def transform(g: GroupElement, alg: OmegaAlgebra,
               check: bool = True) -> OmegaAlgebra:
     """The bracket moved by g: [x, y] -> g[g^-1 x, g^-1 y], form unchanged.
 
+    With C the matrix whose columns are the basis brackets [e_i, e_j], i < j,
+    the moved columns are G C L, where L is the second compound matrix of
+    g^-1: [g^-1 e_i, g^-1 e_j] = sum over a < b of its 2x2 minor on rows
+    a, b and columns i, j times [e_a, e_b].
+
     When g preserves the form, the result is re-checked to satisfy the
     bracket identity (cheap: only strictly increasing triples are evaluated).
     """
     if g.matrix.rows != alg.dim:
         raise ValueError("dimension mismatch between element and algebra")
     n = alg.dim
-    ginv_cols = [g.inverse_matrix.col(j) for j in range(n)]
-    table = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = alg.sc.bracket_vectors(ginv_cols[i], ginv_cols[j])
-            table[(i, j)] = g.matrix.apply(w)
-    sc = StructureConstants(alg.field, n, table)
+    pairs = list(combinations(range(n), 2))
+    brackets = [alg.sc.bracket(i, j) for i, j in pairs]
+    c = Matrix(alg.field, n, len(pairs), [vec[k] for k in range(n) for vec in brackets])
+    moved = g.matrix * c * g.inverse_matrix.second_compound()
+    sc = StructureConstants(alg.field, n,
+                            {pair: moved.col(t) for t, pair in enumerate(pairs)})
     out = OmegaAlgebra(alg.field, sc, alg.omega)
     if check and in_stabilizer(g, "G", alg.omega):
         zero = alg.field.zero

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -317,3 +318,62 @@ def test_classification_result_serialization():
     assert len(payload["witness"]) == 3
     assert all(len(row) == 3 for row in payload["witness"])
     assert [step["tag"] for step in payload["trace"]] == [t for t, _ in res.trace]
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _random_invertible(field, rng):
+    while True:
+        m = Matrix.from_rows(field, [[rng.randint(-3, 3) for _ in range(3)]
+                                     for _ in range(3)])
+        if not m.det().is_zero():
+            return GroupElement(m)
+
+
+def _generic_algebra(field, rng):
+    """[x,y] = z with a random trace -1 z-adjoint of nonzero determinant; about
+    half of them need a quadratic extension to classify."""
+    while True:
+        b0, b1, c0 = (field.elem(Fraction(rng.randint(-6, 6), rng.randint(1, 3)))
+                      for _ in range(3))
+        c1 = -(b0 + 1)
+        if not (b0 * c1 - b1 * c0).is_zero():
+            break
+    zero, one = field.zero, field.one
+    return OmegaAlgebra(field, StructureConstants(field, 3, {
+        (0, 1): (zero, zero, one), (0, 2): (b0, b1, zero), (1, 2): (c0, c1, zero)}),
+        SkewForm(standard_j(field, 3, 2)))
+
+
+def _classify_golden_text(field, seed):
+    """ClassificationResult.to_json() of seeded orbit images of every family,
+    generic algebras and GL3-moved copies of both, then iso witnesses of
+    GL3-moved pairs, each record under a header line."""
+    rng = random.Random(seed)
+    made = []
+    for _ in range(4):
+        for label in (label_a(), label_b(), label_d(),
+                      label_c(random_nonzero(field, rng))):
+            g = random_stabilizer_element(field, rng)
+            made.append((f"orbit {label}", transform(g, canonical_algebra(label, field))))
+    made += [("generic", _generic_algebra(field, rng)) for _ in range(16)]
+    made += [(f"gl3 {name}", change_basis(_random_invertible(field, rng), alg))
+             for name, alg in made[::3]]
+    records = [f"# {t} {name}\n{classify(alg, allow_extension=True).to_json()}"
+               for t, (name, alg) in enumerate(made)]
+    for t, (name, alg) in enumerate(made[:32:3]):
+        a1 = change_basis(_random_invertible(field, rng), alg)
+        a2 = change_basis(_random_invertible(field, rng), alg)
+        w = iso_witness(a1, a2, allow_extension=True)
+        records.append(f"# iso {t} {name}\n{w.matrix!r}")
+    return "\n".join(records) + "\n"
+
+
+@pytest.mark.parametrize("field, name, seed", [(QQ, "Q", 41), (F101, "Fp101", 42)])
+def test_classify_golden(field, name, seed):
+    want = (GOLDEN / f"classify_{name}.txt").read_text()
+    got = _classify_golden_text(field, seed)
+    assert got.count("# ") == want.count("# ") == 54
+    assert "QuadExt" in want
+    assert got == want

@@ -226,3 +226,37 @@ def test_check_rejects_dimension_two(capsys, monkeypatch):
     code, out, err = _check_stdin(capsys, monkeypatch, payload)
     assert (code, out) == (1, "")
     assert "'dim' must be at least 3, got 2" in err
+
+
+def _gb_stdin(capsys, monkeypatch, text):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    return run(capsys, ["gb", "-"])
+
+
+def test_gb_rejects_zero_denominator_over_q(capsys, monkeypatch):
+    code, out, err = _gb_stdin(capsys, monkeypatch, "ring x over Q\n1/0*x\n")
+    assert (code, out) == (1, "")
+    assert "bad ideal file: line 2: '1/0*x' divides by zero" in err
+
+
+def test_gb_rejects_zero_denominator_over_fp(capsys, monkeypatch):
+    code, out, err = _gb_stdin(capsys, monkeypatch, "ring x over Fp:7\nx^2\n1/7*x\n")
+    assert (code, out) == (1, "")
+    assert "bad ideal file: line 3: '1/7*x' divides by zero" in err
+
+
+NESTED = "QuadExt:QuadExt:Q:-2,0:1,0"
+
+
+def test_gb_rejects_nested_extension(capsys, monkeypatch):
+    code, out, err = _gb_stdin(capsys, monkeypatch, f"ring x over {NESTED}\nx\n")
+    assert (code, out) == (1, "")
+    assert f"bad ideal file: extension towers are capped at one step: {NESTED!r}" in err
+
+
+def test_check_rejects_nested_extension(capsys, monkeypatch):
+    payload = _d_payload()
+    payload["field"] = NESTED
+    code, out, err = _check_stdin(capsys, monkeypatch, payload)
+    assert (code, out) == (1, "")
+    assert f"bad input: extension towers are capped at one step: {NESTED!r}" in err

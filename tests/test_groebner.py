@@ -299,6 +299,13 @@ def test_text_roundtrip():
     assert list(again.gens) == list(ide.gens)
 
 
+def test_ideal_reader_refuses_non_identifier_variables():
+    # with a variable named 1, the constant polynomial 1 would be written as
+    # "1" and read back as that variable
+    with pytest.raises(ValueError, match="variable names must be identifiers: '1'"):
+        read_ideal_text("ring 1 x over Q\n2/2\n")
+
+
 def test_reference_polynomial_texts_are_canonical():
     ring = sc_ring()
     f1, f2, f3, g, h = sc_polys(ring)

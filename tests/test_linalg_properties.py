@@ -62,6 +62,17 @@ def test_det_is_multiplicative(data, field, n):
 
 
 @PROPERTY
+@given(st.data(), fields, sizes, sizes, sizes)
+def test_second_compound_is_multiplicative(data, field, n, k, m):
+    # Cauchy-Binet: every 2x2 minor of ab sums products of minors of a and b
+    a = data.draw(matrices(field, n, k))
+    b = data.draw(matrices(field, k, m))
+    assert (a * b).second_compound() == a.second_compound() * b.second_compound()
+    if n == m == 2:
+        assert a.second_compound() * b.second_compound() == Matrix(field, 1, 1, [(a * b).det()])
+
+
+@PROPERTY
 @given(st.data(), fields, sizes, sizes)
 def test_rank_of_transpose(data, field, n, m):
     a = data.draw(matrices(field, n, m))

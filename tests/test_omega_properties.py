@@ -39,6 +39,20 @@ def algebras(draw):
                         SkewForm(Matrix.from_rows(field, rows)))
 
 
+def bracket(sc, u, v):
+    """[u, v] for coefficient vectors, by bilinearity over every ordered pair
+    of basis vectors."""
+    out = [sc.field.zero] * sc.dim
+    for a in range(sc.dim):
+        for b in range(sc.dim):
+            coeff = u[a] * v[b]
+            if coeff.is_zero():
+                continue
+            for k, c in enumerate(sc.bracket(a, b)):
+                out[k] = out[k] + coeff * c
+    return tuple(out)
+
+
 def brute_force_failures(alg):
     """The identity checked on all n^3 ordered triples with basis vectors:
     [[e_i,e_j],e_k] + cyclic - (w(e_i,e_j) e_k + cyclic), nonzero ones kept."""
@@ -51,8 +65,7 @@ def brute_force_failures(alg):
             for k in range(n):
                 out = [field.zero] * n
                 for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    inner = sc.bracket_vectors(basis[a], basis[b])
-                    term = sc.bracket_vectors(inner, basis[c])
+                    term = bracket(sc, bracket(sc, basis[a], basis[b]), basis[c])
                     out = [x + y for x, y in zip(out, term)]
                     out[c] = out[c] - alg.omega(a, b)
                 if any(not x.is_zero() for x in out):
