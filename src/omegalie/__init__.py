@@ -15,7 +15,6 @@ from .fields import (
     FieldElement,
     PrimeField,
     parse_descriptor,
-    quadratic_extension,
     quadratic_roots,
     sqrt_or_extend,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "FieldElement",
     "PrimeField",
     "parse_descriptor",
-    "quadratic_extension",
     "quadratic_roots",
     "sqrt_or_extend",
     "Matrix",

@@ -24,7 +24,8 @@ from .linalg import (
     SkewForm,
     pair_min,
     skew_congruence_reduce,
-    sl2_trace_minus_one_canonical,
+    sl2_diagonalize,
+    sl2_jordan,
     solve_vector,
     standard_j,
 )
@@ -315,38 +316,32 @@ def _generic_branch(pipe: _Pipeline, allow_extension, strict_c_labels):
     assert m[0, 0] + m[1, 1] == -field.one
     roots = quadratic_roots(m.det())
     extension = None
-
-    if roots.kind == "needs_extension":
-        if not allow_extension:
-            raise ExtensionRequired(*roots.minpoly)
-        ext = roots.extension()
-        extension = roots.minpoly
-        pipe.extend_to(ext)
-        field = ext
-        m = m.embed(ext)
-        pair = roots.roots_in_extension(ext)
-    elif roots.kind == "two_roots":
-        pair = roots.roots
-    else:
-        # double eigenvalue -1/2: scalar matrix or the Jordan block
+    if roots.kind == "double":
+        # double eigenvalue -1/2: the scalar matrix or the Jordan block
         half = -field.one / 2
         if m == Matrix.from_rows(field, [[half, field.zero], [field.zero, half]]):
             return label_c(half), None
-        canon = sl2_trace_minus_one_canonical(m, allow_extension=allow_extension)
-        if canon.extension is not None:
-            extension = canon.extension
-            pipe.extend_to(canon.p.field)
-            field = canon.p.field
-        if canon.p != Matrix.identity(field, 2):
-            pipe.apply("adjoint-conjugate", _sl2_block(canon.p))
-        return label_b(), extension
-
-    raw = pair[0]
-    alpha = raw if strict_c_labels else c_pair_representative(raw)
-    canon = sl2_trace_minus_one_canonical(m, first_eigenvalue=alpha)
-    if canon.p != Matrix.identity(field, 2):
-        pipe.apply("adjoint-conjugate", _sl2_block(canon.p))
-    return label_c(alpha), extension
+        p, extension = sl2_jordan(m, allow_extension)
+        if extension is not None:
+            pipe.extend_to(p.field)
+        label = label_b()
+    else:
+        if roots.kind == "needs_extension":
+            if not allow_extension:
+                raise ExtensionRequired(*roots.minpoly)
+            ext = roots.extension()
+            extension = roots.minpoly
+            pipe.extend_to(ext)
+            m = m.embed(ext)
+            pair = roots.roots_in_extension(ext)
+        else:
+            pair = roots.roots
+        alpha = pair[0] if strict_c_labels else c_pair_representative(pair[0])
+        p = sl2_diagonalize(m, alpha)
+        label = label_c(alpha)
+    if p != Matrix.identity(p.field, 2):
+        pipe.apply("adjoint-conjugate", _sl2_block(p))
+    return label, extension
 
 
 def _sl2_block(p: Matrix) -> GroupElement:
@@ -443,17 +438,9 @@ def _finish(original: OmegaAlgebra, pipe: _Pipeline, label: CanonicalLabel,
     if change_basis(witness, source) != target:
         raise AssertionError("witness does not reproduce the canonical algebra")
     if source.omega.matrix == standard_j(pipe.field, 3, 2):
-        assert in_stabilizer(witness, "G", source.omega)
+        assert in_stabilizer(witness, source.omega)
     return ClassificationResult(label=label, witness=witness, field=pipe.field,
                                 trace=tuple(pipe.steps), extension=extension)
-
-
-def replay_trace(result: ClassificationResult, alg: OmegaAlgebra) -> OmegaAlgebra:
-    """Feed the trace back through the action; lands on the canonical algebra."""
-    work = alg if alg.field == result.field else alg.embed(result.field)
-    for _, g in result.trace:
-        work = change_basis(g, work)
-    return work
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +463,18 @@ def iso_witness(alg1: OmegaAlgebra, alg2: OmegaAlgebra,
 
     Classification labels decide the orbit; the witness is the composition of
     the two classification witnesses and is re-verified to carry the first
-    bracket and form onto the second.
+    bracket and form onto the second.  An algebra over the base of the
+    other's quadratic extension is embedded into it; other fields differing
+    is a ValueError.
     """
+    if alg1.field != alg2.field:
+        if alg2.field.depth and alg2.field.base == alg1.field:
+            alg1 = alg1.embed(alg2.field)
+        elif alg1.field.depth and alg1.field.base == alg2.field:
+            alg2 = alg2.embed(alg1.field)
+        else:
+            raise ValueError(f"the algebras live over different fields: "
+                             f"{alg1.field.encode()} and {alg2.field.encode()}")
     d1, d2 = derived_dimension(alg1.sc), derived_dimension(alg2.sc)
     if d1 != d2:
         return NonIsomorphic(
@@ -547,7 +544,7 @@ def c_pair_audit(field, count: int = 50, seed: int = 101) -> ReportTable:
     rng = random.Random(seed)
     swap = c_pair_swap(field)
     with table.timed("swap-is-form-preserving") as rec:
-        rec.expect(in_stabilizer(swap, "G", SkewForm(standard_j(field, 3, 2))),
+        rec.expect(in_stabilizer(swap, SkewForm(standard_j(field, 3, 2))),
                    "the swap does not preserve the form")
     with table.timed("swap-carries-parameter-pairs") as rec:
         for _ in range(count):
@@ -587,6 +584,14 @@ def verify_classification(field, samples: int = 40, seed: int = 7) -> ReportTabl
     rng = random.Random(seed)
     half = -field.one / 2
 
+    def parameter(k, avoid=()):
+        """The first integer from k up that is a nonzero parameter outside the
+        pair classes of avoid (small primes turn some of the defaults to 0)."""
+        classes = {c_pair_representative(a) for a in avoid}
+        while field.elem(k).is_zero() or c_pair_representative(field.elem(k)) in classes:
+            k += 1
+        return k, field.elem(k)
+
     with table.timed("canonical-self-classification") as rec:
         for label in (label_a(), label_b(), label_d()):
             res = classify(canonical_algebra(label, field))
@@ -594,7 +599,7 @@ def verify_classification(field, samples: int = 40, seed: int = 7) -> ReportTabl
             rec.expect(res.witness == GroupElement.identity(field, 3),
                        f"{label} witness is not the identity")
         for alpha_int in (2, 3, -4):
-            alpha = field.elem(alpha_int)
+            alpha_int, alpha = parameter(alpha_int)
             res = classify(canonical_algebra(label_c(alpha), field))
             rec.expect(res.label.kind == "C"
                        and res.label.alpha == c_pair_representative(alpha),
@@ -620,11 +625,13 @@ def verify_classification(field, samples: int = 40, seed: int = 7) -> ReportTabl
                        "witness identity failed")
 
     with table.timed("family-separation") as rec:
+        k1, alpha1 = parameter(2)
+        k2, alpha2 = parameter(5, avoid=(alpha1,))
         reps = [("A", canonical_algebra(label_a(), field)),
                 ("B", canonical_algebra(label_b(), field)),
                 ("D", canonical_algebra(label_d(), field)),
-                ("C2", canonical_algebra(label_c(field.elem(2)), field)),
-                ("C5", canonical_algebra(label_c(field.elem(5)), field))]
+                (f"C{k1}", canonical_algebra(label_c(alpha1), field)),
+                (f"C{k2}", canonical_algebra(label_c(alpha2), field))]
         for i in range(len(reps)):
             for j in range(i + 1, len(reps)):
                 out = iso_witness(reps[i][1], reps[j][1], allow_extension=True)
@@ -637,7 +644,7 @@ def verify_classification(field, samples: int = 40, seed: int = 7) -> ReportTabl
         rec.expect(derived_dimension(
             canonical_algebra(label_c(-field.one), field).sc) == 2,
             "C(-1) derived dimension wrong")
-        for label in (label_a(), label_b(), label_c(field.elem(3))):
+        for label in (label_a(), label_b(), label_c(parameter(3, avoid=(-field.one,))[1])):
             rec.expect(derived_dimension(canonical_algebra(label, field).sc) == 3,
                        f"{label} derived dimension wrong")
 

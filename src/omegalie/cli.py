@@ -17,6 +17,7 @@ from .groebner import (
 )
 from .linalg import NotSkew, SkewForm, skew_congruence_reduce, standard_j
 from .omega import (
+    _parse_scalar,
     algebra_from_json,
     algebra_to_json,
     recover_omega,
@@ -167,7 +168,7 @@ def cmd_canonical(args) -> int:
         if args.label == "C":
             if args.alpha is None:
                 raise InvalidAlpha("the C family needs --alpha")
-            label = label_c(field.parse(args.alpha))
+            label = label_c(_parse_scalar(field, args.alpha, "--alpha"))
         else:
             label = {"A": label_a, "B": label_b, "D": label_d}[args.label]()
         alg = canonical_algebra(label, field)

@@ -236,19 +236,17 @@ class QuadExt(FieldDescriptor):
 
     depth = 1
 
-    def __init__(self, base: FieldDescriptor, c0, c1, _checked=False):
+    def __init__(self, base: FieldDescriptor, c0, c1):
         if base.depth != 0:
             raise ExtensionDepthExceeded(c0, c1, "extension tower depth is capped at 1")
         self.base = base
         self.c0 = base.coerce(c0)
         self.c1 = base.coerce(c1)
-        if not _checked:
-            disc = base.sub(base.mul(self.c1, self.c1),
-                            base.mul(base.coerce(4), self.c0))
-            if _sqrt_in_depth0(base, disc) is not None:
-                raise ValueError(
-                    f"t^2 + ({base.payload_to_str(self.c1)})*t + "
-                    f"({base.payload_to_str(self.c0)}) is reducible over {base!r}")
+        disc = base.sub(base.mul(self.c1, self.c1), base.mul(base.coerce(4), self.c0))
+        if _sqrt_in_depth0(base, disc) is not None:
+            raise ValueError(
+                f"t^2 + ({base.payload_to_str(self.c1)})*t + "
+                f"({base.payload_to_str(self.c0)}) is reducible over {base!r}")
 
     def coerce(self, value):
         if isinstance(value, tuple) and len(value) == 2:
@@ -582,8 +580,3 @@ def quadratic_roots(delta: FieldElement) -> RootReport:
         raise ExtensionDepthExceeded(delta, field.one,
                                      "second quadratic extension refused")
     return RootReport("needs_extension", minpoly=(delta, field.one))
-
-
-def quadratic_extension(base: FieldDescriptor, c0, c1) -> QuadExt:
-    """Build base(theta) with theta^2 + c1*theta + c0 = 0, checking irreducibility."""
-    return QuadExt(base, c0, c1)

@@ -151,11 +151,6 @@ class Polynomial:
     def lc(self):
         return self.sorted_terms()[0][1]
 
-    def degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def _check_ring(self, other):
         if other.ring != self.ring:
             raise RingMismatch("polynomials from different rings")
@@ -225,19 +220,6 @@ class Polynomial:
         inv = lc.inverse()
         return Polynomial(self.ring, {e: c * inv for e, c in self.terms.items()},
                           _clean=True)
-
-    def evaluate(self, point: dict) -> FieldElement:
-        """Evaluate at a total assignment {variable name: FieldElement}."""
-        field = self.ring.field
-        vals = [point[v] for v in self.ring.variables]
-        acc = field.zero
-        for e, c in self.terms.items():
-            term = c
-            for i, exp in enumerate(e):
-                for _ in range(exp):
-                    term = term * vals[i]
-            acc = acc + term
-        return acc
 
     def __eq__(self, other):
         return (isinstance(other, Polynomial) and other.ring == self.ring

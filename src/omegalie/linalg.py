@@ -12,7 +12,6 @@ from .fields import (
     FieldDescriptor,
     FieldElement,
     QuadExt,
-    quadratic_roots,
     sqrt_or_extend,
 )
 
@@ -134,12 +133,8 @@ class Matrix:
     def __hash__(self):
         return hash((self.field, self.rows, self.cols, self.entries))
 
-    def map_entries(self, fn, field=None):
-        return Matrix(field or self.field, self.rows, self.cols,
-                      [fn(a) for a in self.entries])
-
     def embed(self, ext: QuadExt):
-        return self.map_entries(ext.embed, field=ext)
+        return Matrix(ext, self.rows, self.cols, [ext.embed(a) for a in self.entries])
 
     def is_zero(self):
         return all(a.is_zero() for a in self.entries)
@@ -400,24 +395,6 @@ def _from_payloads(field, rows, cols, payloads) -> Matrix:
 # SL2 conjugacy canonical forms for trace -1 matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Sl2Canonical:
-    kind: str  # "distinct" | "scalar_half" | "jordan_half"
-    p: Matrix  # det(p) = 1, p^{-1} M p is the canonical form
-    b: FieldElement | None = None  # first diagonal entry for "distinct"
-    extension: tuple | None = None  # minpoly (c0, c1) if the field was extended
-
-    def canonical_matrix(self) -> Matrix:
-        field = self.p.field
-        half = field.one / 2
-        if self.kind == "distinct":
-            return Matrix.from_rows(field, [[self.b, field.zero],
-                                            [field.zero, -(self.b + 1)]])
-        if self.kind == "scalar_half":
-            return Matrix.from_rows(field, [[-half, field.zero], [field.zero, -half]])
-        return Matrix.from_rows(field, [[-half, field.one], [field.zero, -half]])
-
-
 def _eigenvector_2x2(m: Matrix, lam: FieldElement):
     """Kernel vector of (m - lam I), scaled so its first nonzero entry is 1."""
     a, b = m[0, 0] - lam, m[0, 1]
@@ -426,106 +403,57 @@ def _eigenvector_2x2(m: Matrix, lam: FieldElement):
         v = (b, -a)
     else:
         v = (d, -c)
-    if v[0].is_zero() and v[1].is_zero():
-        # m is lam * I; any vector works
-        v = (m.field.one, m.field.zero)
     lead = v[0] if not v[0].is_zero() else v[1]
     inv = lead.inverse()
     return (v[0] * inv, v[1] * inv)
 
 
-def _element_key(e: FieldElement) -> str:
-    return e.encode()
-
-
 def pair_min(a: FieldElement, b: FieldElement) -> FieldElement:
     """Deterministic pick from a two-element set: smaller text encoding."""
-    return a if _element_key(a) <= _element_key(b) else b
+    return a if a.encode() <= b.encode() else b
 
 
-def sl2_trace_minus_one_canonical(m: Matrix, allow_extension: bool = False,
-                                  first_eigenvalue: FieldElement | None = None,
-                                  ) -> Sl2Canonical:
-    """Conjugate a 2x2 trace -1 matrix to its SL2 canonical form.
+def sl2_diagonalize(m: Matrix, b: FieldElement) -> Matrix:
+    """P with det(P) = 1 and P^-1 m P = dia{b, -(b+1)}, for a 2x2 trace -1
+    matrix m whose eigenvalues b and -(b+1) are distinct and lie in its field.
 
-    Distinct eigenvalues b != -(b+1): P is assembled from eigenvectors with
-    the second column rescaled by 1/det so that det(P) = 1 (no square root).
-    Double eigenvalue -1/2: either the scalar matrix itself or the Jordan
-    block, the latter needing one square root (possibly a field extension).
+    P is assembled from eigenvectors, the second column rescaled by 1/det so
+    that no square root is needed.
+    """
+    vb = _eigenvector_2x2(m, b)
+    vc = _eigenvector_2x2(m, -(b + 1))
+    dinv = (vb[0] * vc[1] - vb[1] * vc[0]).inverse()
+    return Matrix.from_rows(m.field, [[vb[0], vc[0] * dinv], [vb[1], vc[1] * dinv]])
 
-    The orientation of the distinct-diagonal case is first_eigenvalue when
-    given; otherwise the existing order for an already diagonal input, and
-    the encoding-minimal member of the eigenvalue pair in general.
+
+def sl2_jordan(m: Matrix, allow_extension: bool = False):
+    """(P, minpoly) with det(P) = 1 and P^-1 m P = [[-1/2, 1], [0, -1/2]], for
+    a 2x2 matrix m other than -I/2 whose only eigenvalue is -1/2.
+
+    v = (m + I/2) w spans both the image and the kernel of m + I/2, and P is
+    [v w] scaled by a square root of its determinant.  When that root needs a
+    quadratic extension, P lives over it and minpoly is its (c0, c1);
+    otherwise minpoly is None.
     """
     field = m.field
-    if m.rows != 2 or m.cols != 2:
-        raise ValueError("2x2 matrix required")
-    if m[0, 0] + m[1, 1] != -field.one:
-        raise ValueError("trace must be -1")
-    delta = m.det()
-    report = quadratic_roots(delta)
-    extension = None
-
-    if report.kind == "needs_extension":
-        if not allow_extension:
-            raise ExtensionRequired(*report.minpoly)
-        ext = report.extension()
-        extension = report.minpoly
-        roots = report.roots_in_extension(ext)
-        m = m.embed(ext)
-        field = ext
-        if first_eigenvalue is not None:
-            raise ValueError("cannot prescribe a base-field eigenvalue that "
-                             "requires an extension")
-    elif report.kind == "two_roots":
-        roots = report.roots
-    else:
-        half = -field.one / 2
-        scalar = Matrix.from_rows(field, [[half, field.zero], [field.zero, half]])
-        if m == scalar:
-            return Sl2Canonical("scalar_half", Matrix.identity(field, 2))
-        # Jordan case: v spans both the image and the kernel of (m + I/2)
-        shifted = m - scalar
-        w = (field.one, field.zero)
+    half = -field.one / 2
+    shifted = m - Matrix.from_rows(field, [[half, field.zero], [field.zero, half]])
+    w = (field.one, field.zero)
+    v = shifted.apply(w)
+    if v[0].is_zero() and v[1].is_zero():
+        w = (field.zero, field.one)
         v = shifted.apply(w)
-        if v[0].is_zero() and v[1].is_zero():
-            w = (field.zero, field.one)
-            v = shifted.apply(w)
-        d0 = v[0] * w[1] - v[1] * w[0]
-        sq = sqrt_or_extend(d0)
-        if sq.kind == "needs_extension":
-            if not allow_extension:
-                raise ExtensionRequired(*sq.minpoly)
-            ext = sq.extension()
-            extension = sq.minpoly
-            s = sq.roots_in_extension(ext)[0]
-            v = tuple(ext.embed(x) for x in v)
-            w = tuple(ext.embed(x) for x in w)
-            m = m.embed(ext)
-            field = ext
-        else:
-            s = sq.root
-        sinv = s.inverse()
-        p = Matrix.from_rows(field, [[v[0] * sinv, w[0] * sinv],
-                                     [v[1] * sinv, w[1] * sinv]])
-        return Sl2Canonical("jordan_half", p, extension=extension)
-
-    r1, r2 = roots
-    if first_eigenvalue is not None:
-        if first_eigenvalue == r1:
-            b, c = r1, r2
-        elif first_eigenvalue == r2:
-            b, c = r2, r1
-        else:
-            raise ValueError("prescribed value is not an eigenvalue")
-    elif m[0, 1].is_zero() and m[1, 0].is_zero():
-        b, c = m[0, 0], m[1, 1]
+    sq = sqrt_or_extend(v[0] * w[1] - v[1] * w[0])
+    minpoly = None
+    if sq.kind == "needs_extension":
+        if not allow_extension:
+            raise ExtensionRequired(*sq.minpoly)
+        field = sq.extension()
+        minpoly = sq.minpoly
+        s = sq.roots_in_extension(field)[0]
+        v, w = (tuple(field.embed(x) for x in vec) for vec in (v, w))
     else:
-        b = pair_min(r1, r2)
-        c = r2 if b == r1 else r1
-    vb = _eigenvector_2x2(m, b)
-    vc = _eigenvector_2x2(m, c)
-    d0 = vb[0] * vc[1] - vb[1] * vc[0]
-    dinv = d0.inverse()
-    p = Matrix.from_rows(field, [[vb[0], vc[0] * dinv], [vb[1], vc[1] * dinv]])
-    return Sl2Canonical("distinct", p, b=b, extension=extension)
+        s = sq.root
+    sinv = s.inverse()
+    return Matrix.from_rows(field, [[v[0] * sinv, w[0] * sinv],
+                                    [v[1] * sinv, w[1] * sinv]]), minpoly

@@ -15,7 +15,6 @@ from .linalg import (
     SingularMatrix,
     SkewForm,
     solve,
-    standard_j,
 )
 
 
@@ -53,27 +52,6 @@ class StructureConstants:
             if vec != zero_vec:
                 clean[(i, j)] = vec
         self._table = clean
-
-    @classmethod
-    def from_tensor(cls, field, tensor):
-        """Build from a full n*n*n nested sequence, checking antisymmetry."""
-        n = len(tensor)
-        table = {}
-        for i in range(n):
-            for j in range(n):
-                vec = tuple(x if isinstance(x, FieldElement) else field.elem(x)
-                            for x in tensor[i][j])
-                if i == j:
-                    if any(v for v in vec):
-                        raise ValueError(f"[e_{i}, e_{i}] must vanish")
-                    continue
-                mirror = tuple(x if isinstance(x, FieldElement) else field.elem(x)
-                               for x in tensor[j][i])
-                if tuple(-v for v in vec) != mirror:
-                    raise ValueError(f"entries ({i},{j}) and ({j},{i}) not opposite")
-                if i < j:
-                    table[(i, j)] = vec
-        return cls(field, n, table)
 
     def bracket(self, i: int, j: int) -> tuple:
         """[e_i, e_j] as a coefficient tuple (sign handled for i > j)."""
@@ -331,7 +309,7 @@ def transform(g: GroupElement, alg: OmegaAlgebra,
     sc = StructureConstants(alg.field, n,
                             {pair: moved.col(t) for t, pair in enumerate(pairs)})
     out = OmegaAlgebra(alg.field, sc, alg.omega)
-    if check and in_stabilizer(g, "G", alg.omega):
+    if check and in_stabilizer(g, alg.omega):
         zero = alg.field.zero
         defects = jacobi_defects(full_bracket_table(sc.entries(), zero, n), alg.omega, zero)
         if any(not x.is_zero() for _, res in defects for x in res):
@@ -348,36 +326,13 @@ def change_basis(g: GroupElement, alg: OmegaAlgebra) -> OmegaAlgebra:
     return OmegaAlgebra(alg.field, moved.sc, new_omega)
 
 
-def in_stabilizer(g: GroupElement, which: str, omega: SkewForm) -> bool:
-    """Membership tests: "G" is the form stabilizer g^t W g = W (any
-    dimension); "H" and "N" are the block shapes that additionally fix
-    [x,y] = z, respectively [y,z] = z and [x,z] = y, for the canonical
-    rank-2 form on a 3-space.  Long tags ("G_omega", ...) are accepted."""
-    which = which.split("_")[0]
+def in_stabilizer(g: GroupElement, omega: SkewForm) -> bool:
+    """Whether g lies in the stabilizer of the form: g^t W g = W."""
     m = g.matrix
-    if which == "G":
-        if m.rows != omega.dim:
-            raise ValueError("dimension mismatch")
-        w = omega.matrix
-        return m.transpose() * w * m == w
-    field = m.field
-    if m.rows != 3 or omega.dim != 3:
-        raise ValueError("H and N stabilizers are defined on a 3-space")
-    if omega.matrix != standard_j(field, 3, 2):
-        raise ValueError("H and N stabilizers require the canonical form")
-    if which == "H":
-        zero, one = field.zero, field.one
-        shape = (m[0, 2] == zero and m[1, 2] == zero and m[2, 0] == zero
-                 and m[2, 1] == zero and m[2, 2] == one)
-        det_s = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        return shape and det_s == one
-    if which == "N":
-        gi = g.inverse_matrix
-        zero, one = field.zero, field.one
-        return (gi[0, 0] == one and gi[1, 1] == one and gi[2, 2] == one
-                and gi[0, 1] == zero and gi[0, 2] == zero and gi[1, 2] == zero
-                and gi[1, 0] == gi[2, 1])
-    raise ValueError(f"unknown stabilizer tag {which!r}")
+    if m.rows != omega.dim:
+        raise ValueError("dimension mismatch")
+    w = omega.matrix
+    return m.transpose() * w * m == w
 
 
 def derived_dimension(sc: StructureConstants) -> int:

@@ -118,18 +118,6 @@ def _identity_ideal(ring: PolyRing, upper: dict, omega: SkewForm) -> VarietyIdea
     return VarietyIdeal(ring, _normalize_generators(raw), tuple(provenance))
 
 
-def algebra_point(alg) -> dict:
-    """The structure-constant coordinates of a 3-dimensional algebra."""
-    if alg.dim != 3:
-        raise UnsupportedDimension("points live in the 9-variable ring")
-    point = {}
-    for prefix, pair in (("x", (0, 1)), ("y", (0, 2)), ("z", (1, 2))):
-        vec = alg.sc.bracket(*pair)
-        for i in range(3):
-            point[f"{prefix}{i + 1}"] = vec[i]
-    return point
-
-
 # ---------------------------------------------------------------------------
 # the ideal-theory verification suite
 # ---------------------------------------------------------------------------

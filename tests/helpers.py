@@ -1,4 +1,7 @@
-"""Shared fixtures for the structure-constant ring and its reference ideals."""
+"""Shared fixtures for the structure-constant ring and its reference ideals.
+
+The reference polynomial texts repeat variety.reference_polys on purpose: they
+are an oracle written independently of variety."""
 
 from omegalie.fields import QQ, PrimeField
 from omegalie.groebner import Ideal, PolyRing, parse_polynomial

@@ -178,7 +178,7 @@ def _roundtrip(field, rng, labels):
             else label_c(c_pair_representative(label.alpha)))
     assert res.label == want, f"{label} came back as {res.label}"
     assert change_basis(res.witness, moved) == canonical_algebra(res.label, field)
-    assert in_stabilizer(res.witness, "G", moved.omega)
+    assert in_stabilizer(res.witness, moved.omega)
 
 
 def test_criterion_6_classification():

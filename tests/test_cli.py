@@ -4,8 +4,8 @@ import json
 import pytest
 
 from omegalie.cli import main
-from omegalie.classify3 import canonical_algebra, label_c, label_d
-from omegalie.fields import QQ, PrimeField
+from omegalie.classify3 import canonical_algebra, label_a, label_c, label_d
+from omegalie.fields import QQ, PrimeField, parse_descriptor
 from omegalie.omega import algebra_to_json
 
 
@@ -92,6 +92,13 @@ def test_canonical_rejects_zero_alpha(capsys):
     assert "bad label" in err
 
 
+@pytest.mark.parametrize("field, alpha", [("Q", "1/0"), ("Fp:7", "1/7")])
+def test_canonical_rejects_zero_denominator_alpha(capsys, field, alpha):
+    code, _, err = run(capsys, ["canonical", "C", "--alpha", alpha, "--field", field])
+    assert code == 1
+    assert "bad label" in err and "divides by zero" in err
+
+
 def test_iso_commands(capsys, tmp_path):
     a = tmp_path / "a.alg"
     b = tmp_path / "b.alg"
@@ -105,6 +112,35 @@ def test_iso_commands(capsys, tmp_path):
     code, out, _ = run(capsys, ["iso", str(a), str(d)])
     assert code == 0
     assert "non-isomorphic" in out
+
+
+def _canonical_file(tmp_path, name, label, field):
+    path = tmp_path / name
+    path.write_text(algebra_to_json(canonical_algebra(label, field)))
+    return str(path)
+
+
+def test_iso_embeds_the_base_field_algebra(capsys, tmp_path):
+    # C(3) over Q(sqrt 2) and C(-4) over Q: the swap carries one onto the other,
+    # in either order
+    ext = parse_descriptor("QuadExt:Q:-2,0")
+    a = _canonical_file(tmp_path, "a.alg", label_c(ext.elem(3)), ext)
+    b = _canonical_file(tmp_path, "b.alg", label_c(QQ.elem(-4)), QQ)
+    zero, one = "[0,0]", "[1,0]"
+    swap = [[zero, "[-1,0]", zero], [one, zero, zero], [zero, zero, one]]
+    unswap = [[zero, one, zero], ["[-1,0]", zero, zero], [zero, zero, one]]
+    for first, second, witness in ((a, b, swap), (b, a, unswap)):
+        code, out, _ = run(capsys, ["iso", first, second, "--format", "machine"])
+        assert code == 0
+        assert json.loads(out) == {"isomorphic": True, "witness": witness}
+
+
+def test_iso_refuses_unrelated_fields(capsys, tmp_path):
+    a = _canonical_file(tmp_path, "a.alg", label_a(), PrimeField(3))
+    b = _canonical_file(tmp_path, "b.alg", label_a(), QQ)
+    code, _, err = run(capsys, ["iso", a, b])
+    assert code == 1
+    assert "Fp:3" in err and "Q" in err
 
 
 def test_omega_reduce(capsys, d_file):
@@ -175,6 +211,14 @@ def test_verify_paper_section4_machine(capsys):
     assert all(entry.get("ok", True) for entry in lines if "check" in entry)
     suites = [e for e in lines if "suite" in e]
     assert suites and all(e["ok"] for e in suites)
+
+
+@pytest.mark.parametrize("field", ["Fp:3", "Fp:5", "Fp:7"])
+def test_verify_paper_section4_small_primes(capsys, field):
+    # the default C parameters 3 and 5 vanish mod 3 and 5, and 5 = 2 mod 3
+    code, out, _ = run(capsys, ["verify-paper", "--section", "4", "--field", field])
+    assert code == 0, out
+    assert "FAIL" not in out
 
 
 def test_bad_file_exit_code(capsys, tmp_path):

@@ -14,7 +14,6 @@ from omegalie.fields import (
     ZeroInput,
     _sqrt_in_depth0,
     parse_descriptor,
-    quadratic_extension,
     quadratic_roots,
     sqrt_or_extend,
 )
@@ -35,13 +34,13 @@ def test_prime_field_product():
 
 def test_quadext_minpoly_reduction():
     # Q(theta), theta^2 + theta + 1 = 0
-    K = quadratic_extension(QQ, 1, 1)
+    K = QuadExt(QQ, 1, 1)
     t = K.theta
     assert t * t == -t - 1
 
 
 def test_quadext_inverse():
-    K = quadratic_extension(QQ, -2, 0)  # theta^2 = 2
+    K = QuadExt(QQ, -2, 0)  # theta^2 = 2
     t = K.theta
     x = t + 3
     assert x * x.inverse() == K.one
@@ -62,13 +61,13 @@ def test_char_two_rejected():
 
 def test_reducible_minpoly_rejected():
     with pytest.raises(ValueError):
-        quadratic_extension(QQ, -4, 0)  # t^2 - 4 splits
+        QuadExt(QQ, -4, 0)  # t^2 - 4 splits
     with pytest.raises(ValueError):
-        quadratic_extension(F7, -2, 0)  # 2 = 3^2 in F_7
+        QuadExt(F7, -2, 0)  # 2 = 3^2 in F_7
 
 
 def test_tower_depth_capped():
-    K = quadratic_extension(QQ, -2, 0)
+    K = QuadExt(QQ, -2, 0)
     with pytest.raises(ExtensionDepthExceeded):
         QuadExt(K, K.coerce(-3), K.coerce(0))
 
@@ -76,7 +75,7 @@ def test_tower_depth_capped():
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         QQ.one / QQ.zero
-    K = quadratic_extension(QQ, 1, 1)
+    K = QuadExt(QQ, 1, 1)
     with pytest.raises(ZeroDivisionError):
         K.one / K.zero
 
@@ -91,7 +90,7 @@ def _random_element(field, rng):
                                 _random_element(base, rng).value))
 
 
-FIELDS = [QQ, F7, F101, quadratic_extension(QQ, 1, 1), quadratic_extension(F101, -2, 0)]
+FIELDS = [QQ, F7, F101, QuadExt(QQ, 1, 1), QuadExt(F101, -2, 0)]
 
 
 def test_field_axioms_randomized():
@@ -200,7 +199,7 @@ def test_sqrt_randomized_roundtrip():
 
 
 def test_sqrt_inside_extension_of_embedded_values():
-    K = quadratic_extension(QQ, -2, 0)  # Q(sqrt 2)
+    K = QuadExt(QQ, -2, 0)  # Q(sqrt 2)
     two = K.embed(QQ.elem(2))
     rep = sqrt_or_extend(two)
     assert rep.kind == "root"

@@ -4,7 +4,13 @@ from pathlib import Path
 
 import pytest
 
-from omegalie.fields import QQ, DescriptorMismatch, ExtensionRequired, PrimeField
+from omegalie.fields import (
+    QQ,
+    DescriptorMismatch,
+    ExtensionRequired,
+    PrimeField,
+    quadratic_roots,
+)
 from omegalie.linalg import (
     InconsistentSystem,
     Matrix,
@@ -12,7 +18,8 @@ from omegalie.linalg import (
     SingularMatrix,
     SkewForm,
     skew_congruence_reduce,
-    sl2_trace_minus_one_canonical,
+    sl2_diagonalize,
+    sl2_jordan,
     solve,
     solve_vector,
     standard_j,
@@ -175,28 +182,47 @@ def test_congruence_planted_rank():
             assert not res.q.det().is_zero()
 
 
+def _jordan_block(field):
+    half = -field.one / 2
+    return Matrix.from_rows(field, [[half, field.one], [field.zero, half]])
+
+
+def _sl2_canonical(m):
+    """(P, canonical form) of a trace -1 matrix other than -I/2, splitting
+    its eigenvalues over an extension first when they need one."""
+    roots = quadratic_roots(m.det())
+    if roots.kind == "double":
+        p, _ = sl2_jordan(m, allow_extension=True)
+        return p, _jordan_block(p.field)
+    if roots.kind == "needs_extension":
+        ext = roots.extension()
+        m, b = m.embed(ext), roots.roots_in_extension(ext)[0]
+    else:
+        b = roots.roots[0]
+    zero = m.field.zero
+    return sl2_diagonalize(m, b), Matrix.from_rows(m.field, [[b, zero], [zero, -(b + 1)]])
+
+
+def _assert_sl2_conjugates(m, p, canonical):
+    assert p.det() == p.field.one
+    target = m if m.field == p.field else m.embed(p.field)
+    assert p.inverse() * target * p == canonical
+
+
 def test_sl2_jordan_representative_is_fixed():
-    half = QQ.elem(Fraction(-1, 2))
-    m = Matrix.from_rows(QQ, [[half, QQ.one], [QQ.zero, half]])
-    res = sl2_trace_minus_one_canonical(m)
-    assert res.kind == "jordan_half"
-    assert res.p == Matrix.identity(QQ, 2)
+    p, minpoly = sl2_jordan(_jordan_block(QQ))
+    assert p == Matrix.identity(QQ, 2)
+    assert minpoly is None
 
 
 def test_sl2_diagonal_already_canonical():
     b = QQ.elem(3)
-    m = Matrix.from_rows(QQ, [[b, QQ.zero], [QQ.zero, -(b + 1)]])
-    res = sl2_trace_minus_one_canonical(m)
-    assert res.kind == "distinct"
-    assert res.b == b
-    assert res.p == Matrix.identity(QQ, 2)
-
-
-def test_sl2_scalar_case():
-    half = QQ.elem(Fraction(-1, 2))
-    m = Matrix.from_rows(QQ, [[half, QQ.zero], [QQ.zero, half]])
-    res = sl2_trace_minus_one_canonical(m)
-    assert res.kind == "scalar_half"
+    c = -(b + 1)
+    m = Matrix.from_rows(QQ, [[b, QQ.zero], [QQ.zero, c]])
+    assert sl2_diagonalize(m, b) == Matrix.identity(QQ, 2)
+    # the prescribed eigenvalue sets the orientation
+    _assert_sl2_conjugates(m, sl2_diagonalize(m, c),
+                           Matrix.from_rows(QQ, [[c, QQ.zero], [QQ.zero, b]]))
 
 
 def _rand_trace_minus_one(field, rng):
@@ -213,21 +239,31 @@ def test_sl2_randomized_conjugation_identity():
     rng = random.Random(9)
     for _ in range(60):
         m = _rand_trace_minus_one(F101, rng)
-        res = sl2_trace_minus_one_canonical(m, allow_extension=True)
-        p = res.p
-        assert p.det() == p.field.one
-        target = m if p.field == F101 else m.embed(p.field)
-        assert p.inverse() * target * p == res.canonical_matrix()
+        if m == Matrix.identity(F101, 2) * F101.elem(Fraction(-1, 2)):
+            continue
+        _assert_sl2_conjugates(m, *_sl2_canonical(m))
+    # conjugates of the Jordan block, half of them needing the square root
+    # of a non-residue
+    done = 0
+    while done < 30:
+        g = _rand_matrix(F101, 2, rng)
+        if g.det().is_zero():
+            continue
+        m = g * _jordan_block(F101) * g.inverse()
+        p, minpoly = sl2_jordan(m, allow_extension=True)
+        assert (minpoly is None) == (p.field == F101)
+        _assert_sl2_conjugates(m, p, _jordan_block(p.field))
+        done += 1
 
 
 def test_sl2_extension_required_flag():
-    # det = 1 gives discriminant -3, not a square in Q
+    # det = 1 gives discriminant -3, not a square in Q: the eigenvalues live
+    # in the extension, and the diagonalizing P is taken over it
     m = Matrix.from_rows(QQ, [[QQ.zero, -QQ.one], [QQ.one, -QQ.one]])
-    with pytest.raises(ExtensionRequired):
-        sl2_trace_minus_one_canonical(m)
-    res = sl2_trace_minus_one_canonical(m, allow_extension=True)
-    assert res.kind == "distinct"
-    assert res.extension is not None
+    assert quadratic_roots(m.det()).kind == "needs_extension"
+    p, canonical = _sl2_canonical(m)
+    assert p.field != QQ
+    _assert_sl2_conjugates(m, p, canonical)
 
 
 def test_sl2_jordan_extension_square_root():
@@ -235,31 +271,26 @@ def test_sl2_jordan_extension_square_root():
     half = QQ.elem(Fraction(-1, 2))
     m = Matrix.from_rows(QQ, [[half, QQ.elem(2)], [QQ.zero, half]])
     with pytest.raises(ExtensionRequired):
-        sl2_trace_minus_one_canonical(m)
-    res = sl2_trace_minus_one_canonical(m, allow_extension=True)
-    assert res.kind == "jordan_half"
-    ext = res.p.field
-    assert res.p.det() == ext.one
-    assert res.p.inverse() * m.embed(ext) * res.p == res.canonical_matrix()
+        sl2_jordan(m)
+    p, minpoly = sl2_jordan(m, allow_extension=True)
+    assert minpoly is not None
+    _assert_sl2_conjugates(m, p, _jordan_block(p.field))
 
 
 def test_gl2_square_det_conjugation_invariance():
     # conjugating by any g with square determinant does not change the
-    # canonical class (kind, and the eigenvalue pair)
+    # canonical form
     rng = random.Random(21)
     done = 0
     while done < 40:
         m = _rand_trace_minus_one(F101, rng)
         g = _rand_matrix(F101, 2, rng)
         h = g * g  # det(h) = det(g)^2 is a square
-        if h.det().is_zero():
+        if h.det().is_zero() or m == Matrix.identity(F101, 2) * F101.elem(Fraction(-1, 2)):
             continue
         m2 = h.inverse() * m * h
-        r1 = sl2_trace_minus_one_canonical(m, allow_extension=True)
-        r2 = sl2_trace_minus_one_canonical(m2, allow_extension=True)
-        assert r1.kind == r2.kind
-        if r1.kind == "distinct":
-            pair1 = {r1.b, -(r1.b + 1)}
-            pair2 = {r2.b, -(r2.b + 1)}
-            assert pair1 == pair2
+        p1, canonical = _sl2_canonical(m)
+        p2, _ = _sl2_canonical(m2)
+        _assert_sl2_conjugates(m, p1, canonical)
+        _assert_sl2_conjugates(m2, p2, canonical)
         done += 1
