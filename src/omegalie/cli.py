@@ -7,7 +7,13 @@ import argparse
 import json
 import sys
 
-from .fields import QQ, ExtensionRequired, PrimeField, parse_descriptor
+from .fields import (
+    QQ,
+    ExtensionDepthExceeded,
+    ExtensionRequired,
+    PrimeField,
+    parse_descriptor,
+)
 from .groebner import (
     Ideal,
     format_polynomial,
@@ -92,20 +98,32 @@ def cmd_check(args) -> int:
     return EXIT_OK if report.ok and recover_ok else EXIT_INPUT
 
 
+def _minpoly_text(exc: ExtensionRequired) -> str:
+    c0, c1 = exc.minpoly
+    return f"t^2 + ({c1.encode()})*t + ({c0.encode()})"
+
+
+def _tower_capped(exc: ExtensionDepthExceeded) -> int:
+    print(f"not classifiable: needs a second quadratic extension by {_minpoly_text(exc)};"
+          " extension towers are capped at one step", file=sys.stderr)
+    return EXIT_INPUT
+
+
 def cmd_classify(args) -> int:
     alg = _load_algebra(args.algebra)
     try:
         res = classify(alg, allow_extension=args.allow_extension,
                        strict_c_labels=args.strict_c_labels)
+    except ExtensionDepthExceeded as exc:
+        return _tower_capped(exc)
     except ExtensionRequired as exc:
-        c0, c1 = exc.minpoly
-        msg = (f"needs a quadratic extension by t^2 + ({c1.encode()})*t +"
-               f" ({c0.encode()}); rerun with --allow-extension")
         if args.format == "machine":
+            c0, c1 = exc.minpoly
             print(json.dumps({"error": "extension_required",
                               "minpoly": [c0.encode(), c1.encode()]}))
         else:
-            print(msg)
+            print(f"needs a quadratic extension by {_minpoly_text(exc)};"
+                  " rerun with --allow-extension")
         return EXIT_EXTENSION
     except (NotOmegaLie, IsLie) as exc:
         print(f"not classifiable: {exc}", file=sys.stderr)
@@ -134,10 +152,11 @@ def cmd_iso(args) -> int:
     a2 = _load_algebra(args.algebra2)
     try:
         out = iso_witness(a1, a2, allow_extension=args.allow_extension)
+    except ExtensionDepthExceeded as exc:
+        return _tower_capped(exc)
     except ExtensionRequired as exc:
-        c0, c1 = exc.minpoly
-        print(f"needs a quadratic extension by t^2 + ({c1.encode()})*t +"
-              f" ({c0.encode()}); rerun with --allow-extension")
+        print(f"needs a quadratic extension by {_minpoly_text(exc)};"
+              " rerun with --allow-extension")
         return EXIT_EXTENSION
     except (NotOmegaLie, IsLie) as exc:
         print(f"not classifiable: {exc}", file=sys.stderr)

@@ -8,7 +8,9 @@ elements, so division is always exact.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from itertools import combinations
+from operator import add, le, sub
 
 from .fields import FieldDescriptor, FieldElement, Rationals
 
@@ -60,13 +62,19 @@ class PolyRing:
         return len(self.variables)
 
     def sort_key(self, exps):
+        """Ascending in the monomial order."""
+        if self.order == "grevlex":
+            return (sum(exps),) + tuple(-e for e in reversed(exps))
+        return (exps[0], sum(exps) - exps[0]) + tuple(-e for e in reversed(exps[1:]))
+
+    def heap_key(self, exps):
+        """Cached key that sorts the larger monomial first, so heapq pops it
+        first: the negated sort key, then the support bitmask and the exponent
+        tuple itself, which only equal monomials ever compare."""
         key = self._key_cache.get(exps)
         if key is None:
-            if self.order == "grevlex":
-                key = (sum(exps), tuple(-e for e in reversed(exps)))
-            else:
-                rest = exps[1:]
-                key = (exps[0], sum(rest), tuple(-e for e in reversed(rest)))
+            mask = sum(1 << i for i, e in enumerate(exps) if e)
+            key = tuple(-w for w in self.sort_key(exps)) + (mask, exps)
             self._key_cache[exps] = key
         return key
 
@@ -103,15 +111,15 @@ class PolyRing:
 
 
 def _exp_mul(e1, e2):
-    return tuple(a + b for a, b in zip(e1, e2))
+    return tuple(map(add, e1, e2))
 
 
 def _exp_div(e1, e2):
-    return tuple(a - b for a, b in zip(e1, e2))
+    return tuple(map(sub, e1, e2))
 
 
 def _divides(e1, e2):
-    return all(a <= b for a, b in zip(e1, e2))
+    return all(map(le, e1, e2))
 
 
 def _exp_lcm(e1, e2):
@@ -135,9 +143,8 @@ class Polynomial:
     def sorted_terms(self):
         """Terms as (exponent, coefficient) pairs, descending in the ring order."""
         if self._sorted is None:
-            key = self.ring.sort_key
-            self._sorted = tuple(sorted(self.terms.items(),
-                                        key=lambda t: key(t[0]), reverse=True))
+            key = self.ring.heap_key
+            self._sorted = tuple(sorted(self.terms.items(), key=lambda t: key(t[0])))
         return self._sorted
 
     def is_zero(self):
@@ -206,20 +213,16 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def monomial_mul(self, coeff: FieldElement, exps):
-        return Polynomial(self.ring,
-                          {_exp_mul(e, exps): c * coeff for e, c in self.terms.items()},
-                          _clean=True)
-
     def monic(self):
         if not self.terms:
             return self
-        lc = self.lc()
-        if lc == self.ring.field.one:
+        field = self.ring.field
+        lc = self.lc().value
+        if lc == field.coerce(1):
             return self
-        inv = lc.inverse()
-        return Polynomial(self.ring, {e: c * inv for e, c in self.terms.items()},
-                          _clean=True)
+        inv, mul = field.inv(lc), field.mul
+        return _from_payloads(self.ring, {e: mul(c.value, inv)
+                                          for e, c in self.terms.items()})
 
     def __eq__(self, other):
         return (isinstance(other, Polynomial) and other.ring == self.ring
@@ -230,6 +233,13 @@ class Polynomial:
 
     def __repr__(self):
         return format_polynomial(self)
+
+
+def _from_payloads(ring, terms):
+    """The polynomial of an exponent -> nonzero payload dict."""
+    field = ring.field
+    return Polynomial(ring, {e: FieldElement(field, c) for e, c in terms.items()},
+                      _clean=True)
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +353,85 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     if f.is_zero() or g.is_zero():
         raise ValueError("S-polynomial of the zero polynomial")
     f._check_ring(g)
-    t = _exp_lcm(f.lm(), g.lm())
-    left = f.monomial_mul(g.lc(), _exp_div(t, f.lm()))
-    right = g.monomial_mul(f.lc(), _exp_div(t, g.lm()))
-    return left - right
+    field = f.ring.field
+    fadd, mul, is_zero = field.add, field.mul, field.is_zero
+    flm, glm = f.lm(), g.lm()
+    t = _exp_lcm(flm, glm)
+    uf, ug = _exp_div(t, flm), _exp_div(t, glm)
+    glc, nflc = g.lc().value, field.neg(f.lc().value)
+    out = {_exp_mul(e, uf): mul(c.value, glc) for e, c in f.terms.items()}
+    for e, c in g.terms.items():
+        me = _exp_mul(e, ug)
+        d = mul(c.value, nflc)
+        acc = out.get(me)
+        if acc is None:
+            out[me] = d
+        else:
+            acc = fadd(acc, d)
+            if is_zero(acc):
+                del out[me]
+            else:
+                out[me] = acc
+    return _from_payloads(f.ring, out)
+
+
+def _divide(f: Polynomial, divisors, quotient=None) -> dict:
+    """The one reduction loop behind normal_form and exact_divide, on raw
+    payloads.  Returns the remainder as an exponent -> payload dict.
+
+    The largest remaining term is popped from a heap of heap keys (Monagan &
+    Pearce, JSC 2011); a popped monomial no longer in the work dict has
+    cancelled and is skipped.  The first divisor whose leading monomial
+    divides the term cancels it, after a support bitmask test rejects
+    divisors with a variable the term lacks.  A term that no leading monomial
+    divides goes to the remainder; given a quotient dict (one divisor), its
+    quotient terms are recorded there and such a term raises InexactDivision.
+    """
+    ring = f.ring
+    field = ring.field
+    fadd, mul, is_zero = field.add, field.mul, field.is_zero
+    heap_key = ring.heap_key
+    data = []
+    for g in divisors:
+        (glm, glc), *tail = g.sorted_terms()
+        data.append((glm, heap_key(glm)[-2], field.neg(field.inv(glc.value)),
+                     [(e, c.value) for e, c in tail]))
+    work = {e: c.value for e, c in f.terms.items()}
+    heap = [heap_key(e) for e in work]
+    heapify(heap)
+    out = {}
+    while heap:
+        entry = heappop(heap)
+        m = entry[-1]
+        c = work.pop(m, None)
+        if c is None:
+            continue
+        mask = entry[-2]
+        for glm, gmask, nlcinv, tail in data:
+            if gmask & mask == gmask and _divides(glm, m):
+                q = _exp_div(m, glm)
+                factor = mul(c, nlcinv)
+                if quotient is not None:
+                    quotient[q] = field.neg(factor)
+                for e, a in tail:
+                    me = _exp_mul(e, q)
+                    acc = work.get(me)
+                    if acc is None:
+                        work[me] = mul(factor, a)
+                        heappush(heap, heap_key(me))
+                    else:
+                        acc = fadd(acc, mul(factor, a))
+                        if is_zero(acc):
+                            del work[me]
+                        else:
+                            work[me] = acc
+                break
+        else:
+            if quotient is not None:
+                work[m] = c
+                raise InexactDivision(format_polynomial(_from_payloads(ring, work)))
+            out[m] = c
+    return out
 
 
 def normal_form(f: Polynomial, basis) -> Polynomial:
@@ -356,33 +441,7 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
     basis = [g for g in basis if not g.is_zero()]
     if not basis or f.is_zero():
         return f
-    ring = f.ring
-    key = ring.sort_key
-    data = [(g.lm(), g.lc(), g.terms) for g in basis]
-    work = dict(f.terms)
-    out = {}
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
-        for glm, glc, gterms in data:
-            if _divides(glm, m):
-                q = _exp_div(m, glm)
-                factor = c / glc
-                for e, a in gterms.items():
-                    if e == glm:
-                        continue
-                    me = _exp_mul(e, q)
-                    acc = work.get(me)
-                    delta = factor * a
-                    acc = -delta if acc is None else acc - delta
-                    if acc.is_zero():
-                        work.pop(me, None)
-                    else:
-                        work[me] = acc
-                break
-        else:
-            out[m] = c
-    return Polynomial(ring, out, _clean=True)
+    return _from_payloads(f.ring, _divide(f, basis))
 
 
 def buchberger(gens) -> list:
@@ -399,12 +458,12 @@ def buchberger(gens) -> list:
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return []
-    key = gens[0].ring.sort_key
+    key = gens[0].ring.heap_key
     basis = []
     active = []  # indices that still form new pairs
     pairs = {}   # (i, j) with i < j -> lcm of the leading monomials
 
-    def add(h):
+    def add_element(h):
         new = len(basis)
         basis.append(h)
         hlm = h.lm()
@@ -425,13 +484,14 @@ def buchberger(gens) -> list:
     for g in gens:
         g = normal_form(g, basis)
         if not g.is_zero():
-            add(g.monic())
+            add_element(g.monic())
     while pairs:
-        i, j = min(pairs, key=lambda pr: (key(pairs[pr]), pr))
+        # smallest lcm (the largest heap key) first, ties by the lower pair
+        i, j = max(pairs, key=lambda pr: (key(pairs[pr]), -pr[0], -pr[1]))
         del pairs[(i, j)]
         r = normal_form(s_polynomial(basis[i], basis[j]), basis)
         if not r.is_zero():
-            add(r.monic())
+            add_element(r.monic())
     if CHECK_POSTCONDITIONS:
         _assert_groebner(basis)
     return basis
@@ -554,29 +614,9 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
     """The quotient f/g when g divides f exactly; InexactDivision otherwise."""
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    ring = f.ring
-    key = ring.sort_key
-    glm, glc = g.lm(), g.lc()
-    work = dict(f.terms)
-    quot = {}
-    while work:
-        m = max(work, key=key)
-        c = work[m]
-        if not _divides(glm, m):
-            raise InexactDivision(format_polynomial(Polynomial(ring, work)))
-        q = _exp_div(m, glm)
-        factor = c / glc
-        quot[q] = factor
-        for e, a in g.terms.items():
-            me = _exp_mul(e, q)
-            acc = work.get(me)
-            delta = factor * a
-            acc = -delta if acc is None else acc - delta
-            if acc.is_zero():
-                work.pop(me, None)
-            else:
-                work[me] = acc
-    return Polynomial(ring, quot, _clean=True)
+    quotient = {}
+    _divide(f, [g], quotient)
+    return _from_payloads(f.ring, quotient)
 
 
 def colon(ideal: Ideal, f: Polynomial) -> Ideal:

@@ -86,6 +86,37 @@ def test_classify_extension_exit_code(capsys, tmp_path):
     assert "QuadExt" in out or "extension minpoly" in out
 
 
+def _second_extension_file(tmp_path):
+    # the brackets of test_classify_extension_exit_code over Q(sqrt 2): the
+    # eigenvalues need t^2 + t + 1, which does not split there either
+    zero, one, mone = "[0,0]", "[1,0]", "[-1,0]"
+    alg = {
+        "field": "QuadExt:Q:-2,0",
+        "dim": 3,
+        "omega": [[zero, one, zero], [mone, zero, zero], [zero, zero, zero]],
+        "brackets": {"0,1": [zero, zero, one], "0,2": [zero, one, zero],
+                     "1,2": [mone, mone, zero]},
+    }
+    path = tmp_path / "ext2.alg"
+    path.write_text(json.dumps(alg))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "{0}", "--allow-extension"],
+    ["classify", "{0}", "--allow-extension", "--format", "machine"],
+    ["classify", "{0}"],
+    ["iso", "{0}", "{0}", "--allow-extension"],
+    ["iso", "{0}", "{0}"],
+], ids=["classify", "classify-machine", "classify-no-flag", "iso", "iso-no-flag"])
+def test_second_extension_is_refused(capsys, tmp_path, argv):
+    path = _second_extension_file(tmp_path)
+    code, out, err = run(capsys, [a.format(path) for a in argv])
+    assert (code, out) == (1, "")
+    assert err == ("not classifiable: needs a second quadratic extension by"
+                   " t^2 + ([1,0])*t + ([1,0]); extension towers are capped at one step\n")
+
+
 def test_canonical_rejects_zero_alpha(capsys):
     code, _, err = run(capsys, ["canonical", "C", "--alpha", "0"])
     assert code == 1
