@@ -55,11 +55,18 @@ EXIT_EXTENSION = 3
 DEFAULT_FIELDS = (QQ, PrimeField(101))
 
 
+class UnreadableInput(Exception):
+    """An input path or stdin could not be read (missing, a directory, ...)."""
+
+
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise UnreadableInput(exc) from None
 
 
 def _load_algebra(path: str):
@@ -341,7 +348,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except UnreadableInput as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ValueError, NotSkew) as exc:

@@ -242,6 +242,7 @@ class QuadExt(FieldDescriptor):
         self.base = base
         self.c0 = base.coerce(c0)
         self.c1 = base.coerce(c1)
+        self._neg_c0, self._neg_c1 = base.neg(self.c0), base.neg(self.c1)
         disc = base.sub(base.mul(self.c1, self.c1), base.mul(base.coerce(4), self.c0))
         if _sqrt_in_depth0(base, disc) is not None:
             raise ValueError(
@@ -272,14 +273,14 @@ class QuadExt(FieldDescriptor):
                 base.sub(lin, base.mul(tt, self.c1)))
 
     def dot(self, xs, ys):
-        # four base dots, then t^2 = -c1 t - c0 once
+        # three base dots: the t^2 part tt enters the other two as one more
+        # product term each, by t^2 = -c1 t - c0
         base = self.base
         x0, x1 = [x[0] for x in xs], [x[1] for x in xs]
         y0, y1 = [y[0] for y in ys], [y[1] for y in ys]
         tt = base.dot(x1, y1)
-        lin = base.add(base.dot(x0, y1), base.dot(x1, y0))
-        return (base.sub(base.dot(x0, y0), base.mul(tt, self.c0)),
-                base.sub(lin, base.mul(tt, self.c1)))
+        return (base.dot(x0 + [tt], y0 + [self._neg_c0]),
+                base.dot(x0 + x1 + [tt], y1 + y0 + [self._neg_c1]))
 
     def inv(self, a):
         # conjugate of a0 + a1 t is (a0 - a1 c1) - a1 t; norm = a0^2 - a0 a1 c1 + a1^2 c0

@@ -29,89 +29,98 @@ class NotSkew(Exception):
 
 
 class Matrix:
-    __slots__ = ("field", "rows", "cols", "entries")
+    """A dense matrix over one field, stored row-major as raw payloads.
+
+    Each entry is checked against the field once, when Matrix(...), from_rows
+    or with_entry builds the matrix; kernel results are built from payloads
+    unchecked.  Entries become FieldElements only when read through [i, j],
+    row or col.
+    """
+
+    __slots__ = ("field", "rows", "cols", "payloads")
 
     def __init__(self, field: FieldDescriptor, rows: int, cols: int, entries):
-        entries = tuple(entries)
-        if len(entries) != rows * cols:
-            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
+        payloads = tuple(_payload(x, field) for x in entries)
+        if len(payloads) != rows * cols:
+            raise ValueError(f"expected {rows * cols} entries, got {len(payloads)}")
         self.field = field
         self.rows = rows
         self.cols = cols
-        self.entries = entries
+        self.payloads = payloads
 
     @classmethod
     def from_rows(cls, field, rows):
         r = len(rows)
         c = len(rows[0]) if r else 0
-        flat = []
-        for row in rows:
-            if len(row) != c:
-                raise ValueError("ragged rows")
-            for x in row:
-                flat.append(x if isinstance(x, FieldElement) else field.elem(x))
-        return cls(field, r, c, flat)
+        if any(len(row) != c for row in rows):
+            raise ValueError("ragged rows")
+        return cls(field, r, c, [x for row in rows for x in row])
 
     @classmethod
     def identity(cls, field, n):
-        one, zero = field.one, field.zero
-        return cls(field, n, n, [one if i == j else zero
-                                 for i in range(n) for j in range(n)])
+        one, zero = field.one.value, field.zero.value
+        return _from_payloads(field, n, n, [one if i == j else zero
+                                            for i in range(n) for j in range(n)])
 
     @classmethod
     def zeros(cls, field, rows, cols):
-        zero = field.zero
-        return cls(field, rows, cols, [zero] * (rows * cols))
+        return _from_payloads(field, rows, cols, [field.zero.value] * (rows * cols))
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i * self.cols + j]
+        return FieldElement(self.field, self.payloads[i * self.cols + j])
 
     def row(self, i):
-        return self.entries[i * self.cols:(i + 1) * self.cols]
+        return self._wrap(self.payloads[i * self.cols:(i + 1) * self.cols])
 
     def col(self, j):
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return self._wrap(self.payloads[j::self.cols])
+
+    def _wrap(self, payloads):
+        field = self.field
+        return tuple(FieldElement(field, x) for x in payloads)
 
     def with_entry(self, i, j, value):
-        ent = list(self.entries)
-        ent[i * self.cols + j] = value
-        return Matrix(self.field, self.rows, self.cols, ent)
+        ent = list(self.payloads)
+        ent[i * self.cols + j] = _payload(value, self.field)
+        return _from_payloads(self.field, self.rows, self.cols, ent)
 
     def transpose(self):
-        return Matrix(self.field, self.cols, self.rows,
-                      [self[j, i] for i in range(self.cols) for j in range(self.rows)])
+        p, c = self.payloads, self.cols
+        return _from_payloads(self.field, c, self.rows,
+                              [x for j in range(c) for x in p[j::c]])
 
     def __add__(self, other):
-        self._check_same_shape(other)
-        return Matrix(self.field, self.rows, self.cols,
-                      [a + b for a, b in zip(self.entries, other.entries)])
+        return self._entrywise(self.field.add, other)
 
     def __sub__(self, other):
-        self._check_same_shape(other)
-        return Matrix(self.field, self.rows, self.cols,
-                      [a - b for a, b in zip(self.entries, other.entries)])
+        return self._entrywise(self.field.sub, other)
 
-    def __neg__(self):
-        return Matrix(self.field, self.rows, self.cols, [-a for a in self.entries])
-
-    def _check_same_shape(self, other):
+    def _entrywise(self, op, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
+        _check_field(other, self.field)
+        return _from_payloads(self.field, self.rows, self.cols,
+                              list(map(op, self.payloads, other.payloads)))
+
+    def __neg__(self):
+        return _from_payloads(self.field, self.rows, self.cols,
+                              list(map(self.field.neg, self.payloads)))
 
     def __mul__(self, other):
+        field = self.field
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise ValueError("shape mismatch in product")
-            field = self.field
-            dot = field.dot
-            cols = list(zip(*_payload_rows(other, field))) or [()] * other.cols
-            out = [dot(ri, cj) for ri in _payload_rows(self, field) for cj in cols]
-            return _from_payloads(field, self.rows, other.cols, out)
-        if isinstance(other, FieldElement) or isinstance(other, int):
-            s = other if isinstance(other, FieldElement) else self.field.elem(other)
-            return Matrix(self.field, self.rows, self.cols,
-                          [a * s for a in self.entries])
+            _check_field(other, field)
+            dot, a, b, n, k = field.dot, self.payloads, other.payloads, self.cols, other.cols
+            cols = [b[j::k] for j in range(k)]
+            out = [dot(a[i * n:(i + 1) * n], cj) for i in range(self.rows) for cj in cols]
+            return _from_payloads(field, self.rows, k, out)
+        if isinstance(other, (FieldElement, int)):
+            mul, s = field.mul, _payload(other, field)
+            return _from_payloads(field, self.rows, self.cols,
+                                  [mul(a, s) for a in self.payloads])
         return NotImplemented
 
     __rmul__ = __mul__
@@ -128,16 +137,20 @@ class Matrix:
     def __eq__(self, other):
         return (isinstance(other, Matrix) and other.rows == self.rows
                 and other.cols == self.cols and other.field == self.field
-                and other.entries == self.entries)
+                and other.payloads == self.payloads)
 
     def __hash__(self):
-        return hash((self.field, self.rows, self.cols, self.entries))
+        return hash((self.field, self.rows, self.cols, self.payloads))
 
     def embed(self, ext: QuadExt):
-        return Matrix(ext, self.rows, self.cols, [ext.embed(a) for a in self.entries])
+        if self.field != ext.base:
+            raise DescriptorMismatch(f"{self.field!r} is not the base of {ext!r}")
+        zero = ext.base.zero.value
+        return _from_payloads(ext, self.rows, self.cols,
+                              [(a, zero) for a in self.payloads])
 
     def is_zero(self):
-        return all(a.is_zero() for a in self.entries)
+        return all(map(self.field.is_zero, self.payloads))
 
     def det(self):
         if self.rows != self.cols:
@@ -268,12 +281,13 @@ class SkewForm:
     def __init__(self, matrix: Matrix):
         if matrix.rows != matrix.cols:
             raise NotSkew("form matrix must be square")
-        n = matrix.rows
+        n, p = matrix.rows, matrix.payloads
+        neg, is_zero = matrix.field.neg, matrix.field.is_zero
         for i in range(n):
-            if not matrix[i, i].is_zero():
+            if not is_zero(p[i * n + i]):
                 raise NotSkew(f"nonzero diagonal entry at ({i},{i})")
             for j in range(i + 1, n):
-                if matrix[i, j] != -matrix[j, i]:
+                if p[i * n + j] != neg(p[j * n + i]):
                     raise NotSkew(f"entry ({i},{j}) is not the negative of ({j},{i})")
         self.matrix = matrix
 
@@ -379,16 +393,23 @@ def _payload(x, field):
     return field.coerce(x)
 
 
-def _payload_rows(m: Matrix, field) -> list:
-    """The entries of m as fresh rows of payloads, each checked to lie in field."""
-    if m.field != field:
+def _check_field(m: Matrix, field):
+    if m.field is not field and m.field != field:
         raise DescriptorMismatch(f"mixed fields: {field!r} and {m.field!r}")
-    flat = [_payload(x, field) for x in m.entries]
-    return [flat[i * m.cols:(i + 1) * m.cols] for i in range(m.rows)]
+
+
+def _payload_rows(m: Matrix, field) -> list:
+    """The payloads of m, which must lie over field, as fresh mutable rows."""
+    _check_field(m, field)
+    p, c = m.payloads, m.cols
+    return [list(p[i * c:(i + 1) * c]) for i in range(m.rows)]
 
 
 def _from_payloads(field, rows, cols, payloads) -> Matrix:
-    return Matrix(field, rows, cols, [FieldElement(field, x) for x in payloads])
+    """A Matrix of payloads already known to lie in field, built unchecked."""
+    m = object.__new__(Matrix)
+    m.field, m.rows, m.cols, m.payloads = field, rows, cols, tuple(payloads)
+    return m
 
 
 # ---------------------------------------------------------------------------

@@ -123,9 +123,16 @@ class GroupElement:
         return cls(eye, eye)
 
     def compose(self, other: "GroupElement") -> "GroupElement":
-        """self after other: (self*other) acts like applying other first."""
-        return GroupElement(self.matrix * other.matrix,
-                            other.inverse_matrix * self.inverse_matrix)
+        """self after other: (self*other) acts like applying other first.
+
+        Both factors hold checked inverses, so (B^-1 A^-1) is not multiplied
+        back; classify and iso_witness re-verify every witness they return
+        through change_basis, which uses both matrices.
+        """
+        out = object.__new__(GroupElement)
+        out.matrix = self.matrix * other.matrix
+        out.inverse_matrix = other.inverse_matrix * self.inverse_matrix
+        return out
 
     def inverse(self) -> "GroupElement":
         return GroupElement(self.inverse_matrix, self.matrix)

@@ -4,8 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from omegalie.fields import QQ, ExtensionRequired, PrimeField
-from omegalie.linalg import Matrix, SkewForm, standard_j
+from omegalie.fields import QQ, ExtensionRequired, PrimeField, QuadExt
+from omegalie.linalg import Matrix, SingularMatrix, SkewForm, standard_j
 from omegalie.classify3 import (
     CanonicalLabel,
     InvalidAlpha,
@@ -384,3 +384,71 @@ def test_classify_golden(field, name, seed):
     assert got.count("# ") == want.count("# ") == 54
     assert "QuadExt" in want
     assert got == want
+
+
+# GroupElement.compose does not multiply the composed inverse back; the tests
+# below check that it is still the inverse, that a supplied inverse is still
+# checked everywhere else, and that a wrong composed inverse cannot leave
+# classify, whose witness is re-verified before it is returned.
+
+F101_EXT = QuadExt(F101, 25, 1)
+
+
+def _stabilizer_element(field, rng):
+    """random_stabilizer_element, with entries that use t over an extension."""
+    if field.depth == 0:
+        return random_stabilizer_element(field, rng)
+
+    def rand():
+        return field.elem((rng.randrange(field.base.p), rng.randrange(field.base.p)))
+
+    s1, s2, s3, t1, t2, d = (rand() for _ in range(6))
+    if s1.is_zero() or d.is_zero():
+        return _stabilizer_element(field, rng)
+    s4 = (field.one + s2 * s3) / s1
+    zero = field.zero
+    return GroupElement(Matrix.from_rows(field, [[s1, s3, zero], [s2, s4, zero],
+                                                 [t1, t2, d]]))
+
+
+@pytest.mark.parametrize("field", [QQ, F101, F101_EXT], ids=["Q", "F101", "F101(t)"])
+def test_compose_keeps_the_inverse(field):
+    rng = random.Random(8)
+    eye = Matrix.identity(field, 3)
+    omega = SkewForm(standard_j(field, 3, 2))
+    for _ in range(20):
+        g = GroupElement.identity(field, 3)
+        for _ in range(rng.randint(1, 4)):
+            g = _stabilizer_element(field, rng).compose(g)
+        assert g.matrix * g.inverse_matrix == eye
+        assert g.inverse_matrix * g.matrix == eye
+        assert in_stabilizer(g, omega)
+
+
+def test_a_supplied_wrong_inverse_is_refused():
+    g = random_stabilizer_element(QQ, random.Random(5))
+    GroupElement(g.matrix, g.inverse_matrix)
+    wrong = g.inverse_matrix.with_entry(2, 2, g.inverse_matrix[2, 2] + 1)
+    with pytest.raises(SingularMatrix, match="supplied inverse is wrong"):
+        GroupElement(g.matrix, wrong)
+    with pytest.raises(SingularMatrix):
+        GroupElement(g.matrix, g.matrix)
+
+
+def test_a_wrong_composed_inverse_is_caught_before_classify_returns(monkeypatch):
+    rng = random.Random(9)
+    algebras = [change_basis(_random_invertible(field, rng), canonical_algebra(label, field))
+                for field in (QQ, F101) for label in (label_a(), label_b(), label_d())]
+    algebras += [change_basis(_random_invertible(QQ, rng), _generic_algebra(QQ, rng))]
+    compose = GroupElement.compose
+
+    def perturbed(self, other):
+        out = compose(self, other)
+        inv = out.inverse_matrix
+        out.inverse_matrix = inv.with_entry(0, 0, inv[0, 0] + 1)
+        return out
+
+    monkeypatch.setattr(GroupElement, "compose", perturbed)
+    for alg in algebras:
+        with pytest.raises(AssertionError, match="witness does not reproduce"):
+            classify(alg, allow_extension=True)

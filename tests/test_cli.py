@@ -335,3 +335,24 @@ def test_check_rejects_nested_extension(capsys, monkeypatch):
     code, out, err = _check_stdin(capsys, monkeypatch, payload)
     assert (code, out) == (1, "")
     assert f"bad input: extension towers are capped at one step: {NESTED!r}" in err
+
+
+@pytest.mark.parametrize("target", ["directory", "missing"])
+@pytest.mark.parametrize("command, inputs", [("check", 1), ("classify", 1), ("gb", 1),
+                                             ("omega-reduce", 1), ("iso", 2)])
+def test_unreadable_input_is_refused(capsys, tmp_path, command, inputs, target):
+    path = str(tmp_path if target == "directory" else tmp_path / "missing.alg")
+    code, out, err = run(capsys, [command] + [path] * inputs)
+    assert (code, out) == (1, "")
+    assert err.startswith("cannot read input: ")
+    assert path in err
+
+
+def test_output_write_errors_are_not_input_errors(monkeypatch):
+    class BrokenStdout(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr("sys.stdout", BrokenStdout())
+    with pytest.raises(BrokenPipeError):
+        main(["canonical", "D"])

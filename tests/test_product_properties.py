@@ -18,10 +18,12 @@ from omegalie.omega import GroupElement, OmegaAlgebra, StructureConstants, trans
 
 F101 = PrimeField(101)
 F_MERSENNE = PrimeField(2 ** 61 - 1)
-# both minimal polynomials have a nonzero linear term, so t^2 = -c1 t - c0
-# uses c1
+# the first two minimal polynomials have a nonzero linear term, so both terms
+# of t^2 = -c1 t - c0 are used; t^2 = 2 has c1 = 0, so the reduction term that
+# QuadExt.dot folds into its t part is zero there
 Q_EXT = QuadExt(QQ, 1, 1)
 F101_EXT = QuadExt(F101, 25, 1)
+Q_SQRT_M2 = QuadExt(QQ, -2, 0)
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None, derandomize=True)
 
@@ -41,6 +43,7 @@ PAYLOADS = {
     "F_2^61-1": (F_MERSENNE, residues(2 ** 61 - 1)),
     "Q(t)": (Q_EXT, st.tuples(rationals, rationals)),
     "F101(t)": (F101_EXT, st.tuples(residues(101), residues(101))),
+    "QuadExt:Q:-2,0": (Q_SQRT_M2, st.tuples(rationals, rationals)),
 }
 
 
