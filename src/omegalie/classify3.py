@@ -12,11 +12,13 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .fields import (
     ExtensionRequired,
     FieldDescriptor,
     FieldElement,
+    PrimeField,
     quadratic_roots,
 )
 from .linalg import (
@@ -161,14 +163,7 @@ def _matrix_rows(m: Matrix):
 
 def c_pair_swap(field: FieldDescriptor) -> GroupElement:
     """x -> y, y -> -x, z -> z: carries the C parameter a to -(a+1)."""
-    one, zero = field.one, field.zero
-    g = Matrix.from_rows(field, [[zero, -one, zero],
-                                 [one, zero, zero],
-                                 [zero, zero, one]])
-    gi = Matrix.from_rows(field, [[zero, one, zero],
-                                  [-one, zero, zero],
-                                  [zero, zero, one]])
-    return GroupElement(g, gi)
+    return _from_inverse(field, [[0, 1, 0], [-1, 0, 0], [0, 0, 1]])
 
 
 # ---------------------------------------------------------------------------
@@ -202,19 +197,8 @@ class _Pipeline:
 
 
 def _from_inverse(field, rows) -> GroupElement:
-    gi = Matrix.from_rows(field, rows)
-    return GroupElement(gi.inverse(), gi)
-
-
-def _diag(field, d1, d2, d3) -> GroupElement:
-    e = [x if isinstance(x, FieldElement) else field.elem(x) for x in (d1, d2, d3)]
-    m = Matrix.from_rows(field, [[e[0], field.zero, field.zero],
-                                 [field.zero, e[1], field.zero],
-                                 [field.zero, field.zero, e[2]]])
-    mi = Matrix.from_rows(field, [[e[0].inverse(), field.zero, field.zero],
-                                  [field.zero, e[1].inverse(), field.zero],
-                                  [field.zero, field.zero, e[2].inverse()]])
-    return GroupElement(m, mi)
+    """The move whose inverse has the given rows; its matrix is solved for."""
+    return GroupElement(Matrix.from_rows(field, rows)).inverse()
 
 
 def _match_canonical(alg: OmegaAlgebra):
@@ -259,7 +243,7 @@ def classify(alg: OmegaAlgebra, allow_extension: bool = False,
         cong = skew_congruence_reduce(alg.omega)
         if cong.rank != 2:
             raise IsLie("degenerate form of rank 0")
-        pipe.apply("form-normalize", GroupElement(cong.q.inverse(), cong.q))
+        pipe.apply("form-normalize", GroupElement(cong.q).inverse())
         assert pipe.work.omega.matrix == j2
     extension = None
 
@@ -283,7 +267,7 @@ def classify(alg: OmegaAlgebra, allow_extension: bool = False,
         a, b, c = pipe.read()
 
     if a[2] != field.one:
-        pipe.apply("scale-z", _diag(field, 1, 1, a[2].inverse()))
+        pipe.apply("scale-z", _from_inverse(field, [[1, 0, 0], [0, 1, 0], [0, 0, a[2]]]))
         a, b, c = pipe.read()
 
     delta = b[0] * c[1] - b[1] * c[0]
@@ -340,22 +324,10 @@ def _generic_branch(pipe: _Pipeline, allow_extension, strict_c_labels):
         p = sl2_diagonalize(m, alpha)
         label = label_c(alpha)
     if p != Matrix.identity(p.field, 2):
-        pipe.apply("adjoint-conjugate", _sl2_block(p))
+        # dia{P^-1, 1} conjugates the z-adjoint by P while fixing [x,y] = z
+        pipe.apply("adjoint-conjugate", _from_inverse(p.field, [
+            [p[0, 0], p[0, 1], 0], [p[1, 0], p[1, 1], 0], [0, 0, 1]]))
     return label, extension
-
-
-def _sl2_block(p: Matrix) -> GroupElement:
-    """dia{P^-1, 1}: conjugates the z-adjoint by P while fixing [x,y] = z."""
-    field = p.field
-    pi = p.inverse()
-    zero, one = field.zero, field.one
-    g = Matrix.from_rows(field, [[pi[0, 0], pi[0, 1], zero],
-                                 [pi[1, 0], pi[1, 1], zero],
-                                 [zero, zero, one]])
-    gi = Matrix.from_rows(field, [[p[0, 0], p[0, 1], zero],
-                                  [p[1, 0], p[1, 1], zero],
-                                  [zero, zero, one]])
-    return GroupElement(g, gi)
 
 
 def _degenerate_branch(pipe: _Pipeline) -> CanonicalLabel:
@@ -387,7 +359,7 @@ def _degenerate_branch(pipe: _Pipeline) -> CanonicalLabel:
                 a, b, c = pipe.read()
         assert a[0].is_zero() and a[1].is_zero()
         if a[2] != one:
-            pipe.apply("rescale-z", _diag(field, 1, 1, a[2].inverse()))
+            pipe.apply("rescale-z", _from_inverse(field, [[1, 0, 0], [0, 1, 0], [0, 0, a[2]]]))
             a, b, c = pipe.read()
         assert b[0] == -one
         pipe.apply("absorb-first-column",
@@ -397,8 +369,8 @@ def _degenerate_branch(pipe: _Pipeline) -> CanonicalLabel:
         return label_c(-one)
     # second column is c3 * z with c3 != 0
     if c[2] != one:
-        inv = c[2].inverse()
-        pipe.apply("scale-to-unit", _diag(field, inv, c[2], 1))
+        pipe.apply("scale-to-unit",
+                   _from_inverse(field, [[c[2], 0, 0], [0, c[2].inverse(), 0], [0, 0, 1]]))
         a, b, c = pipe.read()
     assert b[0].is_zero()
     assert (one - a[0]) * b[1] == zero and a[0] * b[2] + a[1] == one
@@ -417,7 +389,8 @@ def _degenerate_branch(pipe: _Pipeline) -> CanonicalLabel:
         return label_d()
     assert a[0] == one
     if b[1] != one:
-        pipe.apply("scale-middle", _diag(field, 1, 1, b[1]))
+        pipe.apply("scale-middle",
+                   _from_inverse(field, [[1, 0, 0], [0, 1, 0], [0, 0, b[1].inverse()]]))
         a, b, c = pipe.read()
     if not a[2].is_zero():
         t = a[2] / 2
@@ -500,15 +473,19 @@ def iso_witness(alg1: OmegaAlgebra, alg2: OmegaAlgebra,
 # verification suite for the classification layer
 # ---------------------------------------------------------------------------
 
+def _random_scalar(field, rng, num: int, den: int) -> FieldElement:
+    """Uniform over a prime field; otherwise a fraction with numerator in
+    [-num, num] and denominator in [1, den]."""
+    if isinstance(field, PrimeField):
+        return field.elem(rng.randrange(field.p))
+    return field.elem(Fraction(rng.randint(-num, num), rng.randint(1, den)))
+
+
 def random_stabilizer_element(field, rng) -> GroupElement:
     """Random block element (SL2 block, translation row, nonzero scalar)."""
-    from .fields import PrimeField
 
     def rand():
-        if isinstance(field, PrimeField):
-            return field.elem(rng.randrange(field.p))
-        from fractions import Fraction
-        return field.elem(Fraction(rng.randint(-6, 6), rng.randint(1, 3)))
+        return _random_scalar(field, rng, 6, 3)
 
     while True:
         s1, s2, s3 = rand(), rand(), rand()
@@ -527,13 +504,8 @@ def random_stabilizer_element(field, rng) -> GroupElement:
 
 
 def random_nonzero(field, rng) -> FieldElement:
-    from .fields import PrimeField
     while True:
-        if isinstance(field, PrimeField):
-            v = field.elem(rng.randrange(field.p))
-        else:
-            from fractions import Fraction
-            v = field.elem(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+        v = _random_scalar(field, rng, 9, 4)
         if not v.is_zero():
             return v
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .fields import (
@@ -347,7 +348,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout: point its descriptor at the null device, so
+        # the interpreter's exit flush of what is still buffered stays silent
+        try:
+            fd = sys.stdout.fileno()
+        except OSError:  # a stream without a descriptor has no exit flush to quiet
+            return EXIT_INPUT
+        os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        return EXIT_INPUT
     except UnreadableInput as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import isqrt
 
@@ -84,11 +85,12 @@ class FieldDescriptor:
     def elem(self, value) -> "FieldElement":
         return FieldElement(self, self.coerce(value))
 
-    @property
+    # elements are immutable, so each descriptor builds these once
+    @cached_property
     def zero(self):
         return self.elem(0)
 
-    @property
+    @cached_property
     def one(self):
         return self.elem(1)
 

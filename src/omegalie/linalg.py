@@ -156,51 +156,11 @@ class Matrix:
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         field = self.field
-        add, mul, neg, is_zero = field.add, field.mul, field.neg, field.is_zero
-        n = self.rows
-        m = _payload_rows(self, field)
-        det = field.one.value
-        for c in range(n):
-            piv = next((r for r in range(c, n) if not is_zero(m[r][c])), None)
-            if piv is None:
-                return field.zero
-            if piv != c:
-                m[c], m[piv] = m[piv], m[c]
-                det = neg(det)
-            det = mul(det, m[c][c])
-            inv = field.inv(m[c][c])
-            pivot_row = m[c]
-            for r in range(c + 1, n):
-                row = m[r]
-                if is_zero(row[c]):
-                    continue
-                f = neg(mul(row[c], inv))
-                for k in range(c, n):
-                    row[k] = add(row[k], mul(f, pivot_row[k]))
-        return FieldElement(field, det)
+        pivots, product = _eliminate(_payload_rows(self, field), self.cols, field)
+        return FieldElement(field, product) if len(pivots) == self.rows else field.zero
 
     def rank(self):
-        field = self.field
-        add, mul, neg, is_zero = field.add, field.mul, field.neg, field.is_zero
-        m = _payload_rows(self, field)
-        rank = 0
-        for c in range(self.cols):
-            piv = next((r for r in range(rank, self.rows) if not is_zero(m[r][c])), None)
-            if piv is None:
-                continue
-            m[rank], m[piv] = m[piv], m[rank]
-            pivot_row = m[rank]
-            inv = field.inv(pivot_row[c])
-            for r in range(self.rows):
-                row = m[r]
-                if r != rank and not is_zero(row[c]):
-                    f = neg(mul(row[c], inv))
-                    for k in range(c, self.cols):
-                        row[k] = add(row[k], mul(f, pivot_row[k]))
-            rank += 1
-            if rank == self.rows:
-                break
-        return rank
+        return len(_eliminate(_payload_rows(self, self.field), self.cols, self.field)[0])
 
     def second_compound(self):
         """The matrix of 2x2 minors: its entry at ((a, b), (i, j)), over pairs
@@ -230,7 +190,7 @@ class Matrix:
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix:
-    """Unique solution X of A X = B by exact Gaussian elimination.
+    """Unique solution X of A X = B by exact Gauss-Jordan elimination.
 
     Raises InconsistentSystem when no solution exists and SingularMatrix when
     the solution is not unique (rank below the number of unknowns).
@@ -238,32 +198,18 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
     if a.rows != b.rows:
         raise ValueError("row mismatch between matrix and right-hand side")
     field = a.field
-    add, mul, neg, is_zero = field.add, field.mul, field.neg, field.is_zero
-    n, m, k = a.rows, a.cols, b.cols
+    m, k = a.cols, b.cols
     aug = [ra + rb for ra, rb in zip(_payload_rows(a, field), _payload_rows(b, field))]
-    pivots = []
-    r = 0
-    for c in range(m):
-        piv = next((i for i in range(r, n) if not is_zero(aug[i][c])), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = field.inv(aug[r][c])
-        aug[r] = pivot_row = [mul(x, inv) for x in aug[r]]
-        for i in range(n):
-            if i != r and not is_zero(aug[i][c]):
-                f = neg(aug[i][c])
-                aug[i] = [add(x, mul(f, y)) for x, y in zip(aug[i], pivot_row)]
-        pivots.append(c)
-        r += 1
-    for i in range(r, n):
-        if any(not is_zero(x) for x in aug[i][m:]):
-            raise InconsistentSystem("no solution")
+    pivots, _ = _eliminate(aug, m, field)
+    if any(not field.is_zero(x) for row in aug[len(pivots):] for x in row[m:]):
+        raise InconsistentSystem("no solution")
     if len(pivots) < m:
         raise SingularMatrix("solution is not unique")
+    mul = field.mul
     out = [None] * (m * k)
-    for row_idx, c in enumerate(pivots):
-        out[c * k:(c + 1) * k] = aug[row_idx][m:]
+    for row, c in zip(aug, pivots):
+        inv = field.inv(row[c])
+        out[c * k:(c + 1) * k] = [mul(x, inv) for x in row[m:]]
     return _from_payloads(field, m, k, out)
 
 
@@ -382,6 +328,42 @@ def skew_congruence_reduce(form: SkewForm) -> CongruenceResult:
         offset += 2
     return CongruenceResult(q=_from_payloads(field, n, n, [x for row in q for x in row]),
                             rank=offset)
+
+
+def _eliminate(rows, ncols, field):
+    """Gauss-Jordan elimination of mutable payload rows, in place.
+
+    Each of the first ncols columns takes the first nonzero entry at or below
+    the next pivot row as its pivot, swapped up, and clears the column above
+    and below it; columns past ncols (a right-hand side) are carried along.
+    Pivots are not scaled.  Returns the pivot columns in order, and the
+    product of the pivots with its sign flipped once per row swap: the
+    determinant when the rows are square and every column has a pivot.
+    """
+    add, mul, neg, is_zero = field.add, field.mul, field.neg, field.is_zero
+    nrows = len(rows)
+    pivots = []
+    product = field.one.value
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, nrows) if not is_zero(rows[i][c])), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            product = neg(product)
+        pivot_row = rows[r]
+        product = mul(product, pivot_row[c])
+        inv = field.inv(pivot_row[c])
+        for i, row in enumerate(rows):
+            if i != r and not is_zero(row[c]):
+                f = neg(mul(row[c], inv))
+                for j in range(c, len(row)):
+                    row[j] = add(row[j], mul(f, pivot_row[j]))
+        pivots.append(c)
+        if r + 1 == nrows:
+            break
+    return pivots, product
 
 
 def _payload(x, field):

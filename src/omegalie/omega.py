@@ -118,27 +118,30 @@ class GroupElement:
         self.inverse_matrix = inverse_matrix
 
     @classmethod
-    def identity(cls, field, n):
-        eye = Matrix.identity(field, n)
-        return cls(eye, eye)
-
-    def compose(self, other: "GroupElement") -> "GroupElement":
-        """self after other: (self*other) acts like applying other first.
-
-        Both factors hold checked inverses, so (B^-1 A^-1) is not multiplied
-        back; classify and iso_witness re-verify every witness they return
-        through change_basis, which uses both matrices.
-        """
-        out = object.__new__(GroupElement)
-        out.matrix = self.matrix * other.matrix
-        out.inverse_matrix = other.inverse_matrix * self.inverse_matrix
+    def _pair(cls, matrix: Matrix, inverse_matrix: Matrix) -> "GroupElement":
+        """An element from a pair already known to be mutually inverse: the
+        identity, or checked pairs swapped, embedded or composed.  It is not
+        multiplied back; classify and iso_witness re-verify every witness they
+        return through change_basis, which uses both matrices."""
+        out = object.__new__(cls)
+        out.matrix, out.inverse_matrix = matrix, inverse_matrix
         return out
 
+    @classmethod
+    def identity(cls, field, n):
+        eye = Matrix.identity(field, n)
+        return cls._pair(eye, eye)
+
+    def compose(self, other: "GroupElement") -> "GroupElement":
+        """self after other: (self*other) acts like applying other first."""
+        return GroupElement._pair(self.matrix * other.matrix,
+                                  other.inverse_matrix * self.inverse_matrix)
+
     def inverse(self) -> "GroupElement":
-        return GroupElement(self.inverse_matrix, self.matrix)
+        return GroupElement._pair(self.inverse_matrix, self.matrix)
 
     def embed(self, ext):
-        return GroupElement(self.matrix.embed(ext), self.inverse_matrix.embed(ext))
+        return GroupElement._pair(self.matrix.embed(ext), self.inverse_matrix.embed(ext))
 
     def __eq__(self, other):
         return isinstance(other, GroupElement) and other.matrix == self.matrix

@@ -353,11 +353,9 @@ def _generic_algebra(field, rng):
         SkewForm(standard_j(field, 3, 2)))
 
 
-def _classify_golden_text(field, seed):
-    """ClassificationResult.to_json() of seeded orbit images of every family,
-    generic algebras and GL3-moved copies of both, then iso witnesses of
-    GL3-moved pairs, each record under a header line."""
-    rng = random.Random(seed)
+def _golden_inputs(field, rng):
+    """(name, algebra): seeded orbit images of every family, generic algebras
+    and GL3-moved copies of both."""
     made = []
     for _ in range(4):
         for label in (label_a(), label_b(), label_d(),
@@ -367,6 +365,14 @@ def _classify_golden_text(field, seed):
     made += [("generic", _generic_algebra(field, rng)) for _ in range(16)]
     made += [(f"gl3 {name}", change_basis(_random_invertible(field, rng), alg))
              for name, alg in made[::3]]
+    return made
+
+
+def _classify_golden_text(field, seed):
+    """ClassificationResult.to_json() of the golden inputs, then iso witnesses
+    of GL3-moved pairs, each record under a header line."""
+    rng = random.Random(seed)
+    made = _golden_inputs(field, rng)
     records = [f"# {t} {name}\n{classify(alg, allow_extension=True).to_json()}"
                for t, (name, alg) in enumerate(made)]
     for t, (name, alg) in enumerate(made[:32:3]):
@@ -386,10 +392,23 @@ def test_classify_golden(field, name, seed):
     assert got == want
 
 
-# GroupElement.compose does not multiply the composed inverse back; the tests
-# below check that it is still the inverse, that a supplied inverse is still
-# checked everywhere else, and that a wrong composed inverse cannot leave
-# classify, whose witness is re-verified before it is returned.
+# Only the public GroupElement(matrix, inverse) multiplies a supplied inverse
+# back.  identity, compose, inverse and embed build their pair unchecked, and
+# every classify move is a solved matrix with its pair swapped.  The tests
+# below check that these pairs are still inverse, that a supplied inverse is
+# still checked, and that a wrong composed inverse cannot leave classify,
+# whose witness is re-verified before it is returned.
+
+
+@pytest.mark.parametrize("field, seed", [(QQ, 41), (F101, 42)], ids=["Q", "Fp101"])
+def test_every_golden_trace_step_holds_its_inverse(field, seed):
+    for name, alg in _golden_inputs(field, random.Random(seed)):
+        res = classify(alg, allow_extension=True)
+        eye = Matrix.identity(res.field, 3)
+        for tag, g in res.trace + (("witness", res.witness),):
+            assert g.matrix * g.inverse_matrix == eye, (name, tag)
+            assert g.inverse_matrix * g.matrix == eye, (name, tag)
+
 
 F101_EXT = QuadExt(F101, 25, 1)
 
@@ -423,6 +442,11 @@ def test_compose_keeps_the_inverse(field):
         assert g.matrix * g.inverse_matrix == eye
         assert g.inverse_matrix * g.matrix == eye
         assert in_stabilizer(g, omega)
+        h = g.inverse()
+        assert (h.matrix, h.inverse_matrix) == (g.inverse_matrix, g.matrix)
+        assert h.matrix * h.inverse_matrix == eye
+        assert in_stabilizer(h, omega)
+        assert h.compose(g) == GroupElement.identity(field, 3)
 
 
 def test_a_supplied_wrong_inverse_is_refused():
