@@ -220,6 +220,18 @@ def _match_canonical(alg: OmegaAlgebra):
     return None
 
 
+def _check_classifiable(alg: OmegaAlgebra) -> None:
+    """Refuse what classify does not take: a dimension other than 3, a bracket
+    that fails the identity, or the zero form."""
+    if alg.dim != 3:
+        raise ValueError("only 3-dimensional algebras are classified")
+    report = validate(alg)
+    if not report.ok:
+        raise NotOmegaLie(report)
+    if alg.omega.is_zero():
+        raise IsLie("the bilinear form vanishes; this is a classical bracket")
+
+
 def classify(alg: OmegaAlgebra, allow_extension: bool = False,
              strict_c_labels: bool = False) -> ClassificationResult:
     """Find the canonical family of a 3-dimensional non-Lie algebra, with an
@@ -229,13 +241,7 @@ def classify(alg: OmegaAlgebra, allow_extension: bool = False,
     quadratic extension is introduced (eigenvalue splitting or the scaling
     square root in the non-diagonalizable case) when allow_extension is set.
     """
-    if alg.dim != 3:
-        raise ValueError("only 3-dimensional algebras are classified")
-    report = validate(alg)
-    if not report.ok:
-        raise NotOmegaLie(report)
-    if alg.omega.is_zero():
-        raise IsLie("the bilinear form vanishes; this is a classical bracket")
+    _check_classifiable(alg)
     pipe = _Pipeline(alg)
     field = pipe.field
     j2 = standard_j(field, 3, 2)
@@ -438,7 +444,8 @@ def iso_witness(alg1: OmegaAlgebra, alg2: OmegaAlgebra,
     the two classification witnesses and is re-verified to carry the first
     bracket and form onto the second.  An algebra over the base of the
     other's quadratic extension is embedded into it; other fields differing
-    is a ValueError.
+    is a ValueError.  Inputs classify refuses are refused here too, also when
+    the derived dimensions already tell them apart.
     """
     if alg1.field != alg2.field:
         if alg2.field.depth and alg2.field.base == alg1.field:
@@ -450,6 +457,8 @@ def iso_witness(alg1: OmegaAlgebra, alg2: OmegaAlgebra,
                              f"{alg1.field.encode()} and {alg2.field.encode()}")
     d1, d2 = derived_dimension(alg1.sc), derived_dimension(alg2.sc)
     if d1 != d2:
+        _check_classifiable(alg1)
+        _check_classifiable(alg2)
         return NonIsomorphic(
             reason=f"derived algebra dimensions differ: {d1} vs {d2}")
     r1 = classify(alg1, allow_extension=allow_extension)

@@ -223,7 +223,7 @@ def cmd_variety(args) -> int:
         print("only --dim 3 is supported", file=sys.stderr)
         return EXIT_INPUT
     field = parse_descriptor(args.field)
-    vi = defining_ideal(3, SkewForm(standard_j(field, 3, 2)), field)
+    vi = defining_ideal(SkewForm(standard_j(field, 3, 2)))
     ideal = vi.ideal()
     gb = ideal.groebner_basis()
     dim = quotient_dimension(ideal)

@@ -313,11 +313,11 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
     # re-assemble into signed term strings
     terms = []
     sign = 1
-    for body, sep in pieces:
+    for idx, (body, sep) in enumerate(pieces):
         body = body.strip()
         if body:
             terms.append((sign, body))
-        elif sep is not None and terms:
+        elif idx:  # an empty term is allowed only before one leading sign
             raise ValueError(f"dangling operator in {text!r}")
         sign = -1 if sep == "-" else 1
     result = ring.zero()

@@ -9,13 +9,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import combinations, permutations
 
 from .fields import FieldDescriptor, FieldElement, parse_descriptor
-from .linalg import (
-    InconsistentSystem,
-    Matrix,
-    SingularMatrix,
-    SkewForm,
-    solve,
-)
+from .linalg import Matrix, SingularMatrix, SkewForm
 
 
 class DimensionTooSmall(Exception):
@@ -250,51 +244,30 @@ def validate(alg: OmegaAlgebra) -> ValidationReport:
 def recover_omega(sc: StructureConstants) -> SkewForm:
     """The unique skew form making the bracket an omega-Lie algebra.
 
-    Solves the linear system that the identity imposes on the n(n-1)/2
-    unknown form values over all strictly increasing basis triples.  Raises
-    NoSolution when the system is inconsistent and DimensionTooSmall below
-    dimension 3.
+    On a strictly increasing triple i < j < k the identity says the cyclic
+    bracket sum is form(i, j) e_k + form(j, k) e_i + form(k, i) e_j, so every
+    form value is read off the first triple that holds its pair, and every
+    triple's sum is checked against the values read.  Raises NoSolution when
+    they disagree and DimensionTooSmall below dimension 3.
     """
     n = sc.dim
     if n < 3:
         raise DimensionTooSmall("no meaningful form below dimension 3")
     field = sc.field
-    unknowns = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    index = {pair: t for t, pair in enumerate(unknowns)}
-
-    def coeff_of(a, b):
-        """(unknown index, sign) for omega(e_a, e_b)."""
-        if a < b:
-            return index[(a, b)], field.one
-        return index[(b, a)], -field.one
-
-    rows = []
-    rhs = []
-    full = full_bracket_table(sc.entries(), field.zero, n)
+    zero = field.zero
+    full = full_bracket_table(sc.entries(), zero, n)
+    rows = [[zero if a == b else None for b in range(n)] for a in range(n)]
     for i, j, k in combinations(range(n), 3):
-        jac = cyclic_bracket_sum(full, field.zero, i, j, k)
-        # jac must equal w_ij e_k + w_jk e_i + w_ki e_j
-        for m in range(n):
-            row = [field.zero] * len(unknowns)
-            for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                if c == m:
-                    t, sign = coeff_of(a, b)
-                    row[t] = row[t] + sign
-            rows.append(row)
-            rhs.append(jac[m])
-    a_mat = Matrix.from_rows(field, rows)
-    b_mat = Matrix(field, len(rhs), 1, rhs)
-    try:
-        sol = solve(a_mat, b_mat)
-    except InconsistentSystem:
-        raise NoSolution("no compatible bilinear form exists") from None
-    except SingularMatrix as exc:
-        # a consistent system here is always determined (uniqueness of the form)
-        raise NoSolution(f"underdetermined form system: {exc}") from None
-    m = Matrix.zeros(field, n, n)
-    for (i, j), t in index.items():
-        m = m.with_entry(i, j, sol[t, 0]).with_entry(j, i, -sol[t, 0])
-    return SkewForm(m)
+        jac = cyclic_bracket_sum(full, zero, i, j, k)
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            if rows[a][b] is None:
+                rows[a][b], rows[b][a] = jac[c], -jac[c]
+            elif rows[a][b] != jac[c]:
+                raise NoSolution("no compatible bilinear form exists")
+            jac[c] = zero
+        if any(not x.is_zero() for x in jac):
+            raise NoSolution("no compatible bilinear form exists")
+    return SkewForm(Matrix.from_rows(field, rows))
 
 
 def transform(g: GroupElement, alg: OmegaAlgebra,

@@ -28,10 +28,6 @@ from .omega import full_bracket_table, jacobi_defects
 from .report import ReportTable
 
 
-class UnsupportedDimension(Exception):
-    pass
-
-
 # canonical text of the reference generators and basis completions
 F1_TEXT = "x2*z1 + y3*z1 - x1*z2 - y1*z3"
 F2_TEXT = "x3*y1 - x1*y3 + x3*z2 - x2*z3 + 1"
@@ -86,17 +82,12 @@ def _normalize_generators(raw):
     return tuple(sorted(polys, key=lambda q: ring.sort_key(q.lm())))
 
 
-def defining_ideal(n: int, omega: SkewForm, field: FieldDescriptor) -> VarietyIdeal:
+def defining_ideal(omega: SkewForm) -> VarietyIdeal:
     """Generators of the vanishing ideal of bracket structures compatible with
-    the given canonical form (rank 0 or 2 on a 3-space)."""
-    if n != 3:
-        raise UnsupportedDimension(
-            "only the 3-dimensional variety is generated here; the"
-            " 4-dimensional subvariety has its own constructor")
-    if omega.dim != 3 or omega.field != field:
-        raise ValueError("form must be 3x3 over the same field")
+    the given canonical form (rank 0 or 2 on a 3-space), over its field."""
+    field = omega.field
     if omega.matrix not in (standard_j(field, 3, 0), standard_j(field, 3, 2)):
-        raise ValueError("form must be a canonical block form")
+        raise ValueError("form must be a canonical block form on a 3-space")
     ring = structure_ring(field)
     x = [ring.var(f"x{i}") for i in (1, 2, 3)]
     y = [ring.var(f"y{i}") for i in (1, 2, 3)]
@@ -130,7 +121,7 @@ def verify_section3(field: FieldDescriptor = QQ) -> ReportTable:
     p = Ideal(ring, [f1, f2, f3])
 
     with table.timed("generators-from-identity") as rec:
-        vi = defining_ideal(3, SkewForm(standard_j(field, 3, 2)), field)
+        vi = defining_ideal(SkewForm(standard_j(field, 3, 2)))
         rec.expect(list(vi.generators) == [f1, f2, f3],
                    "normalized generators differ from the reference triple")
 

@@ -341,6 +341,49 @@ def test_check_rejects_nested_extension(capsys, monkeypatch):
     assert f"bad input: extension towers are capped at one step: {NESTED!r}" in err
 
 
+@pytest.mark.parametrize("line", ["--x + 1", "+-x + 1", "x -", "x +", "-", "+", "x +- 1"])
+def test_gb_rejects_stray_signs(capsys, monkeypatch, line):
+    code, out, err = _gb_stdin(capsys, monkeypatch, f"ring x over Q\n{line}\n")
+    assert (code, out) == (1, "")
+    assert err == f"bad ideal file: line 2: dangling operator in {line!r}\n"
+
+
+def test_gb_keeps_one_leading_sign(capsys, monkeypatch):
+    code, out, _ = _gb_stdin(capsys, monkeypatch, "ring x over Q\n-x + 1\n")
+    assert (code, out) == (0, "ring x over Q\nx - 1\n")
+
+
+def _algebra_file(tmp_path, name, omega, brackets):
+    path = tmp_path / name
+    path.write_text(json.dumps({"field": "Q", "dim": len(omega), "brackets": brackets,
+                                "omega": [[str(x) for x in row] for row in omega]}))
+    return str(path)
+
+
+BROKEN_IDENTITY = ([[0, 0, 0], [0, 0, 1], [0, -1, 0]], {"1,2": ["1", "0", "0"]})
+ZERO_FORM = ([[0] * 3] * 3, {"0,1": ["0", "0", "1"]})
+ZERO_4D = ([[0] * 4] * 4, {})
+
+
+@pytest.mark.parametrize("inputs, message", [
+    (BROKEN_IDENTITY, "not classifiable: 6 basis triples violate the bracket identity"),
+    (ZERO_FORM, "not classifiable: the bilinear form vanishes; this is a classical bracket"),
+    (ZERO_4D, "bad input: only 3-dimensional algebras are classified"),
+], ids=["broken-identity", "zero-form", "dimension-4"])
+@pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
+@pytest.mark.parametrize("fmt", ["human", "machine"])
+def test_iso_refuses_what_classify_refuses(capsys, tmp_path, d_file, inputs, message,
+                                           first, fmt):
+    # the derived dimensions differ from D's, which used to answer non-isomorphic
+    omega, brackets = inputs
+    bad = _algebra_file(tmp_path, "bad.alg", omega, brackets)
+    pair = [bad, d_file] if first else [d_file, bad]
+    code, out, err = run(capsys, ["iso", *pair, "--format", fmt])
+    assert (code, out, err) == (1, "", message + "\n")
+    if len(omega) == 3:
+        assert run(capsys, ["classify", bad]) == (1, "", message + "\n")
+
+
 @pytest.mark.parametrize("target", ["directory", "missing"])
 @pytest.mark.parametrize("command, inputs", [("check", 1), ("classify", 1), ("gb", 1),
                                              ("omega-reduce", 1), ("iso", 2)])

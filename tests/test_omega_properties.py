@@ -1,25 +1,49 @@
 """Property tests for the bracket identity: validate against a brute-force loop
-over every ordered basis triple, and recover_omega against validate, on
-arbitrary brackets and skew forms."""
+over every ordered basis triple, recover_omega against validate, on arbitrary
+brackets and skew forms, and recover_omega against a reference that solves
+the linear system the identity imposes on the form."""
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from omegalie.fields import QQ, PrimeField
-from omegalie.linalg import Matrix, SkewForm
+from itertools import combinations
+
+from omegalie.classify3 import (
+    InvalidAlpha,
+    canonical_algebra,
+    label_a,
+    label_b,
+    label_c,
+    label_d,
+)
+from omegalie.fields import QQ, PrimeField, parse_descriptor
+from omegalie.linalg import (
+    InconsistentSystem,
+    Matrix,
+    SingularMatrix,
+    SkewForm,
+    solve,
+    standard_j,
+)
 from omegalie.omega import (
+    DimensionTooSmall,
+    GroupElement,
     NoSolution,
     OmegaAlgebra,
     StructureConstants,
+    change_basis,
+    cyclic_bracket_sum,
+    full_bracket_table,
     recover_omega,
     validate,
 )
 
 F101 = PrimeField(101)
+Q_SQRT2 = parse_descriptor("QuadExt:Q:-2,0")
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None, derandomize=True)
 # mostly zeros, so that some drawn brackets satisfy the identity for some form
@@ -94,3 +118,136 @@ def test_recover_omega_agrees_with_validate(alg):
         return
     assert validate(OmegaAlgebra(alg.field, alg.sc, form)).ok
     assert validate(alg).ok == (form == alg.omega)
+
+
+def reference_recover_omega(sc):
+    """The form as the solution of the n*C(n,3) x C(n,2) linear system that the
+    identity imposes on the unknown form values: one row per increasing triple
+    and output coordinate, solved by Gauss-Jordan elimination."""
+    n = sc.dim
+    if n < 3:
+        raise DimensionTooSmall("no meaningful form below dimension 3")
+    field = sc.field
+    unknowns = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    index = {pair: t for t, pair in enumerate(unknowns)}
+
+    def coeff_of(a, b):
+        """(unknown index, sign) for omega(e_a, e_b)."""
+        if a < b:
+            return index[(a, b)], field.one
+        return index[(b, a)], -field.one
+
+    rows = []
+    rhs = []
+    full = full_bracket_table(sc.entries(), field.zero, n)
+    for i, j, k in combinations(range(n), 3):
+        jac = cyclic_bracket_sum(full, field.zero, i, j, k)
+        for m in range(n):
+            row = [field.zero] * len(unknowns)
+            for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+                if c == m:
+                    t, sign = coeff_of(a, b)
+                    row[t] = row[t] + sign
+            rows.append(row)
+            rhs.append(jac[m])
+    try:
+        sol = solve(Matrix.from_rows(field, rows), Matrix(field, len(rhs), 1, rhs))
+    except InconsistentSystem:
+        raise NoSolution("no compatible bilinear form exists") from None
+    except SingularMatrix as exc:
+        raise NoSolution(f"underdetermined form system: {exc}") from None
+    m = Matrix.zeros(field, n, n)
+    for (i, j), t in index.items():
+        m = m.with_entry(i, j, sol[t, 0]).with_entry(j, i, -sol[t, 0])
+    return SkewForm(m)
+
+
+DIFFERENTIAL = settings(max_examples=250, deadline=None, database=None, derandomize=True)
+small = st.integers(min_value=-3, max_value=3)
+
+
+@st.composite
+def field_scalars(draw, field):
+    """Small integers, and over the extension field also a multiple of t."""
+    x = field.elem(draw(small))
+    if field.depth and draw(st.booleans()):
+        x = x + field.elem(draw(small)) * field.parse("[0,1]")
+    return x
+
+
+@st.composite
+def consistent_algebras(draw, field):
+    """An algebra satisfying the identity: a 3-dimensional canonical family,
+    a point on either component of the 4-dimensional configuration variety,
+    or a Heisenberg bracket plus an abelian summand (zero form) up to
+    dimension 6."""
+    kind = draw(st.sampled_from(("canonical", "configuration", "heisenberg")))
+    zero, one = field.zero, field.one
+    if kind == "canonical":
+        label = draw(st.sampled_from((label_a(), label_b(), label_d(), None)))
+        try:
+            return canonical_algebra(label or label_c(draw(field_scalars(field))), field)
+        except InvalidAlpha:
+            assume(False)
+    if kind == "configuration":
+        x3, x4, y1, y3, z3 = (draw(field_scalars(field)) for _ in range(5))
+        if draw(st.booleans()):
+            cols = ((zero, -z3, x3, -one), (y1, z3, y3, one), (zero, zero, z3, zero))
+        else:
+            cols = ((zero, x4 * z3, x3, x4), (zero, z3, zero, one), (zero, zero, z3, zero))
+        table = {(0, 1): (zero, one, zero, zero), (1, 2): (zero, zero, one, zero),
+                 (0, 3): cols[0], (1, 3): cols[1], (2, 3): cols[2]}
+        return OmegaAlgebra(field, StructureConstants(field, 4, table),
+                            SkewForm(standard_j(field, 4, 2)))
+    n = draw(st.integers(min_value=3, max_value=6))
+    table = {(0, 1): [zero, zero, one] + [zero] * (n - 3)}
+    return OmegaAlgebra(field, StructureConstants(field, n, table),
+                        SkewForm(Matrix.zeros(field, n, n)))
+
+
+@st.composite
+def differential_brackets(draw):
+    """Brackets of dimension 2 to 6: random ones, sparse or dense, which are
+    mostly inconsistent, and consistent ones moved by a random base change
+    and, half the time, with one coefficient changed."""
+    field = draw(st.sampled_from((QQ, PrimeField(7), F101, Q_SQRT2)))
+    if draw(st.booleans()):
+        n = draw(st.integers(min_value=2, max_value=6))
+        dense = draw(st.booleans())
+        # sparse brackets often read a consistent form off the three pairs
+        # of every triple and fail only on a coordinate outside the triple
+        table = {}
+        for pair in combinations(range(n), 2):
+            if dense or draw(st.integers(0, 3)) == 0:
+                table[pair] = [draw(field_scalars(field))
+                               if dense or draw(st.integers(0, 2)) == 0 else field.zero
+                               for _ in range(n)]
+        return StructureConstants(field, n, table)
+    alg = draw(consistent_algebras(field))
+    n = alg.dim
+    # unit lower times unit upper triangular: always invertible
+    lower = [[field.one if i == j else draw(field_scalars(field)) if i > j else field.zero
+              for j in range(n)] for i in range(n)]
+    upper = [[field.one if i == j else draw(field_scalars(field)) if i < j else field.zero
+              for j in range(n)] for i in range(n)]
+    g = Matrix.from_rows(field, lower) * Matrix.from_rows(field, upper)
+    sc = change_basis(GroupElement(g), alg).sc
+    if draw(st.booleans()):
+        table = {pair: list(sc.bracket(*pair)) for pair in combinations(range(n), 2)}
+        pair = draw(st.sampled_from(sorted(table)))
+        table[pair][draw(st.integers(0, n - 1))] += field.one
+        sc = StructureConstants(field, n, table)
+    return sc
+
+
+def _outcome(fn, sc):
+    try:
+        return "form", fn(sc).matrix.payloads
+    except (DimensionTooSmall, NoSolution) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@DIFFERENTIAL
+@given(differential_brackets())
+def test_recover_omega_matches_the_linear_system(sc):
+    assert _outcome(recover_omega, sc) == _outcome(reference_recover_omega, sc)

@@ -13,7 +13,6 @@ from omegalie.groebner import (
 from omegalie.linalg import Matrix, SkewForm, solve_vector, standard_j
 from omegalie.omega import OmegaAlgebra, StructureConstants, validate
 from omegalie.variety import (
-    UnsupportedDimension,
     defining_ideal,
     reference_polys,
     structure_ring,
@@ -50,13 +49,13 @@ def evaluate(poly, point):
 
 def test_defining_ideal_is_reference_triple():
     for field in (QQ, F101):
-        vi = defining_ideal(3, SkewForm(standard_j(field, 3, 2)), field)
+        vi = defining_ideal(SkewForm(standard_j(field, 3, 2)))
         f1, f2, f3, _, _ = reference_polys(vi.ring)
         assert list(vi.generators) == [f1, f2, f3]
 
 
 def test_defining_ideal_canonical_text():
-    vi = defining_ideal(3, SkewForm(standard_j(QQ, 3, 2)), QQ)
+    vi = defining_ideal(SkewForm(standard_j(QQ, 3, 2)))
     assert [format_polynomial(g) for g in vi.generators] == [
         "x2*z1 + y3*z1 - x1*z2 - y1*z3",
         "x3*y1 - x1*y3 + x3*z2 - x2*z3 + 1",
@@ -65,14 +64,14 @@ def test_defining_ideal_canonical_text():
 
 
 def test_reference_point_vanishes():
-    vi = defining_ideal(3, SkewForm(standard_j(QQ, 3, 2)), QQ)
+    vi = defining_ideal(SkewForm(standard_j(QQ, 3, 2)))
     point = algebra_point(algebra_d())
     for gen in vi.generators:
         assert evaluate(gen, point).is_zero()
 
 
 def test_zero_form_gives_classical_relations():
-    vi = defining_ideal(3, SkewForm(standard_j(QQ, 3, 0)), QQ)
+    vi = defining_ideal(SkewForm(standard_j(QQ, 3, 0)))
     point = algebra_point(heisenberg())
     assert vi.generators  # three relations
     for gen in vi.generators:
@@ -83,20 +82,20 @@ def test_zero_form_gives_classical_relations():
 
 
 def test_unsupported_dimension():
-    with pytest.raises(UnsupportedDimension):
-        defining_ideal(4, SkewForm(standard_j(QQ, 4, 2)), QQ)
+    with pytest.raises(ValueError, match="canonical block form on a 3-space"):
+        defining_ideal(SkewForm(standard_j(QQ, 4, 2)))
 
 
 def test_generator_normalization_independent_of_triple_order():
     # the 6 ordered triples produce sign duplicates that collapse to 3 monic polys
-    vi = defining_ideal(3, SkewForm(standard_j(QQ, 3, 2)), QQ)
+    vi = defining_ideal(SkewForm(standard_j(QQ, 3, 2)))
     assert len(vi.provenance) == 18  # 6 ordered triples x 3 components
     assert len(vi.generators) == 3
 
 
 def test_soundness_randomized_orbit_points():
     rng = random.Random(61)
-    vi = defining_ideal(3, SkewForm(standard_j(F101, 3, 2)), F101)
+    vi = defining_ideal(SkewForm(standard_j(F101, 3, 2)))
     for _ in range(1000):
         g = random_g_omega(F101, rng)
         alg = transform(g, algebra_c(F101, rng.randrange(1, 100)))
@@ -138,7 +137,7 @@ def point_algebra(point, field=F101):
 
 def test_completeness_randomized_points():
     rng = random.Random(67)
-    vi = defining_ideal(3, SkewForm(standard_j(F101, 3, 2)), F101)
+    vi = defining_ideal(SkewForm(standard_j(F101, 3, 2)))
     for _ in range(1000):
         point = sample_variety_point(rng)
         for gen in vi.generators:
@@ -192,7 +191,7 @@ def _ideal_golden_lines(field):
     rank 2 forms, and of the 4-dimensional configuration ideal with the zero
     and a nonzero form column against the fourth vector."""
     ideals = [(f"defining_ideal rank={rank}",
-               defining_ideal(3, SkewForm(standard_j(field, 3, rank)), field))
+               defining_ideal(SkewForm(standard_j(field, 3, rank))))
               for rank in (0, 2)]
     ideals += [(f"x1_configuration_ideal column={column}",
                 x1_configuration_ideal(field, omega_e_column=column))
