@@ -247,8 +247,6 @@ def classify(alg: OmegaAlgebra, allow_extension: bool = False,
     j2 = standard_j(field, 3, 2)
     if alg.omega.matrix != j2:
         cong = skew_congruence_reduce(alg.omega)
-        if cong.rank != 2:
-            raise IsLie("degenerate form of rank 0")
         pipe.apply("form-normalize", GroupElement(cong.q).inverse())
         assert pipe.work.omega.matrix == j2
     extension = None

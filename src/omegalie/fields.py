@@ -7,10 +7,11 @@ are safe to share between threads.  No floating point is used anywhere.
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 
 class FieldError(Exception):
@@ -110,7 +111,49 @@ class FieldDescriptor:
         return self.mul(a, self.inv(b))
 
 
+def _fraction(n: int, d: int) -> Fraction:
+    """The Fraction n/d for coprime ints n and d > 0, set on its two slots
+    without Fraction's constructor, which would normalise it again."""
+    r = object.__new__(Fraction)
+    r._numerator = n
+    r._denominator = d
+    return r
+
+
+def _check_fraction_layout():
+    """Refuse to import when Fraction's private layout is not the one
+    _fraction writes: the slots are not part of the stdlib's public API."""
+    version = sys.version.split()[0]
+    if Fraction.__slots__ != ("_numerator", "_denominator"):
+        raise ImportError(f"omegalie needs fractions.Fraction slots (_numerator, "
+                          f"_denominator); Python {version} has {Fraction.__slots__!r}")
+    probe, ref = _fraction(-3, 4), Fraction(-3, 4)
+    if probe != ref or hash(probe) != hash(ref):
+        raise ImportError(f"omegalie cannot build fractions.Fraction from its slots "
+                          f"on Python {version}")
+
+
+_check_fraction_layout()
+
+
+def _add(na, da, nb, db):
+    """na/da + nb/db for reduced inputs, reduced as Fraction._add does: only the
+    common factor g of the denominators can divide the new numerator."""
+    g = gcd(da, db)
+    if g == 1:
+        return _fraction(na * db + nb * da, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return _fraction(t, s * db)
+    return _fraction(t // g2, s * (db // g2))
+
+
 class Rationals(FieldDescriptor):
+    """Payloads are reduced Fractions; the operators work on their numerator
+    and denominator ints and build each reduced result through _fraction."""
+
     def coerce(self, value):
         if isinstance(value, Fraction):
             return value
@@ -121,33 +164,48 @@ class Rationals(FieldDescriptor):
         raise TypeError(f"cannot coerce {value!r} into Q")
 
     def add(self, a, b):
-        return a + b
+        return _add(a._numerator, a._denominator, b._numerator, b._denominator)
+
+    def sub(self, a, b):
+        return _add(a._numerator, a._denominator, -b._numerator, b._denominator)
 
     def neg(self, a):
-        return -a
+        return _fraction(-a._numerator, a._denominator)
 
     def mul(self, a, b):
-        return a * b
+        # cross-cancel as Fraction._mul does, so the product is already reduced
+        na, da = a._numerator, a._denominator
+        nb, db = b._numerator, b._denominator
+        g1 = gcd(na, db)
+        if g1 > 1:
+            na, db = na // g1, db // g1
+        g2 = gcd(nb, da)
+        if g2 > 1:
+            nb, da = nb // g2, da // g2
+        return _fraction(na * nb, da * db)
 
     def dot(self, xs, ys):
         # fraction-free: one numerator over one denominator, normalised once
         num, den = 0, 1
         for x, y in zip(xs, ys):
-            if x and y:
-                n, d = x.numerator * y.numerator, x.denominator * y.denominator
+            xn, yn = x._numerator, y._numerator
+            if xn and yn:
+                n, d = xn * yn, x._denominator * y._denominator
                 if d == den:
                     num += n
                 else:
                     num, den = num * d + n * den, den * d
-        return Fraction(num, den)
+        g = gcd(num, den)
+        return _fraction(num // g, den // g)
 
     def inv(self, a):
-        if a == 0:
+        n, d = a._numerator, a._denominator
+        if not n:
             raise ZeroDivisionError("division by zero field element")
-        return 1 / a
+        return _fraction(d, n) if n > 0 else _fraction(-d, -n)
 
     def is_zero(self, a):
-        return a == 0
+        return not a._numerator
 
     def payload_to_str(self, a):
         return str(a)

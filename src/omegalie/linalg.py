@@ -156,11 +156,13 @@ class Matrix:
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         field = self.field
-        pivots, product = _eliminate(_payload_rows(self, field), self.cols, field)
+        pivots, product = _eliminate(_payload_rows(self, field), self.cols, field,
+                                     clear_above=False)
         return FieldElement(field, product) if len(pivots) == self.rows else field.zero
 
     def rank(self):
-        return len(_eliminate(_payload_rows(self, self.field), self.cols, self.field)[0])
+        rows = _payload_rows(self, self.field)
+        return len(_eliminate(rows, self.cols, self.field, clear_above=False)[0])
 
     def second_compound(self):
         """The matrix of 2x2 minors: its entry at ((a, b), (i, j)), over pairs
@@ -200,7 +202,7 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
     field = a.field
     m, k = a.cols, b.cols
     aug = [ra + rb for ra, rb in zip(_payload_rows(a, field), _payload_rows(b, field))]
-    pivots, _ = _eliminate(aug, m, field)
+    pivots, _ = _eliminate(aug, m, field, clear_above=True)
     if any(not field.is_zero(x) for row in aug[len(pivots):] for x in row[m:]):
         raise InconsistentSystem("no solution")
     if len(pivots) < m:
@@ -330,15 +332,17 @@ def skew_congruence_reduce(form: SkewForm) -> CongruenceResult:
                             rank=offset)
 
 
-def _eliminate(rows, ncols, field):
-    """Gauss-Jordan elimination of mutable payload rows, in place.
+def _eliminate(rows, ncols, field, clear_above):
+    """Gaussian elimination of mutable payload rows, in place.
 
     Each of the first ncols columns takes the first nonzero entry at or below
-    the next pivot row as its pivot, swapped up, and clears the column above
-    and below it; columns past ncols (a right-hand side) are carried along.
-    Pivots are not scaled.  Returns the pivot columns in order, and the
-    product of the pivots with its sign flipped once per row swap: the
-    determinant when the rows are square and every column has a pivot.
+    the next pivot row as its pivot, swapped up, and clears the column below
+    it, and above it too when clear_above is set (Gauss-Jordan, which solve
+    needs and det and rank do not); columns past ncols (a right-hand side)
+    are carried along.  Pivots are not scaled, and clearing above does not
+    change them.  Returns the pivot columns in order, and the product of the
+    pivots with its sign flipped once per row swap: the determinant when the
+    rows are square and every column has a pivot.
     """
     add, mul, neg, is_zero = field.add, field.mul, field.neg, field.is_zero
     nrows = len(rows)
@@ -355,8 +359,8 @@ def _eliminate(rows, ncols, field):
         pivot_row = rows[r]
         product = mul(product, pivot_row[c])
         inv = field.inv(pivot_row[c])
-        for i, row in enumerate(rows):
-            if i != r and not is_zero(row[c]):
+        for row in (rows[:r] + rows[r + 1:]) if clear_above else rows[r + 1:]:
+            if not is_zero(row[c]):
                 f = neg(mul(row[c], inv))
                 for j in range(c, len(row)):
                     row[j] = add(row[j], mul(f, pivot_row[j]))

@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -267,3 +271,21 @@ def test_prime_field_sqrt_large_modulus(p):
         rep = sqrt_or_extend(field.elem(a))
         assert rep.kind == "root"
         assert rep.root.value == min(x, p - x)
+
+
+# Q payloads are built on Fraction's private slots (fields._fraction), so the
+# module must refuse to import where that layout is not the one it writes
+@pytest.mark.parametrize("patch", [
+    "fractions.Fraction.__slots__ = ('_n', '_d')",
+    "fractions.Fraction.__hash__ = object.__hash__",
+], ids=["slots", "hash"])
+def test_import_fails_loudly_when_the_fraction_layout_changes(patch):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = f"import fractions\n{patch}\nimport omegalie.fields\n"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode != 0
+    assert "ImportError" in proc.stderr
+    assert f"Python {sys.version.split()[0]}" in proc.stderr
