@@ -8,8 +8,8 @@ import json
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations, permutations
 
-from .fields import FieldDescriptor, FieldElement, parse_descriptor
-from .linalg import Matrix, SingularMatrix, SkewForm
+from .fields import DescriptorMismatch, FieldDescriptor, FieldElement, parse_descriptor
+from .linalg import Matrix, SingularMatrix, SkewForm, _from_payloads, _payload
 
 
 class DimensionTooSmall(Exception):
@@ -24,28 +24,41 @@ class StructureConstants:
     """Antisymmetric bracket tensor: [e_i, e_j] = sum_k c[i][j][k] e_k.
 
     Only the i < j half is stored; the other half is derived by sign, which
-    makes antisymmetry structural.
+    makes antisymmetry structural.  Every coefficient is checked against the
+    field once, here.
     """
 
-    __slots__ = ("field", "dim", "_table")
+    __slots__ = ("field", "dim", "_table", "_sums")
 
     def __init__(self, field: FieldDescriptor, dim: int, table: dict):
         if dim < 1:
             raise ValueError("dimension must be positive")
         self.field = field
         self.dim = dim
-        zero_vec = (field.zero,) * dim
+        is_zero = field.is_zero
         clean = {}
         for (i, j), vec in table.items():
             if not (0 <= i < j < dim):
                 raise IndexError(f"bracket key ({i},{j}) out of range for i<j<{dim}")
-            vec = tuple(v if isinstance(v, FieldElement) else field.elem(v)
-                        for v in vec)
-            if len(vec) != dim:
+            try:
+                payloads = [_payload(v, field) for v in vec]
+            except DescriptorMismatch as exc:
+                raise DescriptorMismatch(f"bracket ({i},{j}): {exc}") from None
+            if len(payloads) != dim:
                 raise ValueError(f"bracket ({i},{j}) must have {dim} coefficients")
-            if vec != zero_vec:
-                clean[(i, j)] = vec
+            if not all(map(is_zero, payloads)):
+                clean[(i, j)] = tuple(FieldElement(field, x) for x in payloads)
         self._table = clean
+        self._sums = None
+
+    def _payload_sums(self) -> dict:
+        """cyclic_sums of this bracket on payloads, computed once: validate and
+        recover_omega on the same bracket, as check runs them, share one pass."""
+        if self._sums is None:
+            f = self.field
+            upper = {key: [x.value for x in vec] for key, vec in self._table.items()}
+            self._sums = cyclic_sums(upper, self.dim, f.add, f.mul, f.neg, f.is_zero)
+        return self._sums
 
     def bracket(self, i: int, j: int) -> tuple:
         """[e_i, e_j] as a coefficient tuple (sign handled for i > j)."""
@@ -147,61 +160,86 @@ class GroupElement:
         return f"GroupElement({self.matrix!r})"
 
 
-def full_bracket_table(upper: dict, zero, n: int) -> list:
-    """The n x n table whose entry [a][b] holds the coordinates of [e_a, e_b],
-    built from its strictly upper half {(a, b): coordinates}: missing pairs
-    are zero and the lower half is derived by sign."""
-    zero_vec = (zero,) * n
-    full = [[zero_vec] * n for _ in range(n)]
-    for (a, b), vec in upper.items():
-        full[a][b] = tuple(vec)
-        full[b][a] = tuple(-v for v in vec)
-    return full
+def cyclic_sums(upper: dict, n: int, add, mul, neg, is_zero) -> dict:
+    """The cyclic bracket sum [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]
+    of every strictly increasing triple i < j < k, as {(i, j, k): {t: coefficient}}
+    with only its nonzero coefficients; triples whose sum vanishes are left out.
 
-
-def cyclic_bracket_sum(full: list, zero, i: int, j: int, k: int) -> list:
-    """Coordinates of [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j].
-
-    full is a basis-bracket table as from full_bracket_table; its entries may
-    be field elements or polynomials.  Each double bracket is expanded as
-    [[e_a, e_b], e_c] = sum_m c_ab^m [e_m, e_c], so no vector is built.
+    upper is the strictly upper half {(a, b): coordinates} of the bracket table,
+    missing pairs being zero, over any coefficient ring given by its add, mul,
+    neg and is_zero: field payloads, or polynomials.  Each entry is kept as its
+    nonzero (index, coefficient) pairs and the lower half is derived with neg.
+    Each double bracket is expanded as [[e_a, e_b], e_c] = sum_m c_ab^m [e_m, e_c],
+    so no vector is built.
     """
-    out = [zero] * len(full)
-    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-        for m, w in enumerate(full[a][b]):
-            if w.is_zero():
-                continue
-            for t, v in enumerate(full[m][c]):
-                if not v.is_zero():
-                    out[t] = out[t] + w * v
+    full = [[()] * n for _ in range(n)]
+    for (a, b), vec in upper.items():
+        pairs = tuple((m, w) for m, w in enumerate(vec) if not is_zero(w))
+        full[a][b] = pairs
+        full[b][a] = tuple((m, neg(w)) for m, w in pairs)
+    sums = {}
+    for triple in combinations(range(n), 3):
+        i, j, k = triple
+        if not (full[i][j] or full[j][k] or full[k][i]):
+            continue
+        out = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, w in full[a][b]:
+                for t, v in full[m][c]:
+                    x = mul(w, v)
+                    out[t] = add(out[t], x) if t in out else x
+        out = {t: x for t, x in out.items() if not is_zero(x)}
+        if out:
+            sums[triple] = out
+    return sums
+
+
+def identity_defects(sums: dict, n: int, form: dict, add, neg, is_zero) -> dict:
+    """The nonzero defects of the bracket identity on strictly increasing
+    triples, in the shape of cyclic_sums: each cyclic sum minus
+    form(i, j) e_k + form(j, k) e_i + form(k, i) e_j.  form maps ordered pairs
+    (a, b), a != b, to the nonzero form values; a missing pair is zero."""
+    if not form:
+        return sums
+    defects = {}
+    for triple in combinations(range(n), 3):
+        i, j, k = triple
+        out = dict(sums.get(triple, ()))
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            w = form.get((a, b))
+            if w is not None:
+                w = neg(w)
+                out[c] = add(out[c], w) if c in out else w
+        out = {t: x for t, x in out.items() if not is_zero(x)}
+        if out:
+            defects[triple] = out
+    return defects
+
+
+def ordered_defects(defects: dict, neg) -> list:
+    """((i, j, k), defect) for every ordering of each triple in defects, in
+    lexicographic order.  Both sides of the identity alternate in the triple,
+    so an odd ordering takes the negated defect."""
+    out = []
+    for triple, defect in defects.items():
+        negated = {t: neg(x) for t, x in defect.items()}
+        for i, j, k in permutations(triple):
+            out.append(((i, j, k), negated if ((i > j) + (i > k) + (j > k)) % 2 else defect))
+    out.sort(key=lambda item: item[0])
     return out
 
 
-def jacobi_defects(full: list, form, zero):
-    """((i, j, k), defect) for every ordered triple of distinct basis indices,
-    in lexicographic order.  The defect is the cyclic bracket sum minus
-    form(i, j) e_k + form(j, k) e_i + form(k, i) e_j.
-
-    Both sides alternate in the triple, so only strictly increasing triples
-    are evaluated and every other order takes the sign of its permutation.
-    Triples with a repeated index are left out: their defect vanishes for an
-    antisymmetric bracket and a skew form.
-    """
-    increasing = {}
-    for triple in permutations(range(len(full)), 3):
-        i, j, k = triple
-        if i < j < k:
-            defect = cyclic_bracket_sum(full, zero, i, j, k)
-            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                w = form(a, b)
-                if not w.is_zero():
-                    defect[c] = defect[c] - w
-            defect = increasing[triple] = tuple(defect)
-        else:
-            defect = increasing[tuple(sorted(triple))]
-            if ((i > j) + (i > k) + (j > k)) % 2:
-                defect = tuple(-x for x in defect)
-        yield triple, defect
+def _defects(alg: "OmegaAlgebra") -> dict:
+    """The nonzero identity defects of alg on increasing triples, on payloads.
+    The form's matrix must already be known to be skew."""
+    field, n = alg.field, alg.dim
+    p, is_zero = alg.omega.matrix.payloads, field.is_zero
+    form = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            if not is_zero(p[a * n + b]):
+                form[a, b], form[b, a] = p[a * n + b], p[b * n + a]
+    return identity_defects(alg.sc._payload_sums(), n, form, field.add, field.neg, is_zero)
 
 
 @dataclass
@@ -216,26 +254,34 @@ class ValidationReport:
 
 def validate(alg: OmegaAlgebra) -> ValidationReport:
     """Check the skew-form invariants, bracket antisymmetry through the public
-    accessor, and the omega-Jacobi identity on every ordered basis triple."""
+    accessor, and the omega-Jacobi identity on every ordered basis triple.
+
+    The identity is evaluated on the strictly increasing triples only; the
+    failures of every other order, by the sign of its permutation, are built
+    only when some defect is nonzero."""
     report = ValidationReport(ok=True)
-    n = alg.dim
+    n, field = alg.dim, alg.field
+    neg, is_zero = field.neg, field.is_zero
     SkewForm(alg.omega.matrix)  # re-verify rather than trust construction
     for i in range(n):
-        if any(not v.is_zero() for v in alg.sc.bracket(i, i)):
+        if any(not is_zero(v.value) for v in alg.sc.bracket(i, i)):
             report.ok = False
             report.messages.append(f"[e_{i}, e_{i}] is nonzero")
         for j in range(i + 1, n):
             fwd, bwd = alg.sc.bracket(i, j), alg.sc.bracket(j, i)
-            if tuple(-v for v in fwd) != bwd:
+            if any(not is_zero(v.value) for v in fwd):
+                opposite = [neg(v.value) for v in fwd] == [v.value for v in bwd]
+            else:
+                opposite = all(is_zero(v.value) for v in bwd)
+            if not opposite:
                 report.ok = False
                 report.messages.append(f"brackets ({i},{j}) and ({j},{i}) not opposite")
-    zero = alg.field.zero
-    full = full_bracket_table(alg.sc.entries(), zero, n)
-    for triple, res in jacobi_defects(full, alg.omega, zero):
-        if any(not x.is_zero() for x in res):
-            report.ok = False
-            report.failures.append((triple, res))
-    if report.failures:
+    defects = _defects(alg)
+    if defects:
+        zero = field.zero.value
+        report.ok = False
+        report.failures = [(triple, tuple(FieldElement(field, d.get(t, zero)) for t in range(n)))
+                           for triple, d in ordered_defects(defects, neg)]
         report.messages.append(
             f"{len(report.failures)} basis triples violate the bracket identity")
     return report
@@ -254,20 +300,25 @@ def recover_omega(sc: StructureConstants) -> SkewForm:
     if n < 3:
         raise DimensionTooSmall("no meaningful form below dimension 3")
     field = sc.field
-    zero = field.zero
-    full = full_bracket_table(sc.entries(), zero, n)
-    rows = [[zero if a == b else None for b in range(n)] for a in range(n)]
-    for i, j, k in combinations(range(n), 3):
-        jac = cyclic_bracket_sum(full, zero, i, j, k)
+    sums = sc._payload_sums()
+    # rows[a][b] is unread until a triple holds the pair; None stands for zero,
+    # since the sums hold only nonzero coefficients
+    unread = object()
+    rows = [[unread] * n for _ in range(n)]
+    for triple in combinations(range(n), 3):
+        i, j, k = triple
+        jac = sums.get(triple, {})
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            if rows[a][b] is None:
-                rows[a][b], rows[b][a] = jac[c], -jac[c]
-            elif rows[a][b] != jac[c]:
+            v = jac.get(c)
+            if rows[a][b] is unread:
+                rows[a][b], rows[b][a] = v, None if v is None else field.neg(v)
+            elif rows[a][b] != v:
                 raise NoSolution("no compatible bilinear form exists")
-            jac[c] = zero
-        if any(not x.is_zero() for x in jac):
+        if any(t not in triple for t in jac):
             raise NoSolution("no compatible bilinear form exists")
-    return SkewForm(Matrix.from_rows(field, rows))
+    zero = field.zero.value
+    return SkewForm(_from_payloads(field, n, n, [zero if x is None or x is unread else x
+                                                 for row in rows for x in row]))
 
 
 def transform(g: GroupElement, alg: OmegaAlgebra,
@@ -292,11 +343,8 @@ def transform(g: GroupElement, alg: OmegaAlgebra,
     sc = StructureConstants(alg.field, n,
                             {pair: moved.col(t) for t, pair in enumerate(pairs)})
     out = OmegaAlgebra(alg.field, sc, alg.omega)
-    if check and in_stabilizer(g, alg.omega):
-        zero = alg.field.zero
-        defects = jacobi_defects(full_bracket_table(sc.entries(), zero, n), alg.omega, zero)
-        if any(not x.is_zero() for _, res in defects for x in res):
-            raise AssertionError("stabilizer action broke the bracket identity")
+    if check and in_stabilizer(g, alg.omega) and _defects(out):
+        raise AssertionError("stabilizer action broke the bracket identity")
     return out
 
 

@@ -4,7 +4,9 @@ constants, and the ideal-theoretic verification suites built on it."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import combinations
 
 from .fields import FieldDescriptor, QQ
 from .groebner import (
@@ -24,7 +26,7 @@ from .groebner import (
     s_polynomial,
 )
 from .linalg import SkewForm, standard_j
-from .omega import full_bracket_table, jacobi_defects
+from .omega import cyclic_sums, identity_defects, ordered_defects
 from .report import ReportTable
 
 
@@ -97,13 +99,19 @@ def defining_ideal(omega: SkewForm) -> VarietyIdeal:
 
 def _identity_ideal(ring: PolyRing, upper: dict, omega: SkewForm) -> VarietyIdeal:
     """The components of the bracket-identity defect on every ordered triple
-    of distinct basis indices, for the symbolic bracket {(a, b): coordinates}."""
-    zero = ring.zero()
-    full = full_bracket_table(upper, zero, omega.dim)
+    of distinct basis indices, for the symbolic bracket {(a, b): coordinates}:
+    the omega kernel with polynomial coefficients."""
+    n, zero = omega.dim, ring.zero()
+    form = {(a, b): ring.const(omega(a, b)) for a in range(n) for b in range(n)
+            if a != b and not omega(a, b).is_zero()}
+    sums = cyclic_sums(upper, n, operator.add, operator.mul, operator.neg, Polynomial.is_zero)
+    defects = identity_defects(sums, n, form, operator.add, operator.neg, Polynomial.is_zero)
+    every = {triple: defects.get(triple, {}) for triple in combinations(range(n), 3)}
     raw = []
     provenance = []
-    for triple, res in jacobi_defects(full, lambda a, b: ring.const(omega(a, b)), zero):
-        for comp, p in enumerate(res):
+    for triple, res in ordered_defects(every, operator.neg):
+        for comp in range(n):
+            p = res.get(comp, zero)
             provenance.append((triple, comp, p))
             raw.append(p)
     return VarietyIdeal(ring, _normalize_generators(raw), tuple(provenance))

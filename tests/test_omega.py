@@ -1,10 +1,11 @@
 import random
 import re
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from omegalie.fields import QQ, PrimeField
+from omegalie.fields import QQ, DescriptorMismatch, PrimeField
 from omegalie.linalg import Matrix, SkewForm, standard_j
 from omegalie.omega import (
     DimensionTooSmall,
@@ -155,6 +156,48 @@ def test_non_lie_iff_nonzero_form():
         assert not recover_omega(alg.sc).is_zero()
     assert validate(OmegaAlgebra(QQ, heisenberg().sc, zero_form())).ok
     assert recover_omega(heisenberg().sc).is_zero()
+
+
+def test_structure_constants_refuse_elements_of_another_field():
+    with pytest.raises(DescriptorMismatch, match=r"bracket \(0,1\)"):
+        StructureConstants(QQ, 3, {(0, 1): (F101.zero, F101.zero, F101.one)})
+    with pytest.raises(DescriptorMismatch, match=r"bracket \(1,2\)"):
+        StructureConstants(F101, 3, {(0, 1): (0, 0, 1), (1, 2): (QQ.one, 0, 0)})
+    # ints and Fractions are still coerced into the field
+    sc = StructureConstants(F101, 3, {(0, 1): (0, Fraction(1, 2), 1)})
+    assert sc.bracket(0, 1) == (F101.zero, F101.elem(51), F101.one)
+
+
+class CountingField(PrimeField):
+    """F_101 that counts its is_zero calls."""
+
+    calls = 0
+
+    def is_zero(self, a):
+        self.calls += 1
+        return a == 0
+
+
+def _single_bracket(field, n):
+    """[e_0, e_1] = e_{n-1} and nothing else, with the zero form."""
+    sc = StructureConstants(field, n, {(0, 1): [0] * (n - 1) + [1]})
+    return OmegaAlgebra(field, sc, SkewForm(Matrix.zeros(field, n, n)))
+
+
+def test_identity_work_stays_below_n_per_increasing_triple():
+    # counts rather than times: evaluating all n(n-1)(n-2) ordered triples,
+    # each as a dense n-vector, needs far more than 2 n C(n,3) zero tests
+    n = 24
+    budget = 2 * n * comb(n, 3)
+    field = CountingField(101)
+    alg = _single_bracket(field, n)
+    field.calls = 0
+    assert validate(alg).ok
+    assert field.calls <= budget
+    alg = _single_bracket(field, n)  # a fresh bracket, so nothing is reused
+    field.calls = 0
+    assert recover_omega(alg.sc).is_zero()
+    assert field.calls <= budget
 
 
 def test_transform_identity():

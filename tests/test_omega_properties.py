@@ -1,7 +1,8 @@
 """Property tests for the bracket identity: validate against a brute-force loop
 over every ordered basis triple, recover_omega against validate, on arbitrary
-brackets and skew forms, and recover_omega against a reference that solves
-the linear system the identity imposes on the form."""
+brackets and skew forms, recover_omega against a reference that solves
+the linear system the identity imposes on the form, and validate against the
+dense field-element kernel that evaluates every ordered triple."""
 
 import pytest
 
@@ -10,7 +11,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 from omegalie.classify3 import (
     InvalidAlpha,
@@ -36,8 +37,6 @@ from omegalie.omega import (
     OmegaAlgebra,
     StructureConstants,
     change_basis,
-    cyclic_bracket_sum,
-    full_bracket_table,
     recover_omega,
     validate,
 )
@@ -46,6 +45,59 @@ F101 = PrimeField(101)
 Q_SQRT2 = parse_descriptor("QuadExt:Q:-2,0")
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None, derandomize=True)
+# ---------------------------------------------------------------------------
+# the dense kernel on field elements, kept as an oracle for the payload one
+# ---------------------------------------------------------------------------
+
+def full_bracket_table(upper: dict, zero, n: int) -> list:
+    """The n x n table whose entry [a][b] holds the coordinates of [e_a, e_b],
+    built from its strictly upper half {(a, b): coordinates}: missing pairs
+    are zero and the lower half is derived by sign."""
+    zero_vec = (zero,) * n
+    full = [[zero_vec] * n for _ in range(n)]
+    for (a, b), vec in upper.items():
+        full[a][b] = tuple(vec)
+        full[b][a] = tuple(-v for v in vec)
+    return full
+
+
+def cyclic_bracket_sum(full: list, zero, i: int, j: int, k: int) -> list:
+    """Coordinates of [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j],
+    each double bracket expanded as [[e_a, e_b], e_c] = sum_m c_ab^m [e_m, e_c]."""
+    out = [zero] * len(full)
+    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+        for m, w in enumerate(full[a][b]):
+            if w.is_zero():
+                continue
+            for t, v in enumerate(full[m][c]):
+                if not v.is_zero():
+                    out[t] = out[t] + w * v
+    return out
+
+
+def jacobi_defects(full: list, form, zero):
+    """((i, j, k), defect) for every ordered triple of distinct basis indices,
+    in lexicographic order: the cyclic bracket sum minus
+    form(i, j) e_k + form(j, k) e_i + form(k, i) e_j, each triple evaluated
+    on its own."""
+    for triple in permutations(range(len(full)), 3):
+        i, j, k = triple
+        defect = cyclic_bracket_sum(full, zero, i, j, k)
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            w = form(a, b)
+            if not w.is_zero():
+                defect[c] = defect[c] - w
+        yield triple, tuple(defect)
+
+
+def oracle_failures(alg):
+    """The ordered triples the dense kernel finds violated, with residuals."""
+    zero = alg.field.zero
+    full = full_bracket_table(alg.sc.entries(), zero, alg.dim)
+    return [(triple, res) for triple, res in jacobi_defects(full, alg.omega, zero)
+            if any(not x.is_zero() for x in res)]
+
+
 # mostly zeros, so that some drawn brackets satisfy the identity for some form
 scalars = st.one_of(st.just(0), st.just(0), st.integers(min_value=-3, max_value=3))
 
@@ -251,3 +303,43 @@ def _outcome(fn, sc):
 @given(differential_brackets())
 def test_recover_omega_matches_the_linear_system(sc):
     assert _outcome(recover_omega, sc) == _outcome(reference_recover_omega, sc)
+
+
+@st.composite
+def sparse_algebras(draw):
+    """Sparse brackets of dimension 3 to 6 over Q, F_101 and Q(sqrt -2), with
+    half the time the form recover_omega reads off them (when one exists),
+    else a sparse random skew form."""
+    field = draw(st.sampled_from((QQ, F101, Q_SQRT2)))
+    n = draw(st.integers(min_value=3, max_value=6))
+    table = {}
+    for pair in combinations(range(n), 2):
+        if draw(st.integers(0, 2)) == 0:
+            table[pair] = [draw(field_scalars(field)) if draw(st.integers(0, 3)) == 0
+                           else field.zero for _ in range(n)]
+    sc = StructureConstants(field, n, table)
+    if draw(st.booleans()):
+        try:
+            return OmegaAlgebra(field, sc, recover_omega(sc))
+        except NoSolution:
+            pass
+    m = Matrix.zeros(field, n, n)
+    for i, j in combinations(range(n), 2):
+        if draw(st.integers(0, 3)) == 0:
+            w = draw(field_scalars(field))
+            m = m.with_entry(i, j, w).with_entry(j, i, -w)
+    return OmegaAlgebra(field, sc, SkewForm(m))
+
+
+@DIFFERENTIAL
+@given(sparse_algebras())
+def test_validate_matches_the_dense_kernel(alg):
+    report = validate(alg)
+    want = oracle_failures(alg)
+    assert report.ok == (not want)
+    assert len(report.failures) == len(want)
+    for (triple, residual), (want_triple, want_residual) in zip(report.failures, want):
+        assert triple == want_triple
+        assert all(x.field == alg.field for x in residual)
+        assert [x.encode() for x in residual] == [x.encode() for x in want_residual]
+        assert residual == want_residual
