@@ -13,6 +13,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .fields import (
     ExtensionRequired,
@@ -23,7 +24,9 @@ from .fields import (
 )
 from .linalg import (
     Matrix,
+    SingularMatrix,
     SkewForm,
+    _from_payloads,
     pair_min,
     skew_congruence_reduce,
     sl2_diagonalize,
@@ -92,7 +95,17 @@ def c_pair_representative(alpha: FieldElement) -> FieldElement:
 
 
 def canonical_algebra(label: CanonicalLabel, field: FieldDescriptor) -> OmegaAlgebra:
-    """The reference algebra of a label, with the canonical rank-2 form."""
+    """The reference algebra of a label, with the canonical rank-2 form.
+
+    A, B and D are built once per field and shared, for the last few fields
+    only; C is built on each call, since its parameter is unbounded.
+    """
+    if label.kind == "C":
+        return _build_canonical(label, field)
+    return _parameter_free_canonical(label, field)
+
+
+def _build_canonical(label: CanonicalLabel, field: FieldDescriptor) -> OmegaAlgebra:
     zero, one = field.zero, field.one
     half = one / 2
     if label.kind == "A":
@@ -117,6 +130,9 @@ def canonical_algebra(label: CanonicalLabel, field: FieldDescriptor) -> OmegaAlg
         raise ValueError(f"unknown label kind {label.kind!r}")
     sc = StructureConstants(field, 3, table)
     return OmegaAlgebra(field, sc, SkewForm(standard_j(field, 3, 2)))
+
+
+_parameter_free_canonical = lru_cache(maxsize=12)(_build_canonical)
 
 
 def label_a():
@@ -177,7 +193,10 @@ class _Pipeline:
         self.steps = []
 
     def apply(self, tag: str, g: GroupElement):
-        self.work = change_basis(g, self.work)
+        """Move the bracket by g, which must lie in the stabilizer of the
+        working form, so the form is kept as it is.  _finish re-verifies the
+        composed witness on both the bracket and the form."""
+        self.work = transform(g, self.work, check=False)
         self.steps.append((tag, g))
 
     def extend_to(self, ext):
@@ -197,8 +216,24 @@ class _Pipeline:
 
 
 def _from_inverse(field, rows) -> GroupElement:
-    """The move whose inverse has the given rows; its matrix is solved for."""
-    return GroupElement(Matrix.from_rows(field, rows)).inverse()
+    """The move whose inverse has the given 3x3 rows; its matrix is the
+    adjugate of the rows over their determinant, on payloads."""
+    inverse = Matrix.from_rows(field, rows)
+    p, mul, sub = inverse.payloads, field.mul, field.sub
+
+    def at(i, j):
+        return p[3 * (i % 3) + j % 3]
+
+    # the cofactors of a 3x3 matrix, read cyclically, need no signs
+    cof = [sub(mul(at(i + 1, j + 1), at(i + 2, j + 2)), mul(at(i + 1, j + 2), at(i + 2, j + 1)))
+           for i in range(3) for j in range(3)]
+    det = field.add(field.add(mul(p[0], cof[0]), mul(p[1], cof[1])), mul(p[2], cof[2]))
+    if field.is_zero(det):
+        raise SingularMatrix("matrix is not invertible")
+    s = field.inv(det)
+    return GroupElement._pair(
+        _from_payloads(field, 3, 3, [mul(cof[3 * j + i], s) for i in range(3) for j in range(3)]),
+        inverse)
 
 
 def _match_canonical(alg: OmegaAlgebra):
@@ -246,8 +281,10 @@ def classify(alg: OmegaAlgebra, allow_extension: bool = False,
     field = pipe.field
     j2 = standard_j(field, 3, 2)
     if alg.omega.matrix != j2:
-        cong = skew_congruence_reduce(alg.omega)
-        pipe.apply("form-normalize", GroupElement(cong.q).inverse())
+        # the one move that changes the form, so the one moved in full
+        g = GroupElement(skew_congruence_reduce(alg.omega).q).inverse()
+        pipe.work = change_basis(g, alg)
+        pipe.steps.append(("form-normalize", g))
         assert pipe.work.omega.matrix == j2
     extension = None
 

@@ -33,10 +33,7 @@ class StructureConstants:
     def __init__(self, field: FieldDescriptor, dim: int, table: dict):
         if dim < 1:
             raise ValueError("dimension must be positive")
-        self.field = field
-        self.dim = dim
-        is_zero = field.is_zero
-        clean = {}
+        checked = {}
         for (i, j), vec in table.items():
             if not (0 <= i < j < dim):
                 raise IndexError(f"bracket key ({i},{j}) out of range for i<j<{dim}")
@@ -46,9 +43,25 @@ class StructureConstants:
                 raise DescriptorMismatch(f"bracket ({i},{j}): {exc}") from None
             if len(payloads) != dim:
                 raise ValueError(f"bracket ({i},{j}) must have {dim} coefficients")
-            if not all(map(is_zero, payloads)):
-                clean[(i, j)] = tuple(FieldElement(field, x) for x in payloads)
-        self._table = clean
+            checked[(i, j)] = payloads
+        self._fill(field, dim, checked)
+
+    @classmethod
+    def _from_payloads(cls, field, dim: int, table: dict) -> "StructureConstants":
+        """A bracket from {(i, j): payloads}, i < j, whose payloads are already
+        known to lie in field and to number dim, built unchecked."""
+        sc = object.__new__(cls)
+        sc._fill(field, dim, table)
+        return sc
+
+    def _fill(self, field, dim, table):
+        """Store the checked payload table, wrapped once; all-zero entries are
+        dropped."""
+        self.field = field
+        self.dim = dim
+        is_zero = field.is_zero
+        self._table = {key: tuple([FieldElement(field, x) for x in vec])
+                       for key, vec in table.items() if not all(map(is_zero, vec))}
         self._sums = None
 
     def _payload_sums(self) -> dict:
@@ -127,9 +140,10 @@ class GroupElement:
     @classmethod
     def _pair(cls, matrix: Matrix, inverse_matrix: Matrix) -> "GroupElement":
         """An element from a pair already known to be mutually inverse: the
-        identity, or checked pairs swapped, embedded or composed.  It is not
-        multiplied back; classify and iso_witness re-verify every witness they
-        return through change_basis, which uses both matrices."""
+        identity, a matrix and its adjugate over its determinant, or checked
+        pairs swapped, embedded or composed.  It is not multiplied back;
+        classify and iso_witness re-verify every witness they return through
+        change_basis, which uses both matrices."""
         out = object.__new__(cls)
         out.matrix, out.inverse_matrix = matrix, inverse_matrix
         return out
@@ -267,15 +281,12 @@ def validate(alg: OmegaAlgebra) -> ValidationReport:
         if any(not is_zero(v.value) for v in alg.sc.bracket(i, i)):
             report.ok = False
             report.messages.append(f"[e_{i}, e_{i}] is nonzero")
-        for j in range(i + 1, n):
-            fwd, bwd = alg.sc.bracket(i, j), alg.sc.bracket(j, i)
-            if any(not is_zero(v.value) for v in fwd):
-                opposite = [neg(v.value) for v in fwd] == [v.value for v in bwd]
-            else:
-                opposite = all(is_zero(v.value) for v in bwd)
-            if not opposite:
-                report.ok = False
-                report.messages.append(f"brackets ({i},{j}) and ({j},{i}) not opposite")
+    # a pair missing from the stored table reads as zero both ways
+    for i, j in sorted(alg.sc._table):
+        fwd, bwd = alg.sc.bracket(i, j), alg.sc.bracket(j, i)
+        if [neg(v.value) for v in fwd] != [v.value for v in bwd]:
+            report.ok = False
+            report.messages.append(f"brackets ({i},{j}) and ({j},{i}) not opposite")
     defects = _defects(alg)
     if defects:
         zero = field.zero.value
@@ -335,14 +346,15 @@ def transform(g: GroupElement, alg: OmegaAlgebra,
     """
     if g.matrix.rows != alg.dim:
         raise ValueError("dimension mismatch between element and algebra")
-    n = alg.dim
+    n, field = alg.dim, alg.field
     pairs = list(combinations(range(n), 2))
-    brackets = [alg.sc.bracket(i, j) for i, j in pairs]
-    c = Matrix(alg.field, n, len(pairs), [vec[k] for k in range(n) for vec in brackets])
-    moved = g.matrix * c * g.inverse_matrix.second_compound()
-    sc = StructureConstants(alg.field, n,
-                            {pair: moved.col(t) for t, pair in enumerate(pairs)})
-    out = OmegaAlgebra(alg.field, sc, alg.omega)
+    zeros, table = (field.zero.value,) * n, alg.sc._table
+    brackets = [[x.value for x in table[pair]] if pair in table else zeros for pair in pairs]
+    c = _from_payloads(field, n, len(pairs), [vec[k] for k in range(n) for vec in brackets])
+    moved = (g.matrix * c * g.inverse_matrix.second_compound()).payloads
+    sc = StructureConstants._from_payloads(
+        field, n, {pair: moved[t::len(pairs)] for t, pair in enumerate(pairs)})
+    out = OmegaAlgebra(field, sc, alg.omega)
     if check and in_stabilizer(g, alg.omega) and _defects(out):
         raise AssertionError("stabilizer action broke the bracket identity")
     return out

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from omegalie import classify3, linalg
 from omegalie.fields import QQ, ExtensionRequired, PrimeField, QuadExt
 from omegalie.linalg import Matrix, SingularMatrix, SkewForm, standard_j
 from omegalie.classify3 import (
@@ -394,10 +395,11 @@ def test_classify_golden(field, name, seed):
 
 # Only the public GroupElement(matrix, inverse) multiplies a supplied inverse
 # back.  identity, compose, inverse and embed build their pair unchecked, and
-# every classify move is a solved matrix with its pair swapped.  The tests
-# below check that these pairs are still inverse, that a supplied inverse is
-# still checked, and that a wrong composed inverse cannot leave classify,
-# whose witness is re-verified before it is returned.
+# so does every hand-built classify move, whose matrix is the adjugate of its
+# given inverse over the determinant.  The tests below check that these pairs
+# are still inverse, that a supplied inverse is still checked, and that a
+# wrong composed inverse cannot leave classify, whose witness is re-verified
+# before it is returned.
 
 
 @pytest.mark.parametrize("field, seed", [(QQ, 41), (F101, 42)], ids=["Q", "Fp101"])
@@ -405,9 +407,15 @@ def test_every_golden_trace_step_holds_its_inverse(field, seed):
     for name, alg in _golden_inputs(field, random.Random(seed)):
         res = classify(alg, allow_extension=True)
         eye = Matrix.identity(res.field, 3)
+        j = SkewForm(standard_j(res.field, 3, 2))
         for tag, g in res.trace + (("witness", res.witness),):
             assert g.matrix * g.inverse_matrix == eye, (name, tag)
             assert g.inverse_matrix * g.matrix == eye, (name, tag)
+        # the pipeline moves only the bracket after form-normalize, which is
+        # sound because every such move fixes the form
+        for tag, g in res.trace:
+            if tag != "form-normalize":
+                assert in_stabilizer(g, j), (name, tag)
 
 
 F101_EXT = QuadExt(F101, 25, 1)
@@ -476,3 +484,104 @@ def test_a_wrong_composed_inverse_is_caught_before_classify_returns(monkeypatch)
     for alg in algebras:
         with pytest.raises(AssertionError, match="witness does not reproduce"):
             classify(alg, allow_extension=True)
+
+
+def test_a_move_off_the_stabilizer_is_caught_before_classify_returns(monkeypatch):
+    # doubling a move keeps its action on the bracket up to a scalar but takes
+    # it out of the stabilizer of J; the pipeline keeps the form, so only the
+    # re-verification can notice
+    rng = random.Random(10)
+    algebras = [transform(random_stabilizer_element(field, rng),
+                          canonical_algebra(label, field))
+                for field in (QQ, F101) for label in (label_a(), label_b(), label_d())]
+    algebras += [change_basis(_random_invertible(QQ, rng), _generic_algebra(QQ, rng))
+                 for _ in range(3)]
+    assert all(classify(alg, allow_extension=True).trace for alg in algebras)
+    apply, kept_form = classify3._Pipeline.apply, []
+
+    def doubled_first(self, tag, g):
+        if all(t == "form-normalize" for t, _ in self.steps):
+            g = GroupElement(Matrix.identity(self.field, 3) * 2).compose(g)
+            kept_form.append(in_stabilizer(g, self.work.omega))
+        apply(self, tag, g)
+
+    monkeypatch.setattr(classify3._Pipeline, "apply", doubled_first)
+    for alg in algebras:
+        with pytest.raises(AssertionError):
+            classify(alg, allow_extension=True)
+    assert kept_form == [False] * len(algebras)
+
+
+def test_classify_moves_the_form_only_to_reverify(monkeypatch):
+    calls = []
+    change_basis_ = classify3.change_basis
+
+    def counted(g, alg):
+        calls.append(g)
+        return change_basis_(g, alg)
+
+    monkeypatch.setattr(classify3, "change_basis", counted)
+    rng = random.Random(11)
+    for field in (QQ, F101):
+        for label in (label_a(), label_b(), label_d(), label_c(field.elem(3))):
+            moved = transform(random_stabilizer_element(field, rng),
+                              canonical_algebra(label, field))
+            calls.clear()
+            res = classify(moved)
+            assert len(res.trace) > 1
+            assert calls == [res.witness]  # the re-verification in _finish
+            # a form other than J is moved once more, by form-normalize
+            other = change_basis(_random_invertible(field, rng), moved)
+            calls.clear()
+            res = classify(other)
+            assert res.trace[0][0] == "form-normalize"
+            assert calls == [res.trace[0][1], res.witness]
+
+
+def test_hand_built_moves_call_no_solve(monkeypatch):
+    solves, inside = [], []
+    solve, from_inverse = linalg.solve, classify3._from_inverse
+
+    def counted_solve(a, b):
+        solves.append(a)
+        return solve(a, b)
+
+    def counted_from_inverse(field, rows):
+        before = len(solves)
+        out = from_inverse(field, rows)
+        inside.append(len(solves) - before)
+        return out
+
+    monkeypatch.setattr(linalg, "solve", counted_solve)
+    monkeypatch.setattr(classify3, "_from_inverse", counted_from_inverse)
+    for field, seed in ((QQ, 41), (F101, 42)):
+        for _, alg in _golden_inputs(field, random.Random(seed)):
+            classify(alg, allow_extension=True)
+    assert len(inside) > 100
+    assert inside == [0] * len(inside)
+    assert solves  # form-normalize and center-translate still solve
+
+
+@pytest.mark.parametrize("field", [QQ, F101, F101_EXT], ids=["Q", "F101", "F101(t)"])
+def test_from_inverse_is_the_inverse_of_its_rows(field):
+    rng = random.Random(12)
+
+    def rand():
+        if field.depth:
+            return field.elem((rng.randrange(-2, 3), rng.randrange(-1, 2)))
+        return field.elem(Fraction(rng.randint(-2, 2), rng.randint(1, 2)))
+
+    for _ in range(60):
+        rows = [[rand() for _ in range(3)] for _ in range(3)]
+        m = Matrix.from_rows(field, rows)
+        if m.det().is_zero():
+            with pytest.raises(SingularMatrix):
+                classify3._from_inverse(field, rows)
+            continue
+        g = classify3._from_inverse(field, rows)
+        assert g.inverse_matrix == m
+        assert g.matrix == m.inverse()
+    for rows in ([[1, 2, 3], [2, 4, 6], [0, 0, 1]], [[0] * 3] * 3,
+                 [[1, 0, 0], [0, 1, 0], [1, 1, 0]]):
+        with pytest.raises(SingularMatrix, match="not invertible"):
+            classify3._from_inverse(field, rows)

@@ -200,6 +200,18 @@ def test_identity_work_stays_below_n_per_increasing_triple():
     assert field.calls <= budget
 
 
+def test_validate_reads_only_the_stored_pairs():
+    # counts rather than times: an antisymmetry check over every pair reads
+    # both n-vectors of each, about n^3 zero tests; over the stored pairs
+    # validate stays within a few n^2
+    n = 160
+    field = CountingField(101)
+    alg = _single_bracket(field, n)
+    field.calls = 0
+    assert validate(alg).ok
+    assert field.calls <= 3 * n * n
+
+
 def test_transform_identity():
     alg = algebra_d()
     assert transform(GroupElement.identity(QQ, 3), alg) == alg
