@@ -106,14 +106,27 @@ def cmd_check(args) -> int:
     return EXIT_OK if report.ok and recover_ok else EXIT_INPUT
 
 
-def _minpoly_text(exc: ExtensionRequired) -> str:
-    c0, c1 = exc.minpoly
+def _minpoly_text(minpoly) -> str:
+    c0, c1 = minpoly
     return f"t^2 + ({c1.encode()})*t + ({c0.encode()})"
 
 
-def _tower_capped(exc: ExtensionDepthExceeded) -> int:
-    print(f"not classifiable: needs a second quadratic extension by {_minpoly_text(exc)};"
-          " extension towers are capped at one step", file=sys.stderr)
+def _refused(exc: Exception, fmt: str) -> int:
+    """Report why classify or iso refused its input; returns the exit code."""
+    if isinstance(exc, ExtensionDepthExceeded):
+        print(f"not classifiable: needs a second quadratic extension by"
+              f" {_minpoly_text(exc.minpoly)}; extension towers are capped at one step",
+              file=sys.stderr)
+        return EXIT_INPUT
+    if isinstance(exc, ExtensionRequired):
+        if fmt == "machine":
+            print(json.dumps({"error": "extension_required",
+                              "minpoly": [c.encode() for c in exc.minpoly]}))
+        else:
+            print(f"needs a quadratic extension by {_minpoly_text(exc.minpoly)};"
+                  " rerun with --allow-extension")
+        return EXIT_EXTENSION
+    print(f"not classifiable: {exc}", file=sys.stderr)
     return EXIT_INPUT
 
 
@@ -122,28 +135,15 @@ def cmd_classify(args) -> int:
     try:
         res = classify(alg, allow_extension=args.allow_extension,
                        strict_c_labels=args.strict_c_labels)
-    except ExtensionDepthExceeded as exc:
-        return _tower_capped(exc)
-    except ExtensionRequired as exc:
-        if args.format == "machine":
-            c0, c1 = exc.minpoly
-            print(json.dumps({"error": "extension_required",
-                              "minpoly": [c0.encode(), c1.encode()]}))
-        else:
-            print(f"needs a quadratic extension by {_minpoly_text(exc)};"
-                  " rerun with --allow-extension")
-        return EXIT_EXTENSION
-    except (NotOmegaLie, IsLie) as exc:
-        print(f"not classifiable: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except (ExtensionRequired, NotOmegaLie, IsLie) as exc:
+        return _refused(exc, args.format)
     if args.format == "machine":
         print(res.to_json())
     else:
         print(f"label: {res.label}")
         print(f"field: {res.field.encode()}")
         if res.extension is not None:
-            c0, c1 = res.extension
-            print(f"extension minpoly: t^2 + ({c1.encode()})*t + ({c0.encode()})")
+            print(f"extension minpoly: {_minpoly_text(res.extension)}")
         print("witness (acts on the input to give the canonical algebra):")
         _print_matrix(res.witness.matrix)
         print("case trace:")
@@ -160,15 +160,8 @@ def cmd_iso(args) -> int:
     a2 = _load_algebra(args.algebra2)
     try:
         out = iso_witness(a1, a2, allow_extension=args.allow_extension)
-    except ExtensionDepthExceeded as exc:
-        return _tower_capped(exc)
-    except ExtensionRequired as exc:
-        print(f"needs a quadratic extension by {_minpoly_text(exc)};"
-              " rerun with --allow-extension")
-        return EXIT_EXTENSION
-    except (NotOmegaLie, IsLie) as exc:
-        print(f"not classifiable: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except (ExtensionRequired, NotOmegaLie, IsLie) as exc:
+        return _refused(exc, args.format)
     if isinstance(out, NonIsomorphic):
         if args.format == "machine":
             print(json.dumps({"isomorphic": False, "reason": out.reason,

@@ -7,6 +7,7 @@ are safe to share between threads.  No floating point is used anywhere.
 from __future__ import annotations
 
 import operator
+import re
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -41,6 +42,10 @@ class ExtensionRequired(FieldError):
 class ExtensionDepthExceeded(ExtensionRequired):
     """A second quadratic extension would be needed; the tower is capped at one."""
 
+
+# a decimal with an exponent part: Fraction builds 10**exponent, so the
+# literal's cost would grow exponentially with its length
+_EXPONENT_LITERAL = re.compile(r"\s*[-+]?(?=\.?\d)[\d_]*(?:\.[\d_]*)?[eE][-+]?\d[\d_]*\s*")
 
 # Miller-Rabin with the first 13 primes as bases has no strong pseudoprime
 # below this bound (Sorenson and Webster, Math. Comp. 2017).
@@ -211,6 +216,8 @@ class Rationals(FieldDescriptor):
         return str(a)
 
     def payload_from_str(self, text):
+        if _EXPONENT_LITERAL.fullmatch(text):
+            raise ValueError(f"exponent notation is not accepted: {text!r}")
         return Fraction(text.strip())
 
     def encode(self):

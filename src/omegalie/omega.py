@@ -302,34 +302,28 @@ def recover_omega(sc: StructureConstants) -> SkewForm:
     """The unique skew form making the bracket an omega-Lie algebra.
 
     On a strictly increasing triple i < j < k the identity says the cyclic
-    bracket sum is form(i, j) e_k + form(j, k) e_i + form(k, i) e_j, so every
-    form value is read off the first triple that holds its pair, and every
-    triple's sum is checked against the values read.  Raises NoSolution when
-    they disagree and DimensionTooSmall below dimension 3.
+    bracket sum is form(i, j) e_k + form(j, k) e_i + form(k, i) e_j, so each
+    form value is read off the first triple that holds its pair, and
+    identity_defects checks the candidate: the form is unique from dimension 3
+    on, so it passes exactly when a compatible form exists.  Raises NoSolution
+    when none does and DimensionTooSmall below dimension 3.
     """
     n = sc.dim
     if n < 3:
         raise DimensionTooSmall("no meaningful form below dimension 3")
     field = sc.field
     sums = sc._payload_sums()
-    # rows[a][b] is unread until a triple holds the pair; None stands for zero,
-    # since the sums hold only nonzero coefficients
-    unread = object()
-    rows = [[unread] * n for _ in range(n)]
-    for triple in combinations(range(n), 3):
-        i, j, k = triple
-        jac = sums.get(triple, {})
+    form = {}
+    for (i, j, k), jac in sums.items():
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            v = jac.get(c)
-            if rows[a][b] is unread:
-                rows[a][b], rows[b][a] = v, None if v is None else field.neg(v)
-            elif rows[a][b] != v:
-                raise NoSolution("no compatible bilinear form exists")
-        if any(t not in triple for t in jac):
-            raise NoSolution("no compatible bilinear form exists")
-    zero = field.zero.value
-    return SkewForm(_from_payloads(field, n, n, [zero if x is None or x is unread else x
-                                                 for row in rows for x in row]))
+            if c in jac and (a, b) not in form:
+                form[a, b], form[b, a] = jac[c], field.neg(jac[c])
+    if identity_defects(sums, n, form, field.add, field.neg, field.is_zero):
+        raise NoSolution("no compatible bilinear form exists")
+    payloads = [field.zero.value] * (n * n)
+    for (a, b), v in form.items():
+        payloads[a * n + b] = v
+    return SkewForm(_from_payloads(field, n, n, payloads))
 
 
 def transform(g: GroupElement, alg: OmegaAlgebra,

@@ -73,21 +73,33 @@ def test_classify_machine_roundtrip(capsys, tmp_path):
     assert [s["tag"] for s in payload["trace"]] == ["c-pair-swap"]
 
 
+EXTENSION_EXAMPLE = {
+    "field": "Q",
+    "dim": 3,
+    "omega": [["0", "1", "0"], ["-1", "0", "0"], ["0", "0", "0"]],
+    "brackets": {"0,1": ["0", "0", "1"], "0,2": ["0", "1", "0"],
+                 "1,2": ["-1", "-1", "0"]},
+}
+
+
 def test_classify_extension_exit_code(capsys, tmp_path):
-    alg = {
-        "field": "Q",
-        "dim": 3,
-        "omega": [["0", "1", "0"], ["-1", "0", "0"], ["0", "0", "0"]],
-        "brackets": {"0,1": ["0", "0", "1"], "0,2": ["0", "1", "0"],
-                     "1,2": ["-1", "-1", "0"]},
-    }
     path = tmp_path / "ext.alg"
-    path.write_text(json.dumps(alg))
+    path.write_text(json.dumps(EXTENSION_EXAMPLE))
     code, out, _ = run(capsys, ["classify", str(path)])
     assert code == 3
     code, out, _ = run(capsys, ["classify", str(path), "--allow-extension"])
     assert code == 0
     assert "QuadExt" in out or "extension minpoly" in out
+
+
+def test_iso_machine_reports_a_needed_extension_as_json(capsys, tmp_path):
+    path = tmp_path / "ext.alg"
+    path.write_text(json.dumps(EXTENSION_EXAMPLE))
+    machine = json.dumps({"error": "extension_required", "minpoly": ["1", "1"]}) + "\n"
+    for argv in (["classify", str(path)], ["iso", str(path), str(path)]):
+        code, out, err = run(capsys, argv + ["--format", "machine"])
+        assert (code, out, err) == (3, machine, "")
+        assert json.loads(out)["error"] == "extension_required"
 
 
 def _second_extension_file(tmp_path):
@@ -297,6 +309,18 @@ def test_check_rejects_zero_denominator(capsys, monkeypatch):
     code, out, err = _check_stdin(capsys, monkeypatch, payload)
     assert (code, out) == (1, "")
     assert "bad field element in bracket '0,1': '1/7' divides by zero" in err
+
+
+def test_check_refuses_an_exponent_literal(capsys, tmp_path):
+    # Fraction would build 10**999999999 before the check could start
+    payload = _d_payload()
+    payload["brackets"]["0,1"] = ["1e999999999", "0", "0"]
+    path = tmp_path / "exponent.alg"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, ["check", str(path)])
+    assert (code, out) == (1, "")
+    assert err == ("bad input: bad field element in bracket '0,1':"
+                   " exponent notation is not accepted: '1e999999999'\n")
 
 
 def test_check_rejects_dimension_two(capsys, monkeypatch):

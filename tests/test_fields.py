@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -54,6 +55,20 @@ def test_quadext_inverse():
 def test_descriptor_mismatch_rejected():
     with pytest.raises(DescriptorMismatch):
         F7.elem(1) + F101.elem(1)
+
+
+@pytest.mark.parametrize("text", ["1e5000", "2E-5", " -.5e3 ", "1_0e1_0"])
+def test_rationals_refuse_exponent_notation(text):
+    # Fraction would build 10**exponent, whose cost grows exponentially with
+    # the literal's length
+    with pytest.raises(ValueError, match=re.escape(f"exponent notation is not accepted: {text!r}")):
+        QQ.parse(text)
+
+
+@pytest.mark.parametrize("text", ["1e", ".e5", "1/2e3"])
+def test_rationals_keep_the_fraction_message_on_other_malformed_texts(text):
+    with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+        QQ.parse(text)
 
 
 def test_char_two_rejected():

@@ -1,6 +1,7 @@
 import random
 import re
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -210,6 +211,25 @@ def test_validate_reads_only_the_stored_pairs():
     field.calls = 0
     assert validate(alg).ok
     assert field.calls <= 3 * n * n
+
+
+def test_recover_omega_enumerates_no_triples(monkeypatch):
+    # the form is read off the stored sums and checked by identity_defects;
+    # a walk over every triple would enumerate C(160, 3) = 669,920 of them
+    n = 160
+    alg = _single_bracket(F101, n)
+    alg.sc._payload_sums()
+    enumerated = 0
+
+    def counting_combinations(items, r):
+        nonlocal enumerated
+        for combo in combinations(items, r):
+            enumerated += 1
+            yield combo
+
+    monkeypatch.setattr("omegalie.omega.combinations", counting_combinations)
+    assert recover_omega(alg.sc).is_zero()
+    assert enumerated <= n * n
 
 
 def test_transform_identity():
