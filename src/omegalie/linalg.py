@@ -292,8 +292,8 @@ def skew_congruence_reduce(form: SkewForm) -> CongruenceResult:
     columns, at O(n^2) cost.
     """
     field = form.field
-    add, mul, neg, is_zero = field.add, field.mul, field.neg, field.is_zero
-    zero = field.zero.value
+    dot, mul, neg, is_zero = field.dot, field.mul, field.neg, field.is_zero
+    zero, one = field.zero.value, field.one.value
     n = form.dim
     m = _payload_rows(form.matrix, field)
     q = _payload_rows(Matrix.identity(field, n), field)
@@ -310,21 +310,25 @@ def skew_congruence_reduce(form: SkewForm) -> CongruenceResult:
                 for row in m + q:
                     row[src], row[dst] = row[dst], row[src]
         a = m[offset][offset + 1]
-        if a != field.one.value:
+        if a != one:
             s = field.inv(a)
             m[offset + 1] = [mul(x, s) for x in m[offset + 1]]
             for row in m + q:
                 row[offset + 1] = mul(row[offset + 1], s)
         # clear the off-block B by C = [[I, J*B], [0, I]], u0 and u1 the rows of
         # J*B: the column step zeroes B, so by skew symmetry the row step only
-        # zeroes its mirror image below the J block
+        # zeroes its mirror image below the J block.  A row whose pivot pair
+        # r0, r1 is zero is left as it is; each other entry is one dot
         rest = range(offset + 2, n)
-        u0 = {c: m[offset + 1][c] for c in rest}
-        u1 = {c: neg(m[offset][c]) for c in rest}
+        u0 = list(m[offset + 1])
+        u1 = [neg(x) for x in m[offset]]
         for row in m + q:
             r0, r1 = row[offset], row[offset + 1]
+            if is_zero(r0) and is_zero(r1):
+                continue
+            coeffs = (one, r0, r1)
             for c in rest:
-                row[c] = add(row[c], add(mul(u0[c], r0), mul(u1[c], r1)))
+                row[c] = dot((row[c], u0[c], u1[c]), coeffs)
         for c in rest:
             m[c][offset] = m[c][offset + 1] = zero
         offset += 2

@@ -70,7 +70,7 @@ class StructureConstants:
         if self._sums is None:
             f = self.field
             upper = {key: [x.value for x in vec] for key, vec in self._table.items()}
-            self._sums = cyclic_sums(upper, self.dim, f.add, f.mul, f.neg, f.is_zero)
+            self._sums = cyclic_sums(upper, self.dim, f.dot, f.neg, f.is_zero)
         return self._sums
 
     def bracket(self, i: int, j: int) -> tuple:
@@ -174,17 +174,26 @@ class GroupElement:
         return f"GroupElement({self.matrix!r})"
 
 
-def cyclic_sums(upper: dict, n: int, add, mul, neg, is_zero) -> dict:
+def _triples_through(pairs, n: int) -> set:
+    """The strictly increasing triples that hold one of the pairs (a, b),
+    a < b: at most len(pairs) * n of them."""
+    return {(c, a, b) if c < a else (a, c, b) if c < b else (a, b, c)
+            for a, b in pairs for c in range(n) if c != a and c != b}
+
+
+def cyclic_sums(upper: dict, n: int, dot, neg, is_zero) -> dict:
     """The cyclic bracket sum [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j]
     of every strictly increasing triple i < j < k, as {(i, j, k): {t: coefficient}}
     with only its nonzero coefficients; triples whose sum vanishes are left out.
 
     upper is the strictly upper half {(a, b): coordinates} of the bracket table,
-    missing pairs being zero, over any coefficient ring given by its add, mul,
-    neg and is_zero: field payloads, or polynomials.  Each entry is kept as its
-    nonzero (index, coefficient) pairs and the lower half is derived with neg.
-    Each double bracket is expanded as [[e_a, e_b], e_c] = sum_m c_ab^m [e_m, e_c],
-    so no vector is built.
+    missing pairs being zero, over any coefficient ring given by its dot (the
+    sum of the products of two equally long sequences), neg and is_zero: field
+    payloads, or polynomials.  Each entry is kept as its nonzero (index,
+    coefficient) pairs and the lower half is derived with neg.  Each double
+    bracket is expanded as [[e_a, e_b], e_c] = sum_m c_ab^m [e_m, e_c], so no
+    vector is built, and each coordinate is one dot over its products.  Only
+    the triples through a stored pair are visited: the sum vanishes on the rest.
     """
     full = [[()] * n for _ in range(n)]
     for (a, b), vec in upper.items():
@@ -192,17 +201,23 @@ def cyclic_sums(upper: dict, n: int, add, mul, neg, is_zero) -> dict:
         full[a][b] = pairs
         full[b][a] = tuple((m, neg(w)) for m, w in pairs)
     sums = {}
-    for triple in combinations(range(n), 3):
+    for triple in sorted(_triples_through(upper, n)):
         i, j, k = triple
-        if not (full[i][j] or full[j][k] or full[k][i]):
-            continue
-        out = {}
+        terms = {}
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
             for m, w in full[a][b]:
                 for t, v in full[m][c]:
-                    x = mul(w, v)
-                    out[t] = add(out[t], x) if t in out else x
-        out = {t: x for t, x in out.items() if not is_zero(x)}
+                    if t in terms:
+                        ws, vs = terms[t]
+                        ws.append(w)
+                        vs.append(v)
+                    else:
+                        terms[t] = [w], [v]
+        out = {}
+        for t, (ws, vs) in terms.items():
+            x = dot(ws, vs)
+            if not is_zero(x):
+                out[t] = x
         if out:
             sums[triple] = out
     return sums
@@ -212,11 +227,13 @@ def identity_defects(sums: dict, n: int, form: dict, add, neg, is_zero) -> dict:
     """The nonzero defects of the bracket identity on strictly increasing
     triples, in the shape of cyclic_sums: each cyclic sum minus
     form(i, j) e_k + form(j, k) e_i + form(k, i) e_j.  form maps ordered pairs
-    (a, b), a != b, to the nonzero form values; a missing pair is zero."""
+    (a, b), a != b, to the nonzero form values; a missing pair is zero.  Only
+    the triples of sums and those through a form pair are visited."""
     if not form:
         return sums
+    through = _triples_through([(a, b) for a, b in form if a < b], n)
     defects = {}
-    for triple in combinations(range(n), 3):
+    for triple in sorted(through.union(sums)):
         i, j, k = triple
         out = dict(sums.get(triple, ()))
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
@@ -434,6 +451,8 @@ def algebra_from_json(text: str) -> OmegaAlgebra:
             raise ValueError(f"bracket key {key!r} is not of the form 'i,j'") from None
         if not (0 <= i < j < n):
             raise ValueError(f"bracket key {key!r} must satisfy 0 <= i < j < {n}")
+        if (i, j) in table:
+            raise ValueError(f"bracket key {key!r} repeats the pair ({i},{j})")
         if not isinstance(coeffs, list) or len(coeffs) != n:
             raise ValueError(f"bracket {key!r} needs {n} coefficients")
         table[(i, j)] = tuple(_parse_scalar(field, x, f"bracket {key!r}") for x in coeffs)

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 
 from .fields import FieldDescriptor, QQ
@@ -97,6 +98,12 @@ def defining_ideal(omega: SkewForm) -> VarietyIdeal:
     return _identity_ideal(ring, {(0, 1): x, (0, 2): y, (1, 2): z}, omega)
 
 
+def _poly_dot(ps, qs):
+    """The sum of the products of two equally long, nonempty polynomial
+    sequences, added left to right."""
+    return reduce(operator.add, map(operator.mul, ps, qs))
+
+
 def _identity_ideal(ring: PolyRing, upper: dict, omega: SkewForm) -> VarietyIdeal:
     """The components of the bracket-identity defect on every ordered triple
     of distinct basis indices, for the symbolic bracket {(a, b): coordinates}:
@@ -104,7 +111,7 @@ def _identity_ideal(ring: PolyRing, upper: dict, omega: SkewForm) -> VarietyIdea
     n, zero = omega.dim, ring.zero()
     form = {(a, b): ring.const(omega(a, b)) for a in range(n) for b in range(n)
             if a != b and not omega(a, b).is_zero()}
-    sums = cyclic_sums(upper, n, operator.add, operator.mul, operator.neg, Polynomial.is_zero)
+    sums = cyclic_sums(upper, n, _poly_dot, operator.neg, Polynomial.is_zero)
     defects = identity_defects(sums, n, form, operator.add, operator.neg, Polynomial.is_zero)
     every = {triple: defects.get(triple, {}) for triple in combinations(range(n), 3)}
     raw = []

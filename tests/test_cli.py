@@ -323,6 +323,17 @@ def test_check_refuses_an_exponent_literal(capsys, tmp_path):
                    " exponent notation is not accepted: '1e999999999'\n")
 
 
+def test_check_refuses_a_repeated_bracket_pair(capsys, monkeypatch):
+    # "0,1" and "0, 1" both name [e_0, e_1]; either bracket alone is a valid
+    # Heisenberg algebra, so taking the last one would pass the check
+    zero_form = [["0"] * 3 for _ in range(3)]
+    payload = {"field": "Q", "dim": 3, "omega": zero_form,
+               "brackets": {"0,1": ["0", "0", "1"], "0, 1": ["0", "0", "2"]}}
+    code, out, err = _check_stdin(capsys, monkeypatch, payload)
+    assert (code, out) == (1, "")
+    assert err == "bad input: bracket key '0, 1' repeats the pair (0,1)\n"
+
+
 def test_check_rejects_dimension_two(capsys, monkeypatch):
     payload = {"field": "Q", "dim": 2, "omega": [["0", "1"], ["-1", "0"]],
                "brackets": {"0,1": ["0", "0"]}}

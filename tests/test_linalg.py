@@ -9,6 +9,7 @@ from omegalie.fields import (
     DescriptorMismatch,
     ExtensionRequired,
     PrimeField,
+    QuadExt,
     quadratic_roots,
 )
 from omegalie.linalg import (
@@ -17,6 +18,8 @@ from omegalie.linalg import (
     NotSkew,
     SingularMatrix,
     SkewForm,
+    _from_payloads,
+    _payload_rows,
     skew_congruence_reduce,
     sl2_diagonalize,
     sl2_jordan,
@@ -176,6 +179,88 @@ def test_congruence_planted_rank():
             assert res.rank == rank == form.matrix.rank()
             assert res.q.transpose() * form.matrix * res.q == standard_j(field, n, rank)
             assert not res.q.det().is_zero()
+
+
+def _reference_congruence_reduce(form):
+    """The congruence reduction with the plain rank-2 update: every row of A
+    and Q updated, each entry through normalising add and mul.  The oracle for
+    skew_congruence_reduce, whose update skips rows with a zero pivot pair and
+    computes each other entry as one dot."""
+    field = form.field
+    add, mul, neg, is_zero = field.add, field.mul, field.neg, field.is_zero
+    zero = field.zero.value
+    n = form.dim
+    m = _payload_rows(form.matrix, field)
+    q = _payload_rows(Matrix.identity(field, n), field)
+    offset = 0
+    while offset < n - 1:
+        piv = next(((i, j) for i in range(offset, n) for j in range(offset, n)
+                    if not is_zero(m[i][j])), None)
+        if piv is None:
+            break
+        i, j = piv
+        for src, dst in ((i, offset), (j, offset + 1)):
+            if src != dst:
+                m[src], m[dst] = m[dst], m[src]
+                for row in m + q:
+                    row[src], row[dst] = row[dst], row[src]
+        a = m[offset][offset + 1]
+        if a != field.one.value:
+            s = field.inv(a)
+            m[offset + 1] = [mul(x, s) for x in m[offset + 1]]
+            for row in m + q:
+                row[offset + 1] = mul(row[offset + 1], s)
+        rest = range(offset + 2, n)
+        u0 = {c: m[offset + 1][c] for c in rest}
+        u1 = {c: neg(m[offset][c]) for c in rest}
+        for row in m + q:
+            r0, r1 = row[offset], row[offset + 1]
+            for c in rest:
+                row[c] = add(row[c], add(mul(u0[c], r0), mul(u1[c], r1)))
+        for c in rest:
+            m[c][offset] = m[c][offset + 1] = zero
+        offset += 2
+    return _from_payloads(field, n, n, [x for row in q for x in row]), offset
+
+
+def _without_rows(form, indices):
+    """form with the rows and columns at indices set to zero: still skew."""
+    m = form.matrix
+    for i in indices:
+        for j in range(form.dim):
+            m = m.with_entry(i, j, 0).with_entry(j, i, 0)
+    return SkewForm(m)
+
+
+Q_SQRT_M2 = QuadExt(QQ, 2, 0)
+
+
+@pytest.mark.parametrize("field", [QQ, F101, Q_SQRT_M2], ids=["Q", "F101", "Q(t)"])
+def test_congruence_update_matches_the_add_mul_loop(field):
+    rng = random.Random(15)
+
+    def entry():
+        if field is Q_SQRT_M2:
+            return field.elem((rng.randint(-4, 4), rng.randint(-4, 4)))
+        return rng.randint(-5, 5)
+
+    def planted(n, rank):
+        while True:
+            p = Matrix.from_rows(field, [[entry() for _ in range(n)] for _ in range(n)])
+            if not p.det().is_zero():
+                return SkewForm(p.transpose() * standard_j(field, n, rank) * p)
+
+    for n in range(2, 11):
+        for rank in range(0, n + 1, 2):
+            form = planted(n, rank)
+            cut = _without_rows(form, rng.sample(range(n), rng.randint(1, n - 1)))
+            for f in (form, cut, SkewForm(standard_j(field, n, rank))):
+                res = skew_congruence_reduce(f)
+                want_q, want_rank = _reference_congruence_reduce(f)
+                assert res.q.payloads == want_q.payloads
+                assert res.rank == want_rank == f.matrix.rank()
+                assert res.q.transpose() * f.matrix * res.q == standard_j(field, n, res.rank)
+                assert not res.q.det().is_zero()
 
 
 def _jordan_block(field):

@@ -213,23 +213,46 @@ def test_validate_reads_only_the_stored_pairs():
     assert field.calls <= 3 * n * n
 
 
+def _count_combinations(monkeypatch) -> list:
+    """Count, in the returned one-item list, the tuples omega's combinations
+    yields from now on."""
+    enumerated = [0]
+
+    def counting_combinations(items, r):
+        for combo in combinations(items, r):
+            enumerated[0] += 1
+            yield combo
+
+    monkeypatch.setattr("omegalie.omega.combinations", counting_combinations)
+    return enumerated
+
+
 def test_recover_omega_enumerates_no_triples(monkeypatch):
     # the form is read off the stored sums and checked by identity_defects;
     # a walk over every triple would enumerate C(160, 3) = 669,920 of them
     n = 160
     alg = _single_bracket(F101, n)
     alg.sc._payload_sums()
-    enumerated = 0
-
-    def counting_combinations(items, r):
-        nonlocal enumerated
-        for combo in combinations(items, r):
-            enumerated += 1
-            yield combo
-
-    monkeypatch.setattr("omegalie.omega.combinations", counting_combinations)
+    enumerated = _count_combinations(monkeypatch)
     assert recover_omega(alg.sc).is_zero()
-    assert enumerated <= n * n
+    assert enumerated[0] <= n * n
+
+
+def test_validate_enumerates_only_the_triples_through_pairs(monkeypatch):
+    # [e_0, e_1] = e_{n-2} has no nonzero cyclic sum, and the one-pair form
+    # w(e_3, e_4) = 1 breaks the identity on the n - 2 triples through (3, 4)
+    # only; walking every triple for the sums and again for the defects
+    # would enumerate 2 C(160, 3) = 1,339,840 of them
+    n = 160
+    sc = StructureConstants(F101, n, {(0, 1): [0] * (n - 2) + [1, 0]})
+    form = SkewForm(Matrix.zeros(F101, n, n).with_entry(3, 4, 1).with_entry(4, 3, -1))
+    enumerated = _count_combinations(monkeypatch)
+    report = validate(OmegaAlgebra(F101, sc, form))
+    assert enumerated[0] <= n * n
+    assert not report.ok
+    assert len(report.failures) == 6 * (n - 2)
+    assert {frozenset(triple) - {3, 4} for triple, _ in report.failures} == \
+        {frozenset([c]) for c in range(n) if c not in (3, 4)}
 
 
 def test_transform_identity():

@@ -1,8 +1,9 @@
 """Property tests for the bracket identity: validate against a brute-force loop
 over every ordered basis triple, recover_omega against validate, on arbitrary
 brackets and skew forms, recover_omega against a reference that solves
-the linear system the identity imposes on the form, and validate against the
-dense field-element kernel that evaluates every ordered triple."""
+the linear system the identity imposes on the form, and validate and the
+cyclic sums, each coordinate one field dot, against the dense field-element
+kernel that evaluates every triple."""
 
 import pytest
 
@@ -343,3 +344,17 @@ def test_validate_matches_the_dense_kernel(alg):
         assert all(x.field == alg.field for x in residual)
         assert [x.encode() for x in residual] == [x.encode() for x in want_residual]
         assert residual == want_residual
+
+
+@DIFFERENTIAL
+@given(st.one_of(differential_brackets(), sparse_algebras().map(lambda alg: alg.sc)))
+def test_cyclic_sums_match_the_dense_kernel(sc):
+    n, zero = sc.dim, sc.field.zero
+    full = full_bracket_table(sc.entries(), zero, n)
+    sums = sc._payload_sums()
+    assert list(sums) == sorted(sums)
+    for triple in combinations(range(n), 3):
+        want = cyclic_bracket_sum(full, zero, *triple)
+        got = sums.get(triple, {})
+        assert not any(map(sc.field.is_zero, got.values()))
+        assert [got.get(t, zero.value) for t in range(n)] == [x.value for x in want]
