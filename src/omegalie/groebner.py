@@ -2,8 +2,8 @@
 
 Covers exactly what the ideal-theoretic checks need: normal forms, reduced
 Groebner bases, intersection via an elimination variable, colon ideals, and
-the combinatorial Krull dimension of a quotient.  Coefficients are field
-elements, so division is always exact.
+the combinatorial Krull dimension of a quotient.  Coefficients lie in a
+field, so division is always exact.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from itertools import combinations
 from operator import add, le, sub
 
 from .fields import FieldDescriptor, FieldElement, Rationals
+from .linalg import _payload
 
 # When enabled (the test suite turns it on), every Buchberger run re-verifies
 # its output by reducing all S-polynomials of the final basis.
@@ -79,13 +80,10 @@ class PolyRing:
         return key
 
     def zero(self):
-        return Polynomial(self, {})
+        return _from_payloads(self, {})
 
     def const(self, value):
-        c = value if isinstance(value, FieldElement) else self.field.elem(value)
-        if c.is_zero():
-            return self.zero()
-        return Polynomial(self, {(0,) * self.nvars: c})
+        return Polynomial(self, {(0,) * self.nvars: value})
 
     def one(self):
         return self.const(1)
@@ -94,7 +92,7 @@ class PolyRing:
         i = self._var_index[name]
         e = [0] * self.nvars
         e[i] = 1
-        return Polynomial(self, {tuple(e): self.field.one})
+        return _from_payloads(self, {tuple(e): self.field.one.value})
 
     def gens(self):
         return [self.var(v) for v in self.variables]
@@ -131,17 +129,21 @@ def _coprime(e1, e2):
 
 
 class Polynomial:
+    """A sparse polynomial whose terms map exponent tuples to nonzero raw
+    payloads, as Matrix.payloads does.  Polynomial(...) checks each coefficient
+    against the field once and drops zeros; kernel results are built from
+    payloads unchecked.  lc() reads a coefficient as a FieldElement."""
+
     __slots__ = ("ring", "terms", "_sorted")
 
-    def __init__(self, ring: PolyRing, terms: dict, _clean=False):
-        if not _clean:
-            terms = {e: c for e, c in terms.items() if not c.is_zero()}
-        self.ring = ring
-        self.terms = terms
-        self._sorted = None
+    def __init__(self, ring: PolyRing, terms: dict):
+        field = ring.field
+        terms = {e: _payload(c, field) for e, c in terms.items()}
+        self.ring, self._sorted = ring, None
+        self.terms = {e: c for e, c in terms.items() if not field.is_zero(c)}
 
     def sorted_terms(self):
-        """Terms as (exponent, coefficient) pairs, descending in the ring order."""
+        """Terms as (exponent, payload) pairs, descending in the ring order."""
         if self._sorted is None:
             key = self.ring.heap_key
             self._sorted = tuple(sorted(self.terms.items(), key=lambda t: key(t[0])))
@@ -156,7 +158,7 @@ class Polynomial:
         return self.sorted_terms()[0][0]
 
     def lc(self):
-        return self.sorted_terms()[0][1]
+        return FieldElement(self.ring.field, self.sorted_terms()[0][1])
 
     def _check_ring(self, other):
         if other.ring != self.ring:
@@ -166,21 +168,17 @@ class Polynomial:
         if isinstance(other, (int, FieldElement)):
             other = self.ring.const(other)
         self._check_ring(other)
+        fadd = self.ring.field.add
         out = dict(self.terms)
         for e, c in other.terms.items():
-            acc = out.get(e)
-            acc = c if acc is None else acc + c
-            if acc.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = acc
-        return Polynomial(self.ring, out, _clean=True)
+            out[e] = fadd(out[e], c) if e in out else c
+        return _from_payloads(self.ring, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.ring, {e: -c for e, c in self.terms.items()},
-                          _clean=True)
+        neg = self.ring.field.neg
+        return _from_payloads(self.ring, {e: neg(c) for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, FieldElement)):
@@ -191,38 +189,26 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other):
+        field = self.ring.field
+        fadd, mul = field.add, field.mul
         if isinstance(other, (int, FieldElement)):
-            c = other if isinstance(other, FieldElement) else self.ring.field.elem(other)
-            if c.is_zero():
-                return self.ring.zero()
-            return Polynomial(self.ring,
-                              {e: k * c for e, k in self.terms.items()}, _clean=True)
+            s = _payload(other, field)
+            return _from_payloads(self.ring, {e: mul(c, s) for e, c in self.terms.items()})
         self._check_ring(other)
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = _exp_mul(e1, e2)
-                acc = out.get(e)
-                prod = c1 * c2
-                acc = prod if acc is None else acc + prod
-                if acc.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = acc
-        return Polynomial(self.ring, out, _clean=True)
+                out[e] = fadd(out[e], mul(c1, c2)) if e in out else mul(c1, c2)
+        return _from_payloads(self.ring, out)
 
     __rmul__ = __mul__
 
     def monic(self):
         if not self.terms:
             return self
-        field = self.ring.field
-        lc = self.lc().value
-        if lc == field.coerce(1):
-            return self
-        inv, mul = field.inv(lc), field.mul
-        return _from_payloads(self.ring, {e: mul(c.value, inv)
-                                          for e, c in self.terms.items()})
+        lc = self.lc()
+        return self if lc == 1 else self * lc.inverse()
 
     def __eq__(self, other):
         return (isinstance(other, Polynomial) and other.ring == self.ring
@@ -235,11 +221,15 @@ class Polynomial:
         return format_polynomial(self)
 
 
-def _from_payloads(ring, terms):
-    """The polynomial of an exponent -> nonzero payload dict."""
-    field = ring.field
-    return Polynomial(ring, {e: FieldElement(field, c) for e, c in terms.items()},
-                      _clean=True)
+def _from_payloads(ring, terms) -> Polynomial:
+    """The Polynomial of an exponent -> payload dict whose payloads are
+    already known to lie in ring.field, built unchecked; zero terms are
+    dropped."""
+    is_zero = ring.field.is_zero
+    p = object.__new__(Polynomial)
+    p.ring, p._sorted = ring, None
+    p.terms = {e: c for e, c in terms.items() if not is_zero(c)}
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -256,12 +246,12 @@ def _monomial_str(ring, exps):
     return "*".join(parts)
 
 
-def _coeff_display(field, coeff):
-    """(is_negative, magnitude_string); only rationals carry a display sign."""
+def _coeff_display(field, c):
+    """(is_negative, magnitude_string) of a payload; only rationals carry a
+    display sign."""
     if isinstance(field, Rationals):
-        v = coeff.value
-        return (v < 0, str(-v) if v < 0 else str(v))
-    return (False, coeff.encode())
+        return (c < 0, str(-c) if c < 0 else str(c))
+    return (False, field.payload_to_str(c))
 
 
 def format_polynomial(p: Polynomial) -> str:
@@ -334,7 +324,11 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
                 name = name.strip()
                 if name not in ring._var_index:
                     raise ValueError(f"unknown variable {name!r}")
-                exps[ring._var_index[name]] += int(power)
+                try:
+                    exps[ring._var_index[name]] += int(power)
+                except ValueError:
+                    raise ValueError(f"the exponent of {name!r} is missing or is not"
+                                     f" a nonnegative integer") from None
             elif factor in ring._var_index:
                 exps[ring._var_index[factor]] += 1
             else:
@@ -354,24 +348,15 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
         raise ValueError("S-polynomial of the zero polynomial")
     f._check_ring(g)
     field = f.ring.field
-    fadd, mul, is_zero = field.add, field.mul, field.is_zero
-    flm, glm = f.lm(), g.lm()
+    fadd, mul = field.add, field.mul
+    (flm, flc), (glm, glc) = f.sorted_terms()[0], g.sorted_terms()[0]
     t = _exp_lcm(flm, glm)
     uf, ug = _exp_div(t, flm), _exp_div(t, glm)
-    glc, nflc = g.lc().value, field.neg(f.lc().value)
-    out = {_exp_mul(e, uf): mul(c.value, glc) for e, c in f.terms.items()}
+    nflc = field.neg(flc)
+    out = {_exp_mul(e, uf): mul(c, glc) for e, c in f.terms.items()}
     for e, c in g.terms.items():
         me = _exp_mul(e, ug)
-        d = mul(c.value, nflc)
-        acc = out.get(me)
-        if acc is None:
-            out[me] = d
-        else:
-            acc = fadd(acc, d)
-            if is_zero(acc):
-                del out[me]
-            else:
-                out[me] = acc
+        out[me] = fadd(out[me], mul(c, nflc)) if me in out else mul(c, nflc)
     return _from_payloads(f.ring, out)
 
 
@@ -394,9 +379,8 @@ def _divide(f: Polynomial, divisors, quotient=None) -> dict:
     data = []
     for g in divisors:
         (glm, glc), *tail = g.sorted_terms()
-        data.append((glm, heap_key(glm)[-2], field.neg(field.inv(glc.value)),
-                     [(e, c.value) for e, c in tail]))
-    work = {e: c.value for e, c in f.terms.items()}
+        data.append((glm, heap_key(glm)[-2], field.neg(field.inv(glc)), tail))
+    work = dict(f.terms)
     heap = [heap_key(e) for e in work]
     heapify(heap)
     out = {}
@@ -594,8 +578,7 @@ def intersect(i1: Ideal, i2: Ideal) -> Ideal:
     ext = PolyRing(ring.field, (aux,) + ring.variables, order="elim1")
 
     def lift(p, t_exp):
-        return Polynomial(ext, {(t_exp,) + e: c for e, c in p.terms.items()},
-                          _clean=True)
+        return _from_payloads(ext, {(t_exp,) + e: c for e, c in p.terms.items()})
 
     t_poly = ext.var(aux)
     one = ext.one()
@@ -605,8 +588,7 @@ def intersect(i1: Ideal, i2: Ideal) -> Ideal:
     kept = []
     for g in gb:
         if all(e[0] == 0 for e in g.terms):
-            kept.append(Polynomial(ring, {e[1:]: c for e, c in g.terms.items()},
-                                   _clean=True))
+            kept.append(_from_payloads(ring, {e[1:]: c for e, c in g.terms.items()}))
     return Ideal(ring, kept)
 
 

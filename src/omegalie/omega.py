@@ -23,9 +23,11 @@ class NoSolution(Exception):
 class StructureConstants:
     """Antisymmetric bracket tensor: [e_i, e_j] = sum_k c[i][j][k] e_k.
 
-    Only the i < j half is stored; the other half is derived by sign, which
-    makes antisymmetry structural.  Every coefficient is checked against the
-    field once, here.
+    Only the nonzero brackets with i < j are stored, as raw payload tuples;
+    the other half is derived by sign, which makes antisymmetry structural.
+    StructureConstants(...) checks each coefficient against the field once;
+    kernel results are built from payloads unchecked.  bracket and entries
+    read coefficients as FieldElements.
     """
 
     __slots__ = ("field", "dim", "_table", "_sums")
@@ -33,66 +35,66 @@ class StructureConstants:
     def __init__(self, field: FieldDescriptor, dim: int, table: dict):
         if dim < 1:
             raise ValueError("dimension must be positive")
+        is_zero = field.is_zero
         checked = {}
         for (i, j), vec in table.items():
             if not (0 <= i < j < dim):
                 raise IndexError(f"bracket key ({i},{j}) out of range for i<j<{dim}")
             try:
-                payloads = [_payload(v, field) for v in vec]
+                payloads = tuple([_payload(v, field) for v in vec])
             except DescriptorMismatch as exc:
                 raise DescriptorMismatch(f"bracket ({i},{j}): {exc}") from None
             if len(payloads) != dim:
                 raise ValueError(f"bracket ({i},{j}) must have {dim} coefficients")
-            checked[(i, j)] = payloads
-        self._fill(field, dim, checked)
+            if not all(map(is_zero, payloads)):
+                checked[(i, j)] = payloads
+        self.field, self.dim, self._table, self._sums = field, dim, checked, None
 
     @classmethod
     def _from_payloads(cls, field, dim: int, table: dict) -> "StructureConstants":
-        """A bracket from {(i, j): payloads}, i < j, whose payloads are already
-        known to lie in field and to number dim, built unchecked."""
+        """A bracket from {(i, j): payload tuple}, i < j, whose payloads are
+        already known to lie in field and to number dim, built unchecked;
+        all-zero entries are dropped."""
         sc = object.__new__(cls)
-        sc._fill(field, dim, table)
-        return sc
-
-    def _fill(self, field, dim, table):
-        """Store the checked payload table, wrapped once; all-zero entries are
-        dropped."""
-        self.field = field
-        self.dim = dim
         is_zero = field.is_zero
-        self._table = {key: tuple([FieldElement(field, x) for x in vec])
-                       for key, vec in table.items() if not all(map(is_zero, vec))}
-        self._sums = None
+        sc.field, sc.dim, sc._sums = field, dim, None
+        sc._table = {key: vec for key, vec in table.items() if not all(map(is_zero, vec))}
+        return sc
 
     def _payload_sums(self) -> dict:
         """cyclic_sums of this bracket on payloads, computed once: validate and
         recover_omega on the same bracket, as check runs them, share one pass."""
         if self._sums is None:
             f = self.field
-            upper = {key: [x.value for x in vec] for key, vec in self._table.items()}
-            self._sums = cyclic_sums(upper, self.dim, f.dot, f.neg, f.is_zero)
+            self._sums = cyclic_sums(self._table, self.dim, f.dot, f.neg, f.is_zero)
         return self._sums
 
+    def _payloads(self, i: int, j: int):
+        """[e_i, e_j] as a payload tuple (sign handled for i > j), or None
+        when it is zero."""
+        vec = self._table.get((i, j) if i < j else (j, i))  # (i, i) is never stored
+        return tuple(map(self.field.neg, vec)) if vec is not None and i > j else vec
+
     def bracket(self, i: int, j: int) -> tuple:
-        """[e_i, e_j] as a coefficient tuple (sign handled for i > j)."""
+        """[e_i, e_j] as a tuple of FieldElements."""
         if not (0 <= i < self.dim and 0 <= j < self.dim):
             raise IndexError(f"basis index out of range: ({i},{j})")
-        if i == j:
-            return (self.field.zero,) * self.dim
-        if i < j:
-            return self._table.get((i, j), (self.field.zero,) * self.dim)
-        vec = self._table.get((j, i))
+        field, vec = self.field, self._payloads(i, j)
         if vec is None:
-            return (self.field.zero,) * self.dim
-        return tuple(-v for v in vec)
+            return (field.zero,) * self.dim
+        return tuple([FieldElement(field, x) for x in vec])
 
     def entries(self):
-        return dict(self._table)
+        field = self.field
+        return {key: tuple(FieldElement(field, x) for x in vec)
+                for key, vec in self._table.items()}
 
     def embed(self, ext):
-        return StructureConstants(
-            ext, self.dim,
-            {k: tuple(ext.embed(v) for v in vec) for k, vec in self._table.items()})
+        if self.field != ext.base:
+            raise DescriptorMismatch(f"{self.field!r} is not the base of {ext!r}")
+        zero = ext.base.zero.value
+        return StructureConstants._from_payloads(
+            ext, self.dim, {k: tuple((a, zero) for a in vec) for k, vec in self._table.items()})
 
     def __eq__(self, other):
         return (isinstance(other, StructureConstants) and other.field == self.field
@@ -284,32 +286,30 @@ class ValidationReport:
 
 
 def validate(alg: OmegaAlgebra) -> ValidationReport:
-    """Check the skew-form invariants, bracket antisymmetry through the public
-    accessor, and the omega-Jacobi identity on every ordered basis triple.
+    """Check the skew-form invariants, bracket antisymmetry as the accessor
+    derives it, and the omega-Jacobi identity on every ordered basis triple.
 
     The identity is evaluated on the strictly increasing triples only; the
     failures of every other order, by the sign of its permutation, are built
     only when some defect is nonzero."""
     report = ValidationReport(ok=True)
-    n, field = alg.dim, alg.field
-    neg, is_zero = field.neg, field.is_zero
+    n, field, sc = alg.dim, alg.field, alg.sc
     SkewForm(alg.omega.matrix)  # re-verify rather than trust construction
     for i in range(n):
-        if any(not is_zero(v.value) for v in alg.sc.bracket(i, i)):
+        if sc._payloads(i, i) is not None:
             report.ok = False
             report.messages.append(f"[e_{i}, e_{i}] is nonzero")
     # a pair missing from the stored table reads as zero both ways
-    for i, j in sorted(alg.sc._table):
-        fwd, bwd = alg.sc.bracket(i, j), alg.sc.bracket(j, i)
-        if [neg(v.value) for v in fwd] != [v.value for v in bwd]:
+    for i, j in sorted(sc._table):
+        if tuple(map(field.neg, sc._payloads(i, j))) != sc._payloads(j, i):
             report.ok = False
             report.messages.append(f"brackets ({i},{j}) and ({j},{i}) not opposite")
     defects = _defects(alg)
     if defects:
-        zero = field.zero.value
+        zero = field.coerce(0)
         report.ok = False
         report.failures = [(triple, tuple(FieldElement(field, d.get(t, zero)) for t in range(n)))
-                           for triple, d in ordered_defects(defects, neg)]
+                           for triple, d in ordered_defects(defects, field.neg)]
         report.messages.append(
             f"{len(report.failures)} basis triples violate the bracket identity")
     return report
@@ -359,8 +359,8 @@ def transform(g: GroupElement, alg: OmegaAlgebra,
         raise ValueError("dimension mismatch between element and algebra")
     n, field = alg.dim, alg.field
     pairs = list(combinations(range(n), 2))
-    zeros, table = (field.zero.value,) * n, alg.sc._table
-    brackets = [[x.value for x in table[pair]] if pair in table else zeros for pair in pairs]
+    zeros, table = (field.coerce(0),) * n, alg.sc._table
+    brackets = [table.get(pair, zeros) for pair in pairs]
     c = _from_payloads(field, n, len(pairs), [vec[k] for k in range(n) for vec in brackets])
     moved = (g.matrix * c * g.inverse_matrix.second_compound()).payloads
     sc = StructureConstants._from_payloads(
@@ -390,11 +390,10 @@ def in_stabilizer(g: GroupElement, omega: SkewForm) -> bool:
 
 
 def derived_dimension(sc: StructureConstants) -> int:
-    """Dimension of the span of all basis brackets [e_i, e_j], i < j."""
-    rows = [sc.bracket(i, j) for i in range(sc.dim) for j in range(i + 1, sc.dim)]
-    if not rows:
-        return 0
-    return Matrix.from_rows(sc.field, rows).rank()
+    """Dimension of the span of all basis brackets [e_i, e_j], i < j: the rank
+    of the stored ones, the others being zero."""
+    rows = list(sc._table.values())
+    return _from_payloads(sc.field, len(rows), sc.dim, [x for vec in rows for x in vec]).rank()
 
 
 # ---------------------------------------------------------------------------
@@ -413,11 +412,22 @@ def algebra_to_json(alg: OmegaAlgebra) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
+def _refuse_repeated_keys(pairs) -> dict:
+    """A JSON object's pairs as a dict; a repeated key is refused, where
+    json.loads would keep its last value."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"the key {key!r} is repeated")
+        out[key] = value
+    return out
+
+
 def algebra_from_json(text: str) -> OmegaAlgebra:
-    """Parse the algebra format, rejecting invariant violations and wrong JSON
-    types with ValueErrors naming the offending entry."""
+    """Parse the algebra format, rejecting invariant violations, repeated keys
+    and wrong JSON types with ValueErrors naming the offending entry."""
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, object_pairs_hook=_refuse_repeated_keys)
     except json.JSONDecodeError as exc:
         raise ValueError(f"not valid JSON: {exc}") from None
     if not isinstance(payload, dict):

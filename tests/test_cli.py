@@ -383,6 +383,22 @@ def test_gb_rejects_stray_signs(capsys, monkeypatch, line):
     assert err == f"bad ideal file: line 2: dangling operator in {line!r}\n"
 
 
+def test_gb_names_a_missing_exponent(capsys, monkeypatch):
+    # the minus of x^-1 splits the term, which leaves x^ without an exponent
+    code, out, err = _gb_stdin(capsys, monkeypatch, "ring x y over Q\nx^-1*y - 1\n")
+    assert (code, out) == (1, "")
+    assert err == ("bad ideal file: line 2: the exponent of 'x' is missing"
+                   " or is not a nonnegative integer\n")
+
+
+def test_check_refuses_a_repeated_top_level_key(capsys, monkeypatch):
+    text = json.dumps(_d_payload()).replace('"dim": 3', '"dim": 3, "dim": 3')
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, ["check", "-"])
+    assert (code, out) == (1, "")
+    assert err == "bad input: the key 'dim' is repeated\n"
+
+
 def test_gb_keeps_one_leading_sign(capsys, monkeypatch):
     code, out, _ = _gb_stdin(capsys, monkeypatch, "ring x over Q\n-x + 1\n")
     assert (code, out) == (0, "ring x over Q\nx - 1\n")

@@ -1,10 +1,11 @@
 import random
+from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
 
 import pytest
 
-from omegalie.fields import QQ
+from omegalie.fields import QQ, DescriptorMismatch
 from omegalie.groebner import (
     Ideal,
     InexactDivision,
@@ -442,3 +443,23 @@ def test_elimination_basis_golden(field, name):
     want = (GOLDEN / f"elimination_basis_{name}.txt").read_text().splitlines()
     assert len(want) == 25
     assert got == want
+
+
+@pytest.mark.parametrize("build", [
+    lambda ring: Polynomial(ring, {(1, 0): F101.elem(3)}),
+    lambda ring: ring.const(F101.elem(3)),
+    lambda ring: ring.var("x") * F101.elem(3),
+    lambda ring: F101.elem(3) * ring.var("x"),
+    lambda ring: ring.var("x") + F101.elem(3),
+], ids=["constructor", "const", "scalar-mul", "scalar-rmul", "scalar-add"])
+def test_coefficient_of_another_field_is_refused(build):
+    with pytest.raises(DescriptorMismatch, match="mixed fields: Q and F_101"):
+        build(PolyRing(QQ, "xy"))
+
+
+def test_terms_hold_payloads_and_lc_wraps():
+    ring = PolyRing(QQ, "xy")
+    p = parse_polynomial(ring, "1/2*x^2 - 3*y")
+    assert p.terms == {(2, 0): Fraction(1, 2), (0, 1): Fraction(-3)}
+    assert p.lc() == QQ.elem(Fraction(1, 2)) and p.lc().field == QQ
+    assert Polynomial(ring, {(2, 0): Fraction(1, 2), (0, 1): -3, (1, 1): 0}) == p

@@ -23,9 +23,8 @@ def _to_sympy(polys, symbols):
     out = []
     for p in polys:
         expr = 0
-        for exps, c in p.terms.items():
-            coeff = c.value if p.ring.field is QQ else c.encode()
-            term = sympy.Rational(str(coeff))
+        for exps, c in p.terms.items():  # c is a Fraction or an int payload
+            term = sympy.Rational(str(c))
             for s, e in zip(symbols, exps):
                 term *= s ** e
             expr += term

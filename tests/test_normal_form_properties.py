@@ -12,7 +12,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omegalie.fields import QQ, PrimeField, parse_descriptor
+from omegalie.fields import QQ, FieldElement, PrimeField, parse_descriptor
 from omegalie.groebner import (
     InexactDivision,
     Polynomial,
@@ -35,6 +35,11 @@ VARIABLES = ("x", "y", "z")
 # taking the next term by a max scan over the whole remainder
 # ---------------------------------------------------------------------------
 
+def elements(p):
+    """The terms of p, whose values are raw payloads, as FieldElements."""
+    return {e: FieldElement(p.ring.field, c) for e, c in p.terms.items()}
+
+
 def max_scan_normal_form(f, basis, log=None):
     """log, when given, receives ("computed", m) for every monomial a
     reduction step computes and ("recreated", m) when that monomial had
@@ -44,8 +49,8 @@ def max_scan_normal_form(f, basis, log=None):
         return f
     ring = f.ring
     key = ring.sort_key
-    data = [(g.lm(), g.lc(), g.terms) for g in basis]
-    work = dict(f.terms)
+    data = [(g.lm(), g.lc(), elements(g)) for g in basis]
+    work = elements(f)
     cancelled = set()
     out = {}
     while work:
@@ -74,7 +79,7 @@ def max_scan_normal_form(f, basis, log=None):
                 break
         else:
             out[m] = c
-    return Polynomial(ring, out, _clean=True)
+    return Polynomial(ring, out)
 
 
 def max_scan_exact_divide(f, g):
@@ -83,7 +88,7 @@ def max_scan_exact_divide(f, g):
     ring = f.ring
     key = ring.sort_key
     glm, glc = g.lm(), g.lc()
-    work = dict(f.terms)
+    work = elements(f)
     quot = {}
     while work:
         m = max(work, key=key)
@@ -93,7 +98,7 @@ def max_scan_exact_divide(f, g):
         q = tuple(a - b for a, b in zip(m, glm))
         factor = c / glc
         quot[q] = factor
-        for e, a in g.terms.items():
+        for e, a in elements(g).items():
             me = tuple(a + b for a, b in zip(e, q))
             acc = work.get(me)
             delta = factor * a
@@ -102,7 +107,7 @@ def max_scan_exact_divide(f, g):
                 work.pop(me, None)
             else:
                 work[me] = acc
-    return Polynomial(ring, quot, _clean=True)
+    return Polynomial(ring, quot)
 
 
 # ---------------------------------------------------------------------------

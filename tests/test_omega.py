@@ -374,6 +374,18 @@ def test_algebra_json_rejects_bad_input():
         algebra_from_json(_json.dumps(payload))
 
 
+@pytest.mark.parametrize("old, new, key", [
+    ('"dim": 3,', '"dim": 3, "dim": 4,', "dim"),
+    ('"0,1": [', '"0,1": ["0", "0", "1"], "0,1": [', "0,1"),
+], ids=["top-level", "brackets"])
+def test_algebra_json_refuses_a_repeated_key(old, new, key):
+    # json.loads alone would keep the last value and accept the file
+    text = algebra_to_json(algebra_d())
+    assert text.count(old) == 1
+    with pytest.raises(ValueError, match=re.escape(f"the key {key!r} is repeated")):
+        algebra_from_json(text.replace(old, new))
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda p: [p], "must be a JSON object"),
     (lambda p: {**p, "field": 101}, "'field' must be a descriptor string"),

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from omegalie.fields import QQ, PrimeField
+from omegalie.fields import QQ, FieldElement, PrimeField
 from omegalie.groebner import (
     buchberger,
     format_polynomial,
@@ -39,7 +39,8 @@ def evaluate(poly, point):
     """The value of a polynomial at a total assignment {variable name: scalar}."""
     vals = [point[v] for v in poly.ring.variables]
     acc = poly.ring.field.zero
-    for exps, coeff in poly.terms.items():
+    for exps, payload in poly.terms.items():
+        coeff = FieldElement(poly.ring.field, payload)
         for v, e in zip(vals, exps):
             for _ in range(e):
                 coeff = coeff * v
