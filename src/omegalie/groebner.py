@@ -8,6 +8,7 @@ field, so division is always exact.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 from operator import add, le, sub
@@ -18,6 +19,8 @@ from .linalg import _payload
 # When enabled (the test suite turns it on), every Buchberger run re-verifies
 # its output by reducing all S-polynomials of the final basis.
 CHECK_POSTCONDITIONS = False
+
+_SCALARS = (int, Fraction, FieldElement)  # what +, - and * read as a constant
 
 
 class RingMismatch(Exception):
@@ -165,7 +168,7 @@ class Polynomial:
             raise RingMismatch("polynomials from different rings")
 
     def __add__(self, other):
-        if isinstance(other, (int, FieldElement)):
+        if isinstance(other, _SCALARS):
             other = self.ring.const(other)
         self._check_ring(other)
         fadd = self.ring.field.add
@@ -181,7 +184,7 @@ class Polynomial:
         return _from_payloads(self.ring, {e: neg(c) for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, FieldElement)):
+        if isinstance(other, _SCALARS):
             other = self.ring.const(other)
         return self + (-other)
 
@@ -191,7 +194,7 @@ class Polynomial:
     def __mul__(self, other):
         field = self.ring.field
         fadd, mul = field.add, field.mul
-        if isinstance(other, (int, FieldElement)):
+        if isinstance(other, _SCALARS):
             s = _payload(other, field)
             return _from_payloads(self.ring, {e: mul(c, s) for e, c in self.terms.items()})
         self._check_ring(other)
@@ -508,14 +511,9 @@ def reduce_basis(basis, check: bool = True) -> list:
     for g in basis:
         if not any(_divides(h.lm(), g.lm()) for h in minimal):
             minimal.append(g)
-    # reduce each element against the others
-    out = []
-    for i, g in enumerate(minimal):
-        rest = minimal[:i] + minimal[i + 1:]
-        r = normal_form(g, rest)
-        if not r.is_zero():
-            out.append(r.monic())
-    return sorted(out, key=lambda g: key(g.lm()))
+    # reduce each element against the others: no lead divides another, so
+    # each keeps its monic lead and the list stays sorted
+    return [normal_form(g, minimal[:i] + minimal[i + 1:]) for i, g in enumerate(minimal)]
 
 
 class Ideal:
@@ -523,14 +521,14 @@ class Ideal:
 
     __slots__ = ("ring", "gens", "_reduced")
 
-    def __init__(self, ring: PolyRing, gens, reduced=None):
+    def __init__(self, ring: PolyRing, gens):
         gens = tuple(gens)
         for g in gens:
             if g.ring != ring:
                 raise RingMismatch("generator from a different ring")
         self.ring = ring
         self.gens = gens
-        self._reduced = reduced
+        self._reduced = None
 
     def groebner_basis(self) -> list:
         if self._reduced is None:
@@ -539,6 +537,13 @@ class Ideal:
 
     def __repr__(self):
         return f"Ideal({', '.join(format_polynomial(g) for g in self.gens)})"
+
+
+def _from_reduced(ring, basis: list) -> Ideal:
+    """The Ideal of ring generated by its reduced basis, built unchecked."""
+    ideal = object.__new__(Ideal)
+    ideal.ring, ideal.gens, ideal._reduced = ring, tuple(basis), basis
+    return ideal
 
 
 def ideal_member(f: Polynomial, ideal: Ideal) -> bool:
@@ -562,13 +567,9 @@ def _fresh_aux_name(variables):
     return f"t{k}"
 
 
-def intersect(i1: Ideal, i2: Ideal) -> Ideal:
-    """I1 cap I2 via the auxiliary variable t: eliminate t from t*I1 + (1-t)*I2.
-
-    The auxiliary variable is prepended as an elimination block above the
-    grevlex tail, so dropping every basis element involving t leaves a
-    Groebner basis of the intersection in the original ring.
-    """
+def elimination_ideal(i1: Ideal, i2: Ideal) -> Ideal:
+    """t*I1 + (1-t)*I2, with a fresh variable t prepended to the grevlex ring
+    as an elimination block (order "elim1"); its contraction is I1 cap I2."""
     if i1.ring != i2.ring:
         raise RingMismatch("ideals from different rings")
     ring = i1.ring
@@ -580,16 +581,28 @@ def intersect(i1: Ideal, i2: Ideal) -> Ideal:
     def lift(p, t_exp):
         return _from_payloads(ext, {(t_exp,) + e: c for e, c in p.terms.items()})
 
-    t_poly = ext.var(aux)
-    one = ext.one()
+    one_minus_t = ext.one() - ext.var(aux)
     gens = [lift(g, 1) for g in i1.gens]
-    gens += [(one - t_poly) * lift(g, 0) for g in i2.gens]
-    gb = buchberger(gens)
-    kept = []
-    for g in gb:
-        if all(e[0] == 0 for e in g.terms):
-            kept.append(_from_payloads(ring, {e[1:]: c for e, c in g.terms.items()}))
-    return Ideal(ring, kept)
+    gens += [one_minus_t * lift(g, 0) for g in i2.gens]
+    return Ideal(ext, gens)
+
+
+def contract(aux: Ideal, ring: PolyRing) -> Ideal:
+    """The t-free part of an elimination ideal as an Ideal of ring, its reduced
+    basis set: by the elimination theorem (Cox, Little & O'Shea, IVA 3.1) that
+    is the reduced elim1 basis's t-free elements, first and in grevlex order."""
+    ext = aux.ring
+    if (ext.order, ext.field, ext.variables[1:], ring.order) != (
+            "elim1", ring.field, ring.variables, "grevlex"):
+        raise RingMismatch("not an elimination ideal over this ring")
+    kept = [_from_payloads(ring, {e[1:]: c for e, c in g.terms.items()})
+            for g in aux.groebner_basis() if g.lm()[0] == 0]
+    return _from_reduced(ring, kept)
+
+
+def intersect(i1: Ideal, i2: Ideal) -> Ideal:
+    """I1 cap I2, carrying its reduced basis: the contraction of t*I1 + (1-t)*I2."""
+    return contract(elimination_ideal(i1, i2), i1.ring)
 
 
 def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:

@@ -16,6 +16,8 @@ from .groebner import (
     Polynomial,
     buchberger,
     colon_of_meet,
+    contract,
+    elimination_ideal,
     format_polynomial,
     ideal_equal,
     ideal_member,
@@ -69,20 +71,8 @@ class VarietyIdeal:
 
 def _normalize_generators(raw):
     """Monic, deduplicated (sign pairs collapse), sorted ascending by lead."""
-    polys = []
-    seen = set()
-    for p in raw:
-        if p.is_zero():
-            continue
-        p = p.monic()
-        key = frozenset(p.terms.items())
-        if key not in seen:
-            seen.add(key)
-            polys.append(p)
-    if not polys:
-        return ()
-    ring = polys[0].ring
-    return tuple(sorted(polys, key=lambda q: ring.sort_key(q.lm())))
+    polys = dict.fromkeys(p.monic() for p in raw if not p.is_zero())
+    return tuple(sorted(polys, key=lambda q: q.ring.sort_key(q.lm())))
 
 
 def defining_ideal(omega: SkewForm) -> VarietyIdeal:
@@ -134,6 +124,11 @@ def verify_section3(field: FieldDescriptor = QQ) -> ReportTable:
     ring = structure_ring(field)
     f1, f2, f3, g, h = reference_polys(ring)
     p = Ideal(ring, [f1, f2, f3])
+    i12 = Ideal(ring, [f1, f2])
+    delta, detm = parse_polynomial(ring, DELTA_TEXT), parse_polynomial(ring, DETM_TEXT)
+    # the t-ideals behind both intersections, whose bases the last check reuses
+    aux_pair = elimination_ideal(i12, Ideal(ring, [delta]))
+    aux = elimination_ideal(p, Ideal(ring, [detm]))
 
     with table.timed("generators-from-identity") as rec:
         vi = defining_ideal(SkewForm(standard_j(field, 3, 2)))
@@ -163,17 +158,14 @@ def verify_section3(field: FieldDescriptor = QQ) -> ReportTable:
         rec.expect(reduce_basis([f1, f2]) == [f1, f2], "pair basis not reduced")
 
     with table.timed("colon-pair-ideal") as rec:
-        delta = parse_polynomial(ring, DELTA_TEXT)
-        i12 = Ideal(ring, [f1, f2])
-        meet = intersect(i12, Ideal(ring, [delta]))
+        meet = contract(aux_pair, ring)
         rec.expect(ideal_equal(meet, Ideal(ring, [delta * f1, delta * f2])),
                    "intersection with the principal ideal is not <D f1, D f2>")
         rec.expect(ideal_equal(colon_of_meet(meet, delta), i12),
                    "colon moved the pair ideal")
 
     with table.timed("colon-full-ideal") as rec:
-        detm = parse_polynomial(ring, DETM_TEXT)
-        meet = intersect(p, Ideal(ring, [detm]))
+        meet = contract(aux, ring)
         expected = Ideal(ring, [detm * q for q in (f1, f2, f3, g, h)])
         rec.expect(ideal_equal(meet, expected),
                    "intersection is not det(M) times the basis")
@@ -189,21 +181,12 @@ def verify_section3(field: FieldDescriptor = QQ) -> ReportTable:
                    "f3 is not its own remainder mod {f1,f2}")
 
     with table.timed("elimination-ideal-members") as rec:
-        ext = PolyRing(field, ("t",) + ring.variables, order="elim1")
-
-        def lift(q, t_exp=0):
-            return Polynomial(ext, {(t_exp,) + e: c for e, c in q.terms.items()})
-
-        t = ext.var("t")
-        aux = Ideal(ext, [t * lift(f1), t * lift(f2), t * lift(f3),
-                          (ext.one() - t) * lift(parse_polynomial(ring, DETM_TEXT))])
+        ext = aux_pair.ring
         h1 = parse_polynomial(
             ext, "t*x1*x2 + t*x1*y3 - t*x3*z2 + t*x2*z3 - x1*x2 - x3*y1 - t")
         h2 = parse_polynomial(
             ext, "t*x1^2*z2 - t*x3*z1*z2 + t*x1*y1*z3 - t*y3*z1*z3 + t*x1*z2*z3"
                  " + t*y1*z3^2 - x1*x2*z1 - x3*y1*z1 - t*z1")
-        aux_pair = Ideal(ext, [t * lift(f1), t * lift(f2),
-                               (ext.one() - t) * lift(parse_polynomial(ring, DELTA_TEXT))])
         rec.expect(ideal_member(h1, aux_pair), "h1 outside the auxiliary ideal")
         rec.expect(ideal_member(h2, aux_pair), "h2 outside the auxiliary ideal")
         rec.info(f"auxiliary basis sizes: pair={len(aux_pair.groebner_basis())},"

@@ -12,9 +12,12 @@ from omegalie.groebner import (
     NotAGroebnerBasis,
     PolyRing,
     Polynomial,
+    RingMismatch,
     UnitIdeal,
     buchberger,
     colon,
+    contract,
+    elimination_ideal,
     exact_divide,
     format_polynomial,
     ideal_equal,
@@ -322,14 +325,9 @@ def test_elimination_ideal_members():
     ring = sc_ring()
     f1, f2, _, _, _ = sc_polys(ring)
     delta = parse_polynomial(ring, DELTA_TEXT)
-    ext = PolyRing(QQ, ("t",) + ring.variables, order="elim1")
-
-    def lift(p, t_exp=0):
-        from omegalie.groebner import Polynomial
-        return Polynomial(ext, {(t_exp,) + e: c for e, c in p.terms.items()})
-
-    t = ext.var("t")
-    aux = Ideal(ext, [t * lift(f1), t * lift(f2), (ext.one() - t) * lift(delta)])
+    aux = elimination_ideal(Ideal(ring, [f1, f2]), Ideal(ring, [delta]))
+    ext = aux.ring
+    assert ext == PolyRing(QQ, ("t",) + ring.variables, order="elim1")
     h1 = parse_polynomial(ext, "t*x1*x2 + t*x1*y3 - t*x3*z2 + t*x2*z3"
                                " - x1*x2 - x3*y1 - t")
     h2 = parse_polynomial(ext, "t*x1^2*z2 - t*x3*z1*z2 + t*x1*y1*z3 - t*y3*z1*z3"
@@ -430,16 +428,9 @@ def test_reduced_basis_independent_of_generator_order(texts):
 def test_elimination_basis_golden(field, name):
     # t*<f1, f2, f3> + (1 - t)*<det M>, the ideal behind intersect(P, <det M>)
     ring = sc_ring(field)
-    f1, f2, f3, _, _ = sc_polys(ring)
     detm = parse_polynomial(ring, DETM_TEXT)
-    ext = PolyRing(field, ("t",) + ring.variables, order="elim1")
-
-    def lift(p, t_exp):
-        return Polynomial(ext, {(t_exp,) + e: c for e, c in p.terms.items()})
-
-    t = ext.var("t")
-    gens = [lift(f, 1) for f in (f1, f2, f3)] + [(ext.one() - t) * lift(detm, 0)]
-    got = [format_polynomial(g) for g in reduce_basis(buchberger(gens))]
+    aux = elimination_ideal(ideal_p(ring), Ideal(ring, [detm]))
+    got = [format_polynomial(g) for g in aux.groebner_basis()]
     want = (GOLDEN / f"elimination_basis_{name}.txt").read_text().splitlines()
     assert len(want) == 25
     assert got == want
@@ -463,3 +454,57 @@ def test_terms_hold_payloads_and_lc_wraps():
     assert p.terms == {(2, 0): Fraction(1, 2), (0, 1): Fraction(-3)}
     assert p.lc() == QQ.elem(Fraction(1, 2)) and p.lc().field == QQ
     assert Polynomial(ring, {(2, 0): Fraction(1, 2), (0, 1): -3, (1, 1): 0}) == p
+
+
+def _meets(field):
+    """(name, I1, I2) for the paper's three intersections over field."""
+    from omegalie.variety import x1_component_ideals
+    ring = sc_ring(field)
+    f1, f2, _, _, _ = sc_polys(ring)
+    delta, detm = (parse_polynomial(ring, t) for t in (DELTA_TEXT, DETM_TEXT))
+    p1, p2 = x1_component_ideals(field)
+    return [("f1,f2 cap Delta", Ideal(ring, [f1, f2]), Ideal(ring, [delta])),
+            ("P cap det M", ideal_p(ring), Ideal(ring, [detm])),
+            ("P1 cap P2", p1, p2)]
+
+
+@pytest.mark.parametrize("field", [QQ, F101], ids=["Q", "Fp101"])
+def test_meet_carries_its_reduced_basis(monkeypatch, field):
+    from omegalie import groebner as gmod
+    for name, i1, i2 in _meets(field):
+        meet = intersect(i1, i2)
+        calls = []
+        real = gmod.buchberger
+        monkeypatch.setattr(gmod, "buchberger", lambda gens: calls.append(1) or real(gens))
+        basis = meet.groebner_basis()
+        monkeypatch.setattr(gmod, "buchberger", real)
+        assert calls == [], name
+        assert list(meet.gens) == basis, name
+        assert basis == reduce_basis(buchberger(list(meet.gens)), check=False), name
+
+
+def test_contract_refuses_another_ring():
+    ring = sc_ring()
+    aux = elimination_ideal(ideal_p(ring), Ideal(ring, [ring.var("x1")]))
+    for other in (sc_ring(F101), PolyRing(QQ, ring.variables[1:]),
+                  PolyRing(QQ, ring.variables, order="elim1")):
+        with pytest.raises(RingMismatch):
+            contract(aux, other)
+    with pytest.raises(RingMismatch):
+        contract(ideal_p(ring), ring)
+
+
+@pytest.mark.parametrize("field", [QQ, F101], ids=["Q", "Fp101"])
+def test_fraction_scalars_in_polynomial_arithmetic(field):
+    ring = PolyRing(field, "xy")
+    x, half = ring.var("x"), Fraction(1, 2)
+    c = ring.const(half)
+    assert x + half == half + x == x + c
+    assert x - half == x - c and half - x == c - x
+    assert x * half == half * x == x * c
+    if field == F101:
+        bad = Fraction(1, 202)
+        for op in (lambda: ring.const(bad), lambda: x + bad, lambda: x - bad,
+                   lambda: x * bad, lambda: bad * x):
+            with pytest.raises(ZeroDivisionError, match="denominator divisible by 101"):
+                op()

@@ -152,6 +152,25 @@ def test_verify_section3_passes_both_fields():
         assert report.ok, report.render()
 
 
+@pytest.mark.parametrize("field", [QQ, F101], ids=["Q", "Fp101"])
+@pytest.mark.parametrize("suite, runs", [(verify_section3, 9), (verify_example51, 4)],
+                         ids=["section3", "example51"])
+def test_buchberger_runs_per_suite(monkeypatch, field, suite, runs):
+    # each auxiliary t-ideal and each meet's basis is computed once
+    from omegalie import groebner, variety
+    calls = []
+    real = groebner.buchberger
+
+    def spy(gens):
+        calls.append(gens)
+        return real(gens)
+
+    monkeypatch.setattr(groebner, "buchberger", spy)
+    monkeypatch.setattr(variety, "buchberger", spy)
+    assert suite(field).ok
+    assert len(calls) == runs
+
+
 def test_mutated_generators_change_the_basis():
     ring = structure_ring(QQ)
     f1, f2, f3, g, h = reference_polys(ring)
