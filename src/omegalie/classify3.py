@@ -15,19 +15,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .fields import (
-    ExtensionRequired,
-    FieldDescriptor,
-    FieldElement,
-    PrimeField,
-    quadratic_roots,
-)
+from .fields import FieldDescriptor, FieldElement, PrimeField, quadratic_roots
 from .linalg import (
     Matrix,
     SingularMatrix,
     SkewForm,
     _from_payloads,
-    pair_min,
     skew_congruence_reduce,
     sl2_diagonalize,
     sl2_jordan,
@@ -91,7 +84,7 @@ def c_pair_representative(alpha: FieldElement) -> FieldElement:
     other = -(alpha + 1)
     if other.is_zero():
         return alpha
-    return pair_min(alpha, other)
+    return alpha if alpha.encode() <= other.encode() else other
 
 
 def canonical_algebra(label: CanonicalLabel, field: FieldDescriptor) -> OmegaAlgebra:
@@ -194,10 +187,12 @@ class _Pipeline:
 
     def apply(self, tag: str, g: GroupElement):
         """Move the bracket by g, which must lie in the stabilizer of the
-        working form, so the form is kept as it is.  _finish re-verifies the
-        composed witness on both the bracket and the form."""
+        working form, so the form is kept as it is, and return the brackets
+        read afterwards.  _finish re-verifies the composed witness on both the
+        bracket and the form."""
         self.work = transform(g, self.work, check=False)
         self.steps.append((tag, g))
+        return self.read()
 
     def extend_to(self, ext):
         self.work = self.work.embed(ext)
@@ -301,15 +296,14 @@ def classify(alg: OmegaAlgebra, allow_extension: bool = False,
         for t1, t2 in ((0, 1), (0, -1), (1, 0), (-1, 0)):
             u = _from_inverse(field, [[1, 0, 0], [0, 1, 0], [t1, t2, 1]])
             if not transform(u, pipe.work, check=False).sc.bracket(0, 1)[2].is_zero():
-                pipe.apply("reenter-translation", u)
+                a, b, c = pipe.apply("reenter-translation", u)
                 break
         else:
             raise AssertionError("no translation re-enters the generic branch")
-        a, b, c = pipe.read()
 
     if a[2] != field.one:
-        pipe.apply("scale-z", _from_inverse(field, [[1, 0, 0], [0, 1, 0], [0, 0, a[2]]]))
-        a, b, c = pipe.read()
+        a, b, c = pipe.apply("scale-z",
+                             _from_inverse(field, [[1, 0, 0], [0, 1, 0], [0, 0, a[2]]]))
 
     delta = b[0] * c[1] - b[1] * c[0]
     if not delta.is_zero():
@@ -332,38 +326,31 @@ def _generic_branch(pipe: _Pipeline, allow_extension, strict_c_labels):
         ])
         t1, t2, d = solve_vector(t_mat, (a[0], a[1], field.one))
         assert not d.is_zero()
-        pipe.apply("center-translate",
-                   _from_inverse(field, [[1, 0, 0], [0, 1, 0], [t1, t2, d]]))
-        a, b, c = pipe.read()
+        a, b, c = pipe.apply("center-translate",
+                             _from_inverse(field, [[1, 0, 0], [0, 1, 0], [t1, t2, d]]))
     assert a == (field.zero, field.zero, field.one)
     assert b[2].is_zero() and c[2].is_zero()
     m = Matrix.from_rows(field, [[b[0], c[0]], [b[1], c[1]]])
     assert m[0, 0] + m[1, 1] == -field.one
     roots = quadratic_roots(m.det())
-    extension = None
     if roots.kind == "double":
         # double eigenvalue -1/2: the scalar matrix or the Jordan block
         half = -field.one / 2
         if m == Matrix.from_rows(field, [[half, field.zero], [field.zero, half]]):
             return label_c(half), None
         p, extension = sl2_jordan(m, allow_extension)
-        if extension is not None:
-            pipe.extend_to(p.field)
         label = label_b()
     else:
-        if roots.kind == "needs_extension":
-            if not allow_extension:
-                raise ExtensionRequired(*roots.minpoly)
-            ext = roots.extension()
-            extension = roots.minpoly
-            pipe.extend_to(ext)
+        (alpha, _), ext = roots.split(allow_extension)
+        extension = roots.minpoly
+        if ext is not None:
             m = m.embed(ext)
-            pair = roots.roots_in_extension(ext)
-        else:
-            pair = roots.roots
-        alpha = pair[0] if strict_c_labels else c_pair_representative(pair[0])
+        if not strict_c_labels:
+            alpha = c_pair_representative(alpha)
         p = sl2_diagonalize(m, alpha)
         label = label_c(alpha)
+    if extension is not None:
+        pipe.extend_to(p.field)
     if p != Matrix.identity(p.field, 2):
         # dia{P^-1, 1} conjugates the z-adjoint by P while fixing [x,y] = z
         pipe.apply("adjoint-conjugate", _from_inverse(p.field, [
@@ -378,30 +365,26 @@ def _degenerate_branch(pipe: _Pipeline) -> CanonicalLabel:
     zero, one = field.zero, field.one
     a, b, c = pipe.read()
     if b[0].is_zero() and b[1].is_zero() and not (c[0].is_zero() and c[1].is_zero()):
-        pipe.apply("swap-xy", c_pair_swap(field))
-        a, b, c = pipe.read()
+        a, b, c = pipe.apply("swap-xy", c_pair_swap(field))
     if not (c[0].is_zero() and c[1].is_zero()):
         k = c[0] / b[0] if not b[0].is_zero() else c[1] / b[1]
-        pipe.apply("clear-second-column",
-                   _from_inverse(field, [[1, -k, 0], [0, 1, 0], [0, 0, 1]]))
-        a, b, c = pipe.read()
+        a, b, c = pipe.apply("clear-second-column",
+                             _from_inverse(field, [[1, -k, 0], [0, 1, 0], [0, 0, 1]]))
         assert c[0].is_zero() and c[1].is_zero()
     if c[2].is_zero() and b[0].is_zero() and b[1].is_zero():
         # [x,z] = b3 z, [y,z] = 0: swapping x and y moves b3 into [y,z]
-        pipe.apply("swap-xy", c_pair_swap(field))
-        a, b, c = pipe.read()
+        a, b, c = pipe.apply("swap-xy", c_pair_swap(field))
     if c[2].is_zero():
         # everything collapses onto the parameter -1 representative
         if not (a[0].is_zero() and a[1].is_zero()):
             k2 = a[0] / b[0] if not b[0].is_zero() else a[1] / b[1]
             if not k2.is_zero():
-                pipe.apply("clear-product-xy",
-                           _from_inverse(field, [[1, 0, 0], [0, 1, 0], [0, -k2, 1]]))
-                a, b, c = pipe.read()
+                a, b, c = pipe.apply("clear-product-xy",
+                                     _from_inverse(field, [[1, 0, 0], [0, 1, 0], [0, -k2, 1]]))
         assert a[0].is_zero() and a[1].is_zero()
         if a[2] != one:
-            pipe.apply("rescale-z", _from_inverse(field, [[1, 0, 0], [0, 1, 0], [0, 0, a[2]]]))
-            a, b, c = pipe.read()
+            a, b, c = pipe.apply("rescale-z",
+                                 _from_inverse(field, [[1, 0, 0], [0, 1, 0], [0, 0, a[2]]]))
         assert b[0] == -one
         pipe.apply("absorb-first-column",
                    _from_inverse(field, [[one, zero, zero],
@@ -410,17 +393,15 @@ def _degenerate_branch(pipe: _Pipeline) -> CanonicalLabel:
         return label_c(-one)
     # second column is c3 * z with c3 != 0
     if c[2] != one:
-        pipe.apply("scale-to-unit",
-                   _from_inverse(field, [[c[2], 0, 0], [0, c[2].inverse(), 0], [0, 0, 1]]))
-        a, b, c = pipe.read()
+        a, b, c = pipe.apply("scale-to-unit", _from_inverse(
+            field, [[c[2], 0, 0], [0, c[2].inverse(), 0], [0, 0, 1]]))
     assert b[0].is_zero()
     assert (one - a[0]) * b[1] == zero and a[0] * b[2] + a[1] == one
     if not b[2].is_zero():
-        pipe.apply("clear-b3",
-                   _from_inverse(field, [[one, zero, zero],
-                                         [-b[2], one, zero],
-                                         [zero, zero, one]]))
-        a, b, c = pipe.read()
+        a, b, c = pipe.apply("clear-b3",
+                             _from_inverse(field, [[one, zero, zero],
+                                                   [-b[2], one, zero],
+                                                   [zero, zero, one]]))
     assert a[1] == one
     if b[1].is_zero():
         pipe.apply("absorb-into-y",
@@ -430,9 +411,8 @@ def _degenerate_branch(pipe: _Pipeline) -> CanonicalLabel:
         return label_d()
     assert a[0] == one
     if b[1] != one:
-        pipe.apply("scale-middle",
-                   _from_inverse(field, [[1, 0, 0], [0, 1, 0], [0, 0, b[1].inverse()]]))
-        a, b, c = pipe.read()
+        a, b, c = pipe.apply("scale-middle",
+                             _from_inverse(field, [[1, 0, 0], [0, 1, 0], [0, 0, b[1].inverse()]]))
     if not a[2].is_zero():
         t = a[2] / 2
         pipe.apply("final-translate",
@@ -448,7 +428,7 @@ def _finish(original: OmegaAlgebra, pipe: _Pipeline, label: CanonicalLabel,
     if pipe.work != target:
         raise AssertionError(f"pipeline did not land on {label}")
     witness = pipe.witness()
-    source = original if original.field == pipe.field else original.embed(pipe.field)
+    source = original.embed(pipe.field)
     if change_basis(witness, source) != target:
         raise AssertionError("witness does not reproduce the canonical algebra")
     if source.omega.matrix == standard_j(pipe.field, 3, 2):
@@ -497,7 +477,7 @@ def iso_witness(alg1: OmegaAlgebra, alg2: OmegaAlgebra,
         return NonIsomorphic(
             reason=f"derived algebra dimensions differ: {d1} vs {d2}")
     r1 = classify(alg1, allow_extension=allow_extension)
-    a2 = alg2 if alg2.field == r1.field else alg2.embed(r1.field)
+    a2 = alg2.embed(r1.field)
     r2 = classify(a2, allow_extension=allow_extension)
     if r2.field != r1.field:
         # the second algebra forced the extension; redo the first over it
@@ -507,8 +487,7 @@ def iso_witness(alg1: OmegaAlgebra, alg2: OmegaAlgebra,
         return NonIsomorphic(reason="different canonical families",
                              label1=r1.label, label2=r2.label)
     witness = r2.witness.inverse().compose(r1.witness)
-    source = alg1 if alg1.field == r1.field else alg1.embed(r1.field)
-    if change_basis(witness, source) != a2:
+    if change_basis(witness, alg1.embed(r1.field)) != a2:
         raise AssertionError("composed witness failed re-verification")
     return witness
 
@@ -516,6 +495,12 @@ def iso_witness(alg1: OmegaAlgebra, alg2: OmegaAlgebra,
 # ---------------------------------------------------------------------------
 # verification suite for the classification layer
 # ---------------------------------------------------------------------------
+
+# the parameters c_pair_audit draws and the orbit samples verify_classification
+# moves, each from its own fixed seed, so a suite's report is reproducible
+AUDIT_COUNT, AUDIT_SEED = 50, 101
+VERIFY_SAMPLES, VERIFY_SEED = 40, 7
+
 
 def _random_scalar(field, rng, num: int, den: int) -> FieldElement:
     """Uniform over a prime field; otherwise a fraction with numerator in
@@ -554,16 +539,16 @@ def random_nonzero(field, rng) -> FieldElement:
             return v
 
 
-def c_pair_audit(field, count: int = 50, seed: int = 101) -> ReportTable:
+def c_pair_audit(field) -> ReportTable:
     """Machine-verify the parameter-pair collapse of the C family."""
     table = ReportTable(f"C-family parameter pairs over {field!r}")
-    rng = random.Random(seed)
+    rng = random.Random(AUDIT_SEED)
     swap = c_pair_swap(field)
     with table.timed("swap-is-form-preserving") as rec:
         rec.expect(in_stabilizer(swap, SkewForm(standard_j(field, 3, 2))),
                    "the swap does not preserve the form")
     with table.timed("swap-carries-parameter-pairs") as rec:
-        for _ in range(count):
+        for _ in range(AUDIT_COUNT):
             alpha = random_nonzero(field, rng)
             src = canonical_algebra(label_c(alpha), field)
             moved = transform(swap, src)
@@ -580,7 +565,7 @@ def c_pair_audit(field, count: int = 50, seed: int = 101) -> ReportTable:
                 rec.expect(moved == canonical_algebra(label_c(beta), field),
                            f"pair image wrong for parameter {alpha.encode()}")
     with table.timed("representative-is-involution-stable") as rec:
-        for _ in range(count):
+        for _ in range(AUDIT_COUNT):
             alpha = random_nonzero(field, rng)
             other = -(alpha + 1)
             rep = c_pair_representative(alpha)
@@ -594,10 +579,10 @@ def c_pair_audit(field, count: int = 50, seed: int = 101) -> ReportTable:
     return table
 
 
-def verify_classification(field, samples: int = 40, seed: int = 7) -> ReportTable:
+def verify_classification(field) -> ReportTable:
     """End-to-end checks of the classification layer over one field."""
     table = ReportTable(f"classification over {field!r}")
-    rng = random.Random(seed)
+    rng = random.Random(VERIFY_SEED)
     half = -field.one / 2
 
     def parameter(k, avoid=()):
@@ -625,7 +610,7 @@ def verify_classification(field, samples: int = 40, seed: int = 7) -> ReportTabl
 
     with table.timed("orbit-roundtrip") as rec:
         labels = [label_a(), label_b(), label_d()]
-        for _ in range(samples):
+        for _ in range(VERIFY_SAMPLES):
             label = (rng.choice(labels) if rng.random() < 0.5
                      else label_c(random_nonzero(field, rng)))
             g = random_stabilizer_element(field, rng)
@@ -636,8 +621,7 @@ def verify_classification(field, samples: int = 40, seed: int = 7) -> ReportTabl
             rec.expect(res.label == want,
                        f"roundtrip of {label} returned {res.label}")
             target = canonical_algebra(res.label, res.field)
-            src = moved if moved.field == res.field else moved.embed(res.field)
-            rec.expect(change_basis(res.witness, src) == target,
+            rec.expect(change_basis(res.witness, moved.embed(res.field)) == target,
                        "witness identity failed")
 
     with table.timed("family-separation") as rec:

@@ -111,32 +111,10 @@ def _minpoly_text(minpoly) -> str:
     return f"t^2 + ({c1.encode()})*t + ({c0.encode()})"
 
 
-def _refused(exc: Exception, fmt: str) -> int:
-    """Report why classify or iso refused its input; returns the exit code."""
-    if isinstance(exc, ExtensionDepthExceeded):
-        print(f"not classifiable: needs a second quadratic extension by"
-              f" {_minpoly_text(exc.minpoly)}; extension towers are capped at one step",
-              file=sys.stderr)
-        return EXIT_INPUT
-    if isinstance(exc, ExtensionRequired):
-        if fmt == "machine":
-            print(json.dumps({"error": "extension_required",
-                              "minpoly": [c.encode() for c in exc.minpoly]}))
-        else:
-            print(f"needs a quadratic extension by {_minpoly_text(exc.minpoly)};"
-                  " rerun with --allow-extension")
-        return EXIT_EXTENSION
-    print(f"not classifiable: {exc}", file=sys.stderr)
-    return EXIT_INPUT
-
-
 def cmd_classify(args) -> int:
     alg = _load_algebra(args.algebra)
-    try:
-        res = classify(alg, allow_extension=args.allow_extension,
-                       strict_c_labels=args.strict_c_labels)
-    except (ExtensionRequired, NotOmegaLie, IsLie) as exc:
-        return _refused(exc, args.format)
+    res = classify(alg, allow_extension=args.allow_extension,
+                   strict_c_labels=args.strict_c_labels)
     if args.format == "machine":
         print(res.to_json())
     else:
@@ -158,10 +136,7 @@ def cmd_classify(args) -> int:
 def cmd_iso(args) -> int:
     a1 = _load_algebra(args.algebra1)
     a2 = _load_algebra(args.algebra2)
-    try:
-        out = iso_witness(a1, a2, allow_extension=args.allow_extension)
-    except (ExtensionRequired, NotOmegaLie, IsLie) as exc:
-        return _refused(exc, args.format)
+    out = iso_witness(a1, a2, allow_extension=args.allow_extension)
     if isinstance(out, NonIsomorphic):
         if args.format == "machine":
             print(json.dumps({"isomorphic": False, "reason": out.reason,
@@ -341,7 +316,31 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        status = args.func(args)
+        try:
+            status = args.func(args)
+        except UnreadableInput as exc:
+            print(f"cannot read input: {exc}", file=sys.stderr)
+            status = EXIT_INPUT
+        except ExtensionDepthExceeded as exc:
+            print(f"not classifiable: needs a second quadratic extension by"
+                  f" {_minpoly_text(exc.minpoly)}; extension towers are capped at one step",
+                  file=sys.stderr)
+            status = EXIT_INPUT
+        except ExtensionRequired as exc:
+            if getattr(args, "format", "human") == "machine":
+                print(json.dumps({"error": "extension_required",
+                                  "minpoly": [c.encode() for c in exc.minpoly]}))
+            else:
+                print(f"needs a quadratic extension by {_minpoly_text(exc.minpoly)};"
+                      " rerun with --allow-extension")
+            status = EXIT_EXTENSION
+        except (NotOmegaLie, IsLie) as exc:
+            print(f"not classifiable: {exc}", file=sys.stderr)
+            status = EXIT_INPUT
+        except (ValueError, NotSkew) as exc:
+            print(f"bad input: {exc}", file=sys.stderr)
+            status = EXIT_INPUT
+        # a refusal's stdout text is flushed here too, under the guard below
         sys.stdout.flush()
         return status
     except BrokenPipeError:
@@ -353,13 +352,6 @@ def main(argv=None) -> int:
             return EXIT_INPUT
         os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
         return EXIT_INPUT
-    except UnreadableInput as exc:
-        print(f"cannot read input: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ValueError, NotSkew) as exc:
-        print(f"bad input: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -616,6 +616,18 @@ class RootReport:
         # theta is a root of the minpoly, and the roots sum to -c1
         return (ext.theta, -ext.theta - ext.embed(self.minpoly[1]))
 
+    def split(self, allow_extension: bool):
+        """(roots, ext): the roots in the field with ext None, or the roots in
+        the quadratic extension ext that they need.  That extension is the
+        one place classification adjoins; without allow_extension it is
+        refused with ExtensionRequired, which carries the minpoly."""
+        if self.kind != "needs_extension":
+            return self.roots or (self.root,), None
+        if not allow_extension:
+            raise ExtensionRequired(*self.minpoly)
+        ext = self.extension()
+        return self.roots_in_extension(ext), ext
+
 
 def sqrt_or_extend(s: FieldElement) -> RootReport:
     """Square root of a nonzero element, or the minpoly t^2 - s to adjoin."""

@@ -313,8 +313,8 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
         elif idx:  # an empty term is allowed only before one leading sign
             raise ValueError(f"dangling operator in {text!r}")
         sign = -1 if sep == "-" else 1
-    result = ring.zero()
     field = ring.field
+    coeffs = {}  # summed in one dict: adding term by term copies the sum each time
     for sgn, body in terms:
         coeff = field.one
         exps = [0] * ring.nvars
@@ -336,10 +336,9 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
                 exps[ring._var_index[factor]] += 1
             else:
                 coeff = coeff * field.parse(factor)
-        if sgn < 0:
-            coeff = -coeff
-        result = result + Polynomial(ring, {tuple(exps): coeff})
-    return result
+        key = tuple(exps)
+        coeffs[key] = coeffs.get(key, field.zero) + (coeff if sgn > 0 else -coeff)
+    return Polynomial(ring, coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from itertools import combinations
 
 from .fields import (
     DescriptorMismatch,
-    ExtensionRequired,
     FieldDescriptor,
     FieldElement,
     QuadExt,
@@ -419,11 +418,6 @@ def _eigenvector_2x2(m: Matrix, lam: FieldElement):
     return (v[0] * inv, v[1] * inv)
 
 
-def pair_min(a: FieldElement, b: FieldElement) -> FieldElement:
-    """Deterministic pick from a two-element set: smaller text encoding."""
-    return a if a.encode() <= b.encode() else b
-
-
 def sl2_diagonalize(m: Matrix, b: FieldElement) -> Matrix:
     """P with det(P) = 1 and P^-1 m P = dia{b, -(b+1)}, for a 2x2 trace -1
     matrix m whose eigenvalues b and -(b+1) are distinct and lie in its field.
@@ -443,7 +437,8 @@ def sl2_jordan(m: Matrix, allow_extension: bool = False):
 
     v = (m + I/2) w spans both the image and the kernel of m + I/2, and P is
     [v w] scaled by a square root of its determinant.  When that root needs a
-    quadratic extension, P lives over it and minpoly is its (c0, c1);
+    quadratic extension, P lives over it and minpoly is its (c0, c1), or,
+    without allow_extension, RootReport.split raises ExtensionRequired;
     otherwise minpoly is None.
     """
     field = m.field
@@ -455,16 +450,9 @@ def sl2_jordan(m: Matrix, allow_extension: bool = False):
         w = (field.zero, field.one)
         v = shifted.apply(w)
     sq = sqrt_or_extend(v[0] * w[1] - v[1] * w[0])
-    minpoly = None
-    if sq.kind == "needs_extension":
-        if not allow_extension:
-            raise ExtensionRequired(*sq.minpoly)
-        field = sq.extension()
-        minpoly = sq.minpoly
-        s = sq.roots_in_extension(field)[0]
-        v, w = (tuple(field.embed(x) for x in vec) for vec in (v, w))
-    else:
-        s = sq.root
-    sinv = s.inverse()
-    return Matrix.from_rows(field, [[v[0] * sinv, w[0] * sinv],
-                                    [v[1] * sinv, w[1] * sinv]]), minpoly
+    roots, ext = sq.split(allow_extension)
+    if ext is not None:
+        v, w = (tuple(ext.embed(x) for x in vec) for vec in (v, w))
+    sinv = roots[0].inverse()
+    return Matrix.from_rows(sinv.field, [[v[0] * sinv, w[0] * sinv],
+                                         [v[1] * sinv, w[1] * sinv]]), sq.minpoly

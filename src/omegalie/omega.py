@@ -9,7 +9,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import combinations, permutations
 
 from .fields import DescriptorMismatch, FieldDescriptor, FieldElement, parse_descriptor
-from .linalg import Matrix, SingularMatrix, SkewForm, _from_payloads, _payload
+from .linalg import Matrix, SkewForm, _from_payloads, _payload
 
 
 class DimensionTooSmall(Exception):
@@ -121,6 +121,9 @@ class OmegaAlgebra:
         return self.sc.dim
 
     def embed(self, ext):
+        """This algebra over ext: itself when ext is already its field."""
+        if ext == self.field:
+            return self
         return OmegaAlgebra(ext, self.sc.embed(ext), self.omega.embed(ext))
 
 
@@ -129,15 +132,9 @@ class GroupElement:
 
     __slots__ = ("matrix", "inverse_matrix")
 
-    def __init__(self, matrix: Matrix, inverse_matrix: Matrix | None = None):
-        if inverse_matrix is None:
-            inverse_matrix = matrix.inverse()
-        else:
-            n = matrix.rows
-            if matrix * inverse_matrix != Matrix.identity(matrix.field, n):
-                raise SingularMatrix("supplied inverse is wrong")
+    def __init__(self, matrix: Matrix):
         self.matrix = matrix
-        self.inverse_matrix = inverse_matrix
+        self.inverse_matrix = matrix.inverse()
 
     @classmethod
     def _pair(cls, matrix: Matrix, inverse_matrix: Matrix) -> "GroupElement":

@@ -10,10 +10,21 @@ from dataclasses import dataclass, field
 
 @dataclass
 class SubCheck:
+    """One timed sub-check; its body reports through expect and info."""
+
     name: str
-    ok: bool
-    seconds: float
+    ok: bool = True
+    seconds: float = 0.0
     detail: str = ""
+
+    def expect(self, condition: bool, detail: str = ""):
+        if not condition:
+            self.ok = False
+            if detail:
+                self.info(detail)
+
+    def info(self, detail: str):
+        self.detail = detail if not self.detail else f"{self.detail}; {detail}"
 
     def human_line(self) -> str:
         status = "PASS" if self.ok else "FAIL"
@@ -36,16 +47,16 @@ class ReportTable:
 
     @contextmanager
     def timed(self, name: str):
-        """Run a sub-check body; it reports through the yielded recorder."""
-        rec = _Recorder(name)
+        """Run a sub-check body; it reports through the yielded SubCheck."""
+        check = SubCheck(name)
         start = time.perf_counter()
         try:
-            yield rec
+            yield check
         except Exception as exc:  # a crash is a failed sub-check, not a crash
-            rec.ok = False
-            rec.detail = f"{type(exc).__name__}: {exc}"
-        self.checks.append(SubCheck(name, rec.ok, time.perf_counter() - start,
-                                    rec.detail))
+            check.ok = False
+            check.detail = f"{type(exc).__name__}: {exc}"
+        check.seconds = time.perf_counter() - start
+        self.checks.append(check)
 
     def add_note(self, text: str):
         self.notes.append(text)
@@ -66,20 +77,3 @@ class ReportTable:
         lines.append(f"=> {'all checks passed' if self.ok else 'FAILURES present'}")
         return "\n".join(lines)
 
-
-class _Recorder:
-    __slots__ = ("name", "ok", "detail")
-
-    def __init__(self, name):
-        self.name = name
-        self.ok = True
-        self.detail = ""
-
-    def expect(self, condition: bool, detail: str = ""):
-        if not condition:
-            self.ok = False
-            if detail:
-                self.detail = detail if not self.detail else f"{self.detail}; {detail}"
-
-    def info(self, detail: str):
-        self.detail = detail if not self.detail else f"{self.detail}; {detail}"

@@ -232,7 +232,7 @@ def test_criterion_6_classification():
 def test_criterion_7_c_pair_audit():
     with criterion(7, "explicit pair map verifies on 50 parameters per field", 2.0):
         for field in (QQ, F101):
-            report = c_pair_audit(field, count=50)
+            report = c_pair_audit(field)
             assert report.ok, report.render()
             assert any("pair" in note for note in report.notes)
 

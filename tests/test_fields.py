@@ -13,6 +13,7 @@ from omegalie.fields import (
     QQ,
     DescriptorMismatch,
     ExtensionDepthExceeded,
+    ExtensionRequired,
     FieldElement,
     PrimeField,
     QuadExt,
@@ -172,6 +173,25 @@ def test_quadratic_roots_identity_randomized():
                 for r in rep.roots_in_extension(ext):
                     de = ext.embed(d)
                     assert r * r + r + de == ext.zero
+
+
+def test_split_extends_or_refuses():
+    # roots in the field: no extension
+    assert quadratic_roots(QQ.elem(-2)).split(False) == ((QQ.elem(1), QQ.elem(-2)), None)
+    three_halves = QQ.elem(Fraction(3, 2))
+    assert sqrt_or_extend(three_halves * three_halves).split(False) == ((three_halves,), None)
+    for rep in (quadratic_roots(QQ.elem(1)), sqrt_or_extend(QQ.elem(2))):
+        # refused without allow_extension, naming the minpoly to adjoin
+        with pytest.raises(ExtensionRequired) as info:
+            rep.split(False)
+        assert info.value.minpoly == rep.minpoly
+        roots, ext = rep.split(True)
+        assert isinstance(ext, QuadExt) and ext.base == QQ
+        assert (ext.c0, ext.c1) == tuple(c.value for c in rep.minpoly)
+        assert roots == rep.roots_in_extension(ext)
+        c0, c1 = (ext.embed(c) for c in rep.minpoly)
+        for r in roots:
+            assert r * r + c1 * r + c0 == ext.zero
 
 
 def test_sqrt_rational():

@@ -291,6 +291,26 @@ def test_buchberger_postcondition_checked_in_tests():
     assert gmod.CHECK_POSTCONDITIONS
 
 
+@pytest.mark.parametrize("field", [QQ, F101], ids=["Q", "Fp101"])
+def test_a_long_line_parses_to_its_terms_summed_one_by_one(field):
+    # term k has the monomial x^(k%3)*y^(k%5)*z^(k%4), which is fixed by k % 60:
+    # 540 terms repeat each of the 60 monomials nine times, and subtracting
+    # every term with k % 60 < 10 cancels ten monomials exactly
+    ring = PolyRing(field, ("x", "y", "z"))
+    rng = random.Random(31)
+    texts = [f"{rng.randint(1, 9)}/{rng.randint(1, 4)}*x^{k % 3}*y^{k % 5}*z^{k % 4}"
+             for k in range(540)]
+    cancelled = [t for k, t in enumerate(texts) if k % 60 < 10]
+    p = parse_polynomial(ring, " + ".join(texts) + " - " + " - ".join(cancelled))
+    one_by_one = ring.zero()
+    for t in texts:
+        one_by_one = one_by_one + parse_polynomial(ring, t)
+    for t in cancelled:
+        one_by_one = one_by_one - parse_polynomial(ring, t)
+    assert p == one_by_one
+    assert not {(k % 3, k % 5, k % 4) for k in range(10)} & set(p.terms)
+
+
 def test_text_roundtrip():
     for field in (QQ, F101):
         ring = sc_ring(field)

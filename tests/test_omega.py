@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from omegalie.fields import QQ, DescriptorMismatch, PrimeField
+from omegalie.fields import QQ, DescriptorMismatch, PrimeField, QuadExt
 from omegalie.linalg import Matrix, SkewForm, standard_j
 from omegalie.omega import (
     DimensionTooSmall,
@@ -255,6 +255,14 @@ def test_validate_enumerates_only_the_triples_through_pairs(monkeypatch):
         {frozenset([c]) for c in range(n) if c not in (3, 4)}
 
 
+def test_embed_into_its_own_field_is_the_algebra():
+    for field in (QQ, F101):
+        alg = algebra_d(field)
+        assert alg.embed(field) is alg
+    embedded = algebra_d().embed(QuadExt(QQ, -2, 0))
+    assert embedded.embed(embedded.field) is embedded
+
+
 def test_transform_identity():
     alg = algebra_d()
     assert transform(GroupElement.identity(QQ, 3), alg) == alg
@@ -323,7 +331,7 @@ def test_in_stabilizer_n_shape():
     omega = canonical_omega(field)
     s, t = field.elem(2), field.elem(5)
     ginv = Matrix.from_rows(field, [[1, 0, 0], [s, 1, 0], [t, s, 1]])
-    g = GroupElement(ginv.inverse(), ginv)
+    g = GroupElement(ginv).inverse()
     assert in_stabilizer(g, omega)
 
 
