@@ -11,7 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations
-from operator import add, le, sub
 
 from .fields import FieldDescriptor, FieldElement, Rationals
 from .linalg import _payload
@@ -21,6 +20,13 @@ from .linalg import _payload
 CHECK_POSTCONDITIONS = False
 
 _SCALARS = (int, Fraction, FieldElement)  # what +, - and * read as a constant
+
+# A monomial is one int with a 64-bit field per exponent: 63 value bits below
+# a guard bit, so a product is a sum, a quotient a difference, and a product
+# past 2^63 - 1 raises its field's guard bit instead of carrying into the next.
+_WIDTH = 64
+_MAX_EXP = (1 << _WIDTH - 1) - 1
+_GUARD = 1 << _WIDTH - 1
 
 
 class RingMismatch(Exception):
@@ -45,9 +51,17 @@ class PolyRing:
     order "grevlex": total degree, ties by the last differing exponent with
     the smaller exponent winning.  order "elim1": the first variable forms an
     elimination block above a grevlex tail (used for intersections).
+
+    Monomials are packed ints (Monagan & Pearce, JSC 2011).  Under grevlex
+    the variables fill the fields from the lowest up and the total degree
+    sits above them; elim1 packs its tail the same way with the first
+    variable's exponent on top, so a t-free monomial packs as in the tail's
+    grevlex ring.  Flipping the variable fields of the grevlex block (m ^
+    _low) gives an int that ascends in the order.
     """
 
-    __slots__ = ("field", "variables", "order", "_var_index", "_key_cache")
+    __slots__ = ("field", "variables", "order", "_var_index", "_shifts", "_units",
+                 "_low", "_guard")
 
     def __init__(self, field: FieldDescriptor, variables, order: str = "grevlex"):
         variables = tuple(variables)
@@ -59,7 +73,15 @@ class PolyRing:
         self.variables = variables
         self.order = order
         self._var_index = {v: i for i, v in enumerate(variables)}
-        self._key_cache = {}
+        n = len(variables)
+        # the grevlex block: every variable, or all but elim1's first one
+        block = tuple(_WIDTH * i for i in range(n if order == "grevlex" else n - 1))
+        degree = 1 << _WIDTH * len(block)  # the block's degree field sits above it
+        self._shifts, self._units = block, tuple((1 << s) + degree for s in block)
+        if order == "elim1":  # the first variable's field on top, outside the degree
+            self._shifts, self._units = (_WIDTH * n,) + block, (1 << _WIDTH * n,) + self._units
+        self._low = sum(_MAX_EXP << s for s in block)
+        self._guard = sum(_GUARD << _WIDTH * i for i in range(n + 1))
 
     @property
     def nvars(self):
@@ -71,31 +93,52 @@ class PolyRing:
             return (sum(exps),) + tuple(-e for e in reversed(exps))
         return (exps[0], sum(exps) - exps[0]) + tuple(-e for e in reversed(exps[1:]))
 
-    def heap_key(self, exps):
-        """Cached key that sorts the larger monomial first, so heapq pops it
-        first: the negated sort key, then the support bitmask and the exponent
-        tuple itself, which only equal monomials ever compare."""
-        key = self._key_cache.get(exps)
-        if key is None:
-            mask = sum(1 << i for i, e in enumerate(exps) if e)
-            key = tuple(-w for w in self.sort_key(exps)) + (mask, exps)
-            self._key_cache[exps] = key
-        return key
+    def pack(self, exps) -> int:
+        """The packed monomial of an exponent tuple, each exponent and the
+        grevlex block's degree checked: n exponents below 2^63 may sum past
+        2^64 and carry out of the degree field, where no guard bit shows it."""
+        if len(exps) != self.nvars:
+            raise ValueError(f"{len(exps)} exponents for {self.nvars} variables")
+        m = 0
+        for name, e, unit in zip(self.variables, exps, self._units):
+            if not (isinstance(e, int) and 0 <= e <= _MAX_EXP):
+                raise _out_of_range(name)
+            m += e * unit
+        if sum(exps[1:] if self.order == "elim1" else exps) > _MAX_EXP:
+            raise _out_of_range(None)
+        return m
+
+    def unpack(self, m: int) -> tuple:
+        """The exponent tuple of a packed monomial."""
+        return tuple(m >> s & _MAX_EXP for s in self._shifts)
+
+    def support(self, m: int) -> int:
+        """The bitmask of the variables that divide a packed monomial."""
+        return sum(1 << i for i, s in enumerate(self._shifts) if m >> s & _MAX_EXP)
+
+    def divides(self, g: int, m: int) -> bool:
+        """Whether the packed monomial g divides m, by one borrow test: each
+        field of (m | guard) - g keeps its guard bit exactly when m's exponent
+        there is at least g's, and no field borrows from the next."""
+        guard = self._guard
+        return (m | guard) - g & guard == guard
+
+    def lcm(self, a: int, b: int) -> int:
+        """The packed lcm of two packed monomials: each exponent the max."""
+        return _checked(self, sum(max(a >> s & _MAX_EXP, b >> s & _MAX_EXP) * unit
+                                  for s, unit in zip(self._shifts, self._units)))
 
     def zero(self):
         return _from_payloads(self, {})
 
     def const(self, value):
-        return Polynomial(self, {(0,) * self.nvars: value})
+        return _from_payloads(self, {0: _payload(value, self.field)})
 
     def one(self):
         return self.const(1)
 
     def var(self, name):
-        i = self._var_index[name]
-        e = [0] * self.nvars
-        e[i] = 1
-        return _from_payloads(self, {tuple(e): self.field.one.value})
+        return _from_payloads(self, {self._units[self._var_index[name]]: self.field.one.value})
 
     def gens(self):
         return [self.var(v) for v in self.variables]
@@ -111,54 +154,57 @@ class PolyRing:
         return f"{self.field!r}[{', '.join(self.variables)}] ({self.order})"
 
 
-def _exp_mul(e1, e2):
-    return tuple(map(add, e1, e2))
+def _out_of_range(name):
+    what = "the total degree" if name is None else f"the exponent of {name!r}"
+    return ValueError(f"{what} is outside 0 .. 2^63 - 1")
 
 
-def _exp_div(e1, e2):
-    return tuple(map(sub, e1, e2))
-
-
-def _divides(e1, e2):
-    return all(map(le, e1, e2))
-
-
-def _exp_lcm(e1, e2):
-    return tuple(max(a, b) for a, b in zip(e1, e2))
-
-
-def _coprime(e1, e2):
-    return all(a == 0 or b == 0 for a, b in zip(e1, e2))
+def _checked(ring, m: int) -> int:
+    """m, unless its guard bits show a sum of two packed monomials past
+    2^63 - 1 (no field of such a sum carries): then the ValueError naming the
+    first such variable, or the total degree."""
+    if m & ring._guard:
+        for name, s in zip(ring.variables, ring._shifts):
+            if m >> s & _GUARD:
+                raise _out_of_range(name)
+        raise _out_of_range(None)
+    return m
 
 
 class Polynomial:
-    """A sparse polynomial whose terms map exponent tuples to nonzero raw
-    payloads, as Matrix.payloads does.  Polynomial(...) checks each coefficient
-    against the field once and drops zeros; kernel results are built from
-    payloads unchecked.  lc() reads a coefficient as a FieldElement."""
+    """A sparse polynomial whose terms map packed monomials to nonzero raw
+    payloads, as Matrix.payloads does.  Polynomial(...) takes exponent tuples,
+    packs each and checks each coefficient against the field once, dropping
+    zeros; kernel results are built from packed monomials and payloads
+    unchecked.  lm() unpacks the lead; lc() reads it as a FieldElement."""
 
     __slots__ = ("ring", "terms", "_sorted")
 
     def __init__(self, ring: PolyRing, terms: dict):
         field = ring.field
-        terms = {e: _payload(c, field) for e, c in terms.items()}
+        terms = {ring.pack(e): _payload(c, field) for e, c in terms.items()}
         self.ring, self._sorted = ring, None
         self.terms = {e: c for e, c in terms.items() if not field.is_zero(c)}
 
     def sorted_terms(self):
-        """Terms as (exponent, payload) pairs, descending in the ring order."""
+        """Terms as (packed monomial, payload) pairs, descending in the ring
+        order."""
         if self._sorted is None:
-            key = self.ring.heap_key
-            self._sorted = tuple(sorted(self.terms.items(), key=lambda t: key(t[0])))
+            low = self.ring._low
+            self._sorted = tuple(sorted(self.terms.items(), key=lambda t: t[0] ^ low,
+                                        reverse=True))
         return self._sorted
 
     def is_zero(self):
         return not self.terms
 
-    def lm(self):
+    def _lead(self) -> int:
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
         return self.sorted_terms()[0][0]
+
+    def lm(self) -> tuple:
+        return self.ring.unpack(self._lead())
 
     def lc(self):
         return FieldElement(self.ring.field, self.sorted_terms()[0][1])
@@ -201,9 +247,9 @@ class Polynomial:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = _exp_mul(e1, e2)
+                e = e1 + e2
                 out[e] = fadd(out[e], mul(c1, c2)) if e in out else mul(c1, c2)
-        return _from_payloads(self.ring, out)
+        return _products(self.ring, out)
 
     __rmul__ = __mul__
 
@@ -225,13 +271,22 @@ class Polynomial:
 
 
 def _from_payloads(ring, terms) -> Polynomial:
-    """The Polynomial of an exponent -> payload dict whose payloads are
+    """The Polynomial of a packed monomial -> payload dict whose payloads are
     already known to lie in ring.field, built unchecked; zero terms are
     dropped."""
     is_zero = ring.field.is_zero
     p = object.__new__(Polynomial)
     p.ring, p._sorted = ring, None
     p.terms = {e: c for e, c in terms.items() if not is_zero(c)}
+    return p
+
+
+def _products(ring, terms) -> Polynomial:
+    """_from_payloads for monomials that are sums of valid ones: a surviving
+    term whose guard bit came up is refused by name."""
+    p = _from_payloads(ring, terms)
+    for m in p.terms:
+        _checked(ring, m)
     return p
 
 
@@ -262,9 +317,9 @@ def format_polynomial(p: Polynomial) -> str:
         return "0"
     field = p.ring.field
     chunks = []
-    for i, (exps, coeff) in enumerate(p.sorted_terms()):
+    for i, (m, coeff) in enumerate(p.sorted_terms()):
         neg, mag = _coeff_display(field, coeff)
-        mono = _monomial_str(p.ring, exps)
+        mono = _monomial_str(p.ring, p.ring.unpack(m))
         if not mono:
             body = mag
         elif mag == "1":
@@ -352,59 +407,61 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     field = f.ring.field
     fadd, mul = field.add, field.mul
     (flm, flc), (glm, glc) = f.sorted_terms()[0], g.sorted_terms()[0]
-    t = _exp_lcm(flm, glm)
-    uf, ug = _exp_div(t, flm), _exp_div(t, glm)
+    t = f.ring.lcm(flm, glm)
+    uf, ug = t - flm, t - glm
     nflc = field.neg(flc)
-    out = {_exp_mul(e, uf): mul(c, glc) for e, c in f.terms.items()}
+    out = {e + uf: mul(c, glc) for e, c in f.terms.items()}
     for e, c in g.terms.items():
-        me = _exp_mul(e, ug)
+        me = e + ug
         out[me] = fadd(out[me], mul(c, nflc)) if me in out else mul(c, nflc)
-    return _from_payloads(f.ring, out)
+    return _products(f.ring, out)
 
 
 def _divide(f: Polynomial, divisors, quotient=None) -> dict:
-    """The one reduction loop behind normal_form and exact_divide, on raw
-    payloads.  Returns the remainder as an exponent -> payload dict.
+    """The one reduction loop behind normal_form and exact_divide, on packed
+    monomials and raw payloads.  Returns the remainder as a packed monomial
+    -> payload dict.
 
-    The largest remaining term is popped from a heap of heap keys (Monagan &
-    Pearce, JSC 2011); a popped monomial no longer in the work dict has
-    cancelled and is skipped.  The first divisor whose leading monomial
-    divides the term cancels it, after a support bitmask test rejects
-    divisors with a variable the term lacks.  A term that no leading monomial
-    divides goes to the remainder; given a quotient dict (one divisor), its
-    quotient terms are recorded there and such a term raises InexactDivision.
+    The largest remaining term is popped from a heap of negated order keys
+    (Monagan & Pearce, JSC 2011); a popped monomial no longer in the work dict
+    has cancelled and is skipped.  The first divisor whose leading monomial
+    divides the term (ring.divides, inlined) cancels it.  A term that no
+    leading monomial divides goes to the remainder; given a quotient dict (one
+    divisor), its quotient terms are recorded there and such a term raises
+    InexactDivision.
     """
     ring = f.ring
     field = ring.field
     fadd, mul, is_zero = field.add, field.mul, field.is_zero
-    heap_key = ring.heap_key
+    low, guard = ring._low, ring._guard
     data = []
     for g in divisors:
         (glm, glc), *tail = g.sorted_terms()
-        data.append((glm, heap_key(glm)[-2], field.neg(field.inv(glc)), tail))
+        data.append((glm, field.neg(field.inv(glc)), tail))
     work = dict(f.terms)
-    heap = [heap_key(e) for e in work]
+    heap = [-(m ^ low) for m in work]
     heapify(heap)
     out = {}
     while heap:
-        entry = heappop(heap)
-        m = entry[-1]
+        m = -heappop(heap) ^ low
         c = work.pop(m, None)
         if c is None:
             continue
-        mask = entry[-2]
-        for glm, gmask, nlcinv, tail in data:
-            if gmask & mask == gmask and _divides(glm, m):
-                q = _exp_div(m, glm)
+        borrow = m | guard
+        for glm, nlcinv, tail in data:
+            if borrow - glm & guard == guard:
+                q = m - glm
                 factor = mul(c, nlcinv)
                 if quotient is not None:
                     quotient[q] = field.neg(factor)
                 for e, a in tail:
-                    me = _exp_mul(e, q)
+                    me = e + q
                     acc = work.get(me)
                     if acc is None:
+                        if me & guard:
+                            _checked(ring, me)  # a product past 2^63 - 1 raises
                         work[me] = mul(factor, a)
-                        heappush(heap, heap_key(me))
+                        heappush(heap, -(me ^ low))
                     else:
                         acc = fadd(acc, mul(factor, a))
                         if is_zero(acc):
@@ -444,27 +501,32 @@ def buchberger(gens) -> list:
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return []
-    key = gens[0].ring.heap_key
+    ring = gens[0].ring
+    low, lcm, divides = ring._low, ring.lcm, ring.divides
     basis = []
-    active = []  # indices that still form new pairs
-    pairs = {}   # (i, j) with i < j -> lcm of the leading monomials
+    leads = []     # the packed leading monomials of basis
+    supports = []  # and their variable bitmasks
+    active = []    # indices that still form new pairs
+    pairs = {}     # (i, j) with i < j -> lcm of the leading monomials
 
     def add_element(h):
         new = len(basis)
+        hlm = h._lead()
+        hsupport = ring.support(hlm)
         basis.append(h)
-        hlm = h.lm()
+        leads.append(hlm)
+        supports.append(hsupport)
         for (i, j), t in list(pairs.items()):
-            if (_divides(hlm, t) and _exp_lcm(basis[i].lm(), hlm) != t
-                    and _exp_lcm(basis[j].lm(), hlm) != t):
+            if divides(hlm, t) and lcm(leads[i], hlm) != t and lcm(leads[j], hlm) != t:
                 del pairs[(i, j)]
         lcms = {}  # lcm -> lowest active index with it
         for k in active:
-            lcms.setdefault(_exp_lcm(basis[k].lm(), hlm), k)
+            lcms.setdefault(lcm(leads[k], hlm), k)
         for t, k in lcms.items():
-            if not (_coprime(basis[k].lm(), hlm)
-                    or any(s != t and _divides(s, t) for s in lcms)):
+            if not (supports[k] & hsupport == 0
+                    or any(s != t and divides(s, t) for s in lcms)):
                 pairs[(k, new)] = t
-        active[:] = [k for k in active if not _divides(hlm, basis[k].lm())]
+        active[:] = [k for k in active if not divides(hlm, leads[k])]
         active.append(new)
 
     for g in gens:
@@ -472,8 +534,8 @@ def buchberger(gens) -> list:
         if not g.is_zero():
             add_element(g.monic())
     while pairs:
-        # smallest lcm (the largest heap key) first, ties by the lower pair
-        i, j = max(pairs, key=lambda pr: (key(pairs[pr]), -pr[0], -pr[1]))
+        # smallest lcm first, ties by the lower pair
+        i, j = min(pairs, key=lambda pr: (pairs[pr] ^ low, pr))
         del pairs[(i, j)]
         r = normal_form(s_polynomial(basis[i], basis[j]), basis)
         if not r.is_zero():
@@ -484,9 +546,10 @@ def buchberger(gens) -> list:
 
 
 def _assert_groebner(basis):
+    supports = [g.ring.support(g._lead()) for g in basis]
     for i in range(len(basis)):
         for j in range(i):
-            if _coprime(basis[i].lm(), basis[j].lm()):
+            if supports[i] & supports[j] == 0:
                 continue
             if not normal_form(s_polynomial(basis[i], basis[j]), basis).is_zero():
                 raise NotAGroebnerBasis(
@@ -503,12 +566,12 @@ def reduce_basis(basis, check: bool = True) -> list:
     if not basis:
         return []
     ring = basis[0].ring
-    key = ring.sort_key
+    low = ring._low
     # minimize: drop elements whose lead is divisible by another lead
-    basis = sorted(basis, key=lambda g: key(g.lm()))
+    basis = sorted(basis, key=lambda g: g._lead() ^ low)
     minimal = []
     for g in basis:
-        if not any(_divides(h.lm(), g.lm()) for h in minimal):
+        if not any(ring.divides(h._lead(), g._lead()) for h in minimal):
             minimal.append(g)
     # reduce each element against the others: no lead divides another, so
     # each keeps its monic lead and the list stays sorted
@@ -576,13 +639,11 @@ def elimination_ideal(i1: Ideal, i2: Ideal) -> Ideal:
         raise ValueError("intersection requires a grevlex base ring")
     aux = _fresh_aux_name(ring.variables)
     ext = PolyRing(ring.field, (aux,) + ring.variables, order="elim1")
-
-    def lift(p, t_exp):
-        return _from_payloads(ext, {(t_exp,) + e: c for e, c in p.terms.items()})
-
+    # a t-free monomial packs alike in both rings, so lifting by t is an OR
+    t = ext._units[0]
     one_minus_t = ext.one() - ext.var(aux)
-    gens = [lift(g, 1) for g in i1.gens]
-    gens += [one_minus_t * lift(g, 0) for g in i2.gens]
+    gens = [_from_payloads(ext, {m | t: c for m, c in g.terms.items()}) for g in i1.gens]
+    gens += [one_minus_t * _from_payloads(ext, g.terms) for g in i2.gens]
     return Ideal(ext, gens)
 
 
@@ -594,8 +655,9 @@ def contract(aux: Ideal, ring: PolyRing) -> Ideal:
     if (ext.order, ext.field, ext.variables[1:], ring.order) != (
             "elim1", ring.field, ring.variables, "grevlex"):
         raise RingMismatch("not an elimination ideal over this ring")
-    kept = [_from_payloads(ring, {e[1:]: c for e, c in g.terms.items()})
-            for g in aux.groebner_basis() if g.lm()[0] == 0]
+    # t is the top field: a t-free lead is below it and packs as in ring
+    kept = [_from_payloads(ring, g.terms) for g in aux.groebner_basis()
+            if g._lead() < ext._units[0]]
     return _from_reduced(ring, kept)
 
 
@@ -627,18 +689,19 @@ def colon_of_meet(meet: Ideal, f: Polynomial) -> Ideal:
 
 def quotient_dimension(ideal: Ideal) -> int:
     """Krull dimension of ring/ideal: the size of the largest variable subset
-    that meets no leading monomial's support."""
+    that contains no leading monomial's support, scanned as bitmasks."""
     gb = ideal.groebner_basis()
-    n = ideal.ring.nvars
+    ring = ideal.ring
+    n = ring.nvars
     if not gb:
         return n
-    if any(sum(g.lm()) == 0 for g in gb):
+    if any(g._lead() == 0 for g in gb):
         raise UnitIdeal("the ideal is the whole ring")
-    supports = [frozenset(i for i, e in enumerate(g.lm()) if e) for g in gb]
+    supports = [ring.support(g._lead()) for g in gb]
     for size in range(n, 0, -1):
-        for subset in combinations(range(n), size):
-            s = set(subset)
-            if not any(sup <= s for sup in supports):
+        for subset in combinations([1 << i for i in range(n)], size):
+            s = sum(subset)
+            if all(sup & s != sup for sup in supports):
                 return size
     return 0
 

@@ -391,6 +391,36 @@ def test_gb_names_a_missing_exponent(capsys, monkeypatch):
                    " or is not a nonnegative integer\n")
 
 
+def test_gb_refuses_an_exponent_past_the_packed_field(capsys, monkeypatch):
+    # each exponent has 63 bits of a packed monomial's 64-bit field
+    code, out, err = _gb_stdin(capsys, monkeypatch,
+                               "ring x y over Q\nx^9223372036854775808*y - 1\nx*y - 2\n")
+    assert (code, out) == (1, "")
+    assert err == "bad ideal file: line 2: the exponent of 'x' is outside 0 .. 2^63 - 1\n"
+
+
+def test_gb_refuses_an_s_polynomial_past_the_packed_field(capsys, monkeypatch):
+    # the leads' lcm x^(2^62)*y^(2^62) has total degree 2^63
+    text = "ring x y over Q\nx^4611686018427387904*y - 1\nx*y^4611686018427387904 - 1\n"
+    code, out, err = _gb_stdin(capsys, monkeypatch, text)
+    assert (code, out) == (1, "")
+    assert err == "bad input: the total degree is outside 0 .. 2^63 - 1\n"
+
+
+def test_gb_refuses_a_degree_past_the_packed_field(capsys, monkeypatch):
+    # each exponent fits, but the degree 2^64 would carry out of its field
+    text = "ring x y z over Q\nx^9223372036854775807*y^9223372036854775807*z^2\nz\n"
+    code, out, err = _gb_stdin(capsys, monkeypatch, text)
+    assert (code, out) == (1, "")
+    assert err == "bad ideal file: line 2: the total degree is outside 0 .. 2^63 - 1\n"
+
+
+def test_gb_keeps_a_large_exponent_below_the_bound(capsys, monkeypatch):
+    text = "ring x y over Fp:101\nx^100000000000\n"
+    code, out, err = _gb_stdin(capsys, monkeypatch, text)
+    assert (code, out, err) == (0, text, "")
+
+
 def test_check_refuses_a_repeated_top_level_key(capsys, monkeypatch):
     text = json.dumps(_d_payload()).replace('"dim": 3', '"dim": 3, "dim": 3')
     monkeypatch.setattr("sys.stdin", io.StringIO(text))

@@ -308,7 +308,7 @@ def test_a_long_line_parses_to_its_terms_summed_one_by_one(field):
     for t in cancelled:
         one_by_one = one_by_one - parse_polynomial(ring, t)
     assert p == one_by_one
-    assert not {(k % 3, k % 5, k % 4) for k in range(10)} & set(p.terms)
+    assert not {(k % 3, k % 5, k % 4) for k in range(10)} & set(map(ring.unpack, p.terms))
 
 
 def test_text_roundtrip():
@@ -444,6 +444,30 @@ def test_reduced_basis_independent_of_generator_order(texts):
         assert reduce_basis(buchberger(list(perm))) == reference
 
 
+@pytest.mark.parametrize("field", [QQ, F101], ids=["Q", "Fp101"])
+def test_intersection_with_det_m_trajectory(monkeypatch, field):
+    # the pair selection and reduction order behind intersect(P, <det M>):
+    # 70 S-pairs reduced, 49 of them to zero, and 25 basis elements
+    from omegalie import groebner as gmod
+    ring = sc_ring(field)
+    aux = elimination_ideal(ideal_p(ring), Ideal(ring, [parse_polynomial(ring, DETM_TEXT)]))
+    remainders = []
+    real = gmod.normal_form
+
+    def spy(f, basis):
+        r = real(f, basis)
+        remainders.append(r)
+        return r
+
+    monkeypatch.setattr(gmod, "normal_form", spy)
+    basis, reduced = _reduced_pairs(monkeypatch, list(aux.gens))
+    # buchberger reduces each generator, then one S-polynomial per pair
+    spair_remainders = remainders[len(aux.gens):]
+    assert len(reduced) == len(spair_remainders) == 70
+    assert sum(r.is_zero() for r in spair_remainders) == 49
+    assert len(basis) == 25
+
+
 @pytest.mark.parametrize("field, name", [(QQ, "Q"), (F101, "Fp101")])
 def test_elimination_basis_golden(field, name):
     # t*<f1, f2, f3> + (1 - t)*<det M>, the ideal behind intersect(P, <det M>)
@@ -468,10 +492,69 @@ def test_coefficient_of_another_field_is_refused(build):
         build(PolyRing(QQ, "xy"))
 
 
+def _square(p):
+    return p * p
+
+
+@pytest.mark.parametrize("build", [
+    lambda ring: parse_polynomial(ring, "x^9223372036854775808*y - 1"),
+    lambda ring: Polynomial(ring, {(2 ** 63, 0): 1}),
+    # past the guard bit too: such a field would carry into the next one
+    lambda ring: parse_polynomial(ring, "x^18446744073709551617"),
+    lambda ring: Polynomial(ring, {(2 ** 200, 0): 1}),
+    lambda ring: Polynomial(ring, {(-1, 0): 1}),
+    lambda ring: Polynomial(ring, {(Fraction(3, 2), 0): 1}),
+    lambda ring: _square(parse_polynomial(ring, "x^4611686018427387904")),
+    lambda ring: _square(parse_polynomial(ring, "x^4611686018427387904 + y")),
+], ids=["parse", "constructor", "parse-past-guard", "constructor-past-guard", "negative",
+        "non-integer", "square", "square-of-sum"])
+def test_an_exponent_past_the_packed_field_is_refused_by_name(build):
+    with pytest.raises(ValueError, match=r"^the exponent of 'x' is outside 0 \.\. 2\^63 - 1$"):
+        build(PolyRing(QQ, "xy"))
+
+
+B = 2 ** 63 - 1  # the largest exponent a packed field holds
+
+
+@pytest.mark.parametrize("variables, order, build", [
+    ("xy", "grevlex", lambda ring: Polynomial(ring, {(2 ** 62, 2 ** 62): 1})),
+    ("xy", "grevlex", lambda ring: parse_polynomial(ring, "x^4611686018427387904")
+     * parse_polynomial(ring, "y^4611686018427387904")),
+    # each exponent fits, but the block's degree reaches 2^64: it would carry
+    # past the degree field's guard bit (under elim1, into t's field)
+    ("xyz", "grevlex", lambda ring: Polynomial(ring, {(B, B, 2): 1})),
+    ("xyz", "grevlex", lambda ring: parse_polynomial(ring, f"x^{B}*y^{B}*z^2")),
+    ("txyz", "elim1", lambda ring: Polynomial(ring, {(0, B, B, 2): 1})),
+    ("txyz", "elim1", lambda ring: parse_polynomial(ring, f"t*x^{B}*y^{B}*z^2")),
+], ids=["constructor", "product", "carry", "carry-parse", "elim1-carry", "elim1-carry-parse"])
+def test_a_degree_past_the_packed_field_is_refused(variables, order, build):
+    with pytest.raises(ValueError, match=r"^the total degree is outside 0 \.\. 2\^63 - 1$"):
+        build(PolyRing(QQ, variables, order=order))
+
+
+def test_a_reduction_past_the_packed_field_is_refused():
+    # under elim1 a tail term may outweigh the lead in the tail variables:
+    # reducing x*y^(2^62) by x - y^(2^62) yields y^(2^63)
+    ring = PolyRing(QQ, "xy", order="elim1")
+    f = parse_polynomial(ring, "x*y^4611686018427387904")
+    g = parse_polynomial(ring, "x - y^4611686018427387904")
+    with pytest.raises(ValueError, match=r"^the exponent of 'y' is outside 0 \.\. 2\^63 - 1$"):
+        normal_form(f, [g])
+
+
+def test_a_large_exponent_below_the_bound_computes():
+    ring = PolyRing(F101, "xy")
+    p = parse_polynomial(ring, "x^100000000000*y - 1")
+    assert p.lm() == (10 ** 11, 1)
+    assert format_polynomial(p * p) == "x^200000000000*y^2 + 99*x^100000000000*y + 1"
+    assert normal_form(p * p, [p]).is_zero()
+
+
 def test_terms_hold_payloads_and_lc_wraps():
     ring = PolyRing(QQ, "xy")
     p = parse_polynomial(ring, "1/2*x^2 - 3*y")
-    assert p.terms == {(2, 0): Fraction(1, 2), (0, 1): Fraction(-3)}
+    assert {ring.unpack(m): c for m, c in p.terms.items()} == {
+        (2, 0): Fraction(1, 2), (0, 1): Fraction(-3)}
     assert p.lc() == QQ.elem(Fraction(1, 2)) and p.lc().field == QQ
     assert Polynomial(ring, {(2, 0): Fraction(1, 2), (0, 1): -3, (1, 1): 0}) == p
 

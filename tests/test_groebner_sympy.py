@@ -23,9 +23,9 @@ def _to_sympy(polys, symbols):
     out = []
     for p in polys:
         expr = 0
-        for exps, c in p.terms.items():  # c is a Fraction or an int payload
+        for m, c in p.terms.items():  # c is a Fraction or an int payload
             term = sympy.Rational(str(c))
-            for s, e in zip(symbols, exps):
+            for s, e in zip(symbols, p.ring.unpack(m)):
                 term *= s ** e
             expr += term
         out.append(expr)

@@ -1,19 +1,23 @@
 """Differential property test of the heap reduction loop: normal_form and
 exact_divide against the max-scan division loops they replaced, kept here as
 the oracle, over Q, F_101 and Q(sqrt 2), in grevlex and elim1 order, with
-non-monic and non-Groebner divisor lists whose order matters."""
+non-monic and non-Groebner divisor lists whose order matters; and the packed
+monomials under it against their exponent tuples and sort_key."""
 
 from fractions import Fraction
+from itertools import combinations
+from operator import add
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from omegalie.fields import QQ, FieldElement, PrimeField, parse_descriptor
 from omegalie.groebner import (
+    Ideal,
     InexactDivision,
     Polynomial,
     PolyRing,
@@ -21,6 +25,7 @@ from omegalie.groebner import (
     format_polynomial,
     normal_form,
     parse_polynomial,
+    quotient_dimension,
 )
 
 PROPERTY = settings(max_examples=200, deadline=None, database=None, derandomize=True)
@@ -36,8 +41,9 @@ VARIABLES = ("x", "y", "z")
 # ---------------------------------------------------------------------------
 
 def elements(p):
-    """The terms of p, whose values are raw payloads, as FieldElements."""
-    return {e: FieldElement(p.ring.field, c) for e, c in p.terms.items()}
+    """The terms of p, packed monomials to raw payloads, as exponent tuples to
+    FieldElements."""
+    return {p.ring.unpack(m): FieldElement(p.ring.field, c) for m, c in p.terms.items()}
 
 
 def max_scan_normal_form(f, basis, log=None):
@@ -201,21 +207,102 @@ def test_a_cancelled_term_created_again(field, order):
     assert normal_form(f, basis) == want
 
 
-def test_key_cache_holds_one_entry_per_monomial_seen():
-    ring = PolyRing(QQ, VARIABLES)
-    f_text, basis_texts = RECREATE
-    f = parse_polynomial(ring, f_text)
-    basis = [parse_polynomial(ring, t) for t in basis_texts]
-    assert not ring._key_cache
-    normal_form(f, basis)
-    cached = dict(ring._key_cache)
-    log = []
-    max_scan_normal_form(f, basis, log)
-    seen = set(f.terms).union(*(g.terms for g in basis), (m for _, m in log))
-    assert set(cached) == seen
-    # one flat heap key per monomial, ending with the monomial itself
-    assert all(type(k) is tuple and k[-1] is m for m, k in cached.items())
-    # no second per-ring cache: every dict on the ring is one of these two
-    assert not hasattr(ring, "__dict__")
-    dicts = [s for s in PolyRing.__slots__ if isinstance(getattr(ring, s), dict)]
-    assert dicts == ["_var_index", "_key_cache"]
+BOUND = (1 << 63) - 1  # the largest exponent a packed field holds
+# the bound itself often: three of it overflow the grevlex degree field
+EXPONENTS = st.one_of(st.integers(0, 3), st.just(BOUND), st.integers(0, BOUND))
+
+
+def monomial_vectors(n):
+    return st.tuples(*(EXPONENTS for _ in range(n)))
+
+
+def packs(ring, exps):
+    """Whether exps lies in range for ring.pack: each exponent, and the
+    degree of the grevlex block, at most BOUND."""
+    block = exps if ring.order == "grevlex" else exps[1:]
+    return max(exps) <= BOUND and sum(block) <= BOUND
+
+
+@PROPERTY
+@given(st.data())
+def test_packed_monomials_match_their_exponent_tuples(data):
+    ring = data.draw(rings())
+    a, b = data.draw(monomial_vectors(3)), data.draw(monomial_vectors(3))
+    for e in (a, b):
+        if not packs(ring, e):
+            with pytest.raises(ValueError, match="outside 0 .. 2\\^63 - 1"):
+                ring.pack(e)
+    assume(packs(ring, a) and packs(ring, b))
+    pa, pb = ring.pack(a), ring.pack(b)
+    assert (ring.unpack(pa), ring.unpack(pb)) == (a, b)
+    # the packed order, which sorted_terms and the heap use, is sort_key's order
+    if a != b:
+        two = Polynomial(ring, {a: 1, b: 1})
+        assert two.lm() == max(a, b, key=ring.sort_key)
+        assert [ring.unpack(m) for m, _ in two.sorted_terms()] == sorted(
+            (a, b), key=ring.sort_key, reverse=True)
+    # the borrow test is componentwise <=, and a quotient is a difference
+    assert ring.divides(pa, pb) == all(x <= y for x, y in zip(a, b))
+    if ring.divides(pa, pb):
+        assert ring.unpack(pb - pa) == tuple(y - x for x, y in zip(a, b))
+    # coprime leads have disjoint supports
+    assert (ring.support(pa) & ring.support(pb) == 0) == all(
+        x == 0 or y == 0 for x, y in zip(a, b))
+    # the lcm is the max and the product is the sum, or both are refused
+    lcm, product = tuple(map(max, a, b)), tuple(map(add, a, b))
+    if packs(ring, lcm):
+        assert ring.lcm(pa, pb) == ring.pack(lcm)
+    else:
+        with pytest.raises(ValueError, match="outside 0 .. 2\\^63 - 1"):
+            ring.lcm(pa, pb)
+    one = ring.field.one
+    fa, fb = Polynomial(ring, {a: one}), Polynomial(ring, {b: one})
+    if packs(ring, product):
+        assert (fa * fb).terms == {pa + pb: one.value}
+        assert (fa * fb).lm() == product
+    else:
+        with pytest.raises(ValueError, match="outside 0 .. 2\\^63 - 1"):
+            fa * fb
+
+
+@PROPERTY
+@given(st.data())
+def test_elim1_lift_and_contract_are_inverse_on_t_free_monomials(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    ring = PolyRing(field, VARIABLES)
+    ext = PolyRing(field, ("t",) + VARIABLES, order="elim1")
+    e = data.draw(monomial_vectors(3))
+    k = data.draw(EXPONENTS)
+    assume(packs(ring, e))
+    m = ring.pack(e)
+    # contract keeps a t-free monomial as it is, and lifting by t^k is an OR
+    assert ext.pack((0,) + e) == m and ext.unpack(m) == (0,) + e
+    lifted = ext.pack((k,) + e)
+    assert lifted == m | ext.pack((k, 0, 0, 0))
+    assert ring.unpack(lifted & ~ext.pack((k, 0, 0, 0))) == e
+    # the t-free monomials are those below t
+    assert (lifted < ext.pack((1, 0, 0, 0))) == (k == 0)
+
+
+@PROPERTY
+@given(st.lists(st.tuples(*(st.integers(0, 2) for _ in range(5))), min_size=1, max_size=5))
+def test_quotient_dimension_matches_a_scan_of_every_variable_subset(leads):
+    assume(all(any(e) for e in leads))  # a constant generates the whole ring
+    ring = PolyRing(QQ, "abcde")
+    ideal = Ideal(ring, [Polynomial(ring, {e: 1}) for e in leads])
+    supports = [{i for i, x in enumerate(g.lm()) if x} for g in ideal.groebner_basis()]
+    want = max(size for size in range(6) for subset in combinations(range(5), size)
+               if not any(sup <= set(subset) for sup in supports))
+    assert quotient_dimension(ideal) == want
+
+
+def test_the_ring_holds_no_cache():
+    for order in ORDERS:
+        ring = PolyRing(QQ, VARIABLES, order=order)
+        f_text, basis_texts = RECREATE
+        normal_form(parse_polynomial(ring, f_text),
+                    [parse_polynomial(ring, t) for t in basis_texts])
+        assert not hasattr(ring, "__dict__")
+        dicts = [s for s in PolyRing.__slots__ if isinstance(getattr(ring, s), dict)]
+        assert dicts == ["_var_index"]
+        assert ring._var_index == {v: i for i, v in enumerate(VARIABLES)}

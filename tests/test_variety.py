@@ -39,9 +39,9 @@ def evaluate(poly, point):
     """The value of a polynomial at a total assignment {variable name: scalar}."""
     vals = [point[v] for v in poly.ring.variables]
     acc = poly.ring.field.zero
-    for exps, payload in poly.terms.items():
+    for m, payload in poly.terms.items():
         coeff = FieldElement(poly.ring.field, payload)
-        for v, e in zip(vals, exps):
+        for v, e in zip(vals, poly.ring.unpack(m)):
             for _ in range(e):
                 coeff = coeff * v
         acc = acc + coeff
