@@ -15,7 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .fields import FieldDescriptor, FieldElement, PrimeField, quadratic_roots
+from .fields import (
+    ExtensionDepthExceeded,
+    FieldDescriptor,
+    FieldElement,
+    PrimeField,
+    quadratic_roots,
+)
 from .linalg import (
     Matrix,
     SingularMatrix,
@@ -281,14 +287,13 @@ def classify(alg: OmegaAlgebra, allow_extension: bool = False,
         pipe.work = change_basis(g, alg)
         pipe.steps.append(("form-normalize", g))
         assert pipe.work.omega.matrix == j2
-    extension = None
 
     fast = _match_canonical(pipe.work)
     if fast is not None:
         label, move = fast
         if move is not None:
             pipe.apply("c-pair-swap", move)
-        return _finish(alg, pipe, label, extension)
+        return _finish(alg, pipe, label)
 
     a, b, c = pipe.read()
     if a[2].is_zero():
@@ -307,13 +312,13 @@ def classify(alg: OmegaAlgebra, allow_extension: bool = False,
 
     delta = b[0] * c[1] - b[1] * c[0]
     if not delta.is_zero():
-        label, extension = _generic_branch(pipe, allow_extension, strict_c_labels)
+        label = _generic_branch(pipe, allow_extension, strict_c_labels)
     else:
         label = _degenerate_branch(pipe)
-    return _finish(alg, pipe, label, extension)
+    return _finish(alg, pipe, label)
 
 
-def _generic_branch(pipe: _Pipeline, allow_extension, strict_c_labels):
+def _generic_branch(pipe: _Pipeline, allow_extension, strict_c_labels) -> CanonicalLabel:
     """Nonzero 2x2 minor of the z-adjoint: normalize the product bracket to z,
     then split by the conjugacy class of the trace -1 adjoint matrix."""
     field = pipe.field
@@ -332,30 +337,27 @@ def _generic_branch(pipe: _Pipeline, allow_extension, strict_c_labels):
     assert b[2].is_zero() and c[2].is_zero()
     m = Matrix.from_rows(field, [[b[0], c[0]], [b[1], c[1]]])
     assert m[0, 0] + m[1, 1] == -field.one
-    roots = quadratic_roots(m.det())
-    if roots.kind == "double":
+    alpha, beta = quadratic_roots(m.det(), allow_extension)
+    if alpha == beta:
         # double eigenvalue -1/2: the scalar matrix or the Jordan block
-        half = -field.one / 2
-        if m == Matrix.from_rows(field, [[half, field.zero], [field.zero, half]]):
-            return label_c(half), None
-        p, extension = sl2_jordan(m, allow_extension)
+        if m == Matrix.from_rows(field, [[alpha, field.zero], [field.zero, alpha]]):
+            return label_c(alpha)
+        p = sl2_jordan(m, allow_extension)
         label = label_b()
     else:
-        (alpha, _), ext = roots.split(allow_extension)
-        extension = roots.minpoly
-        if ext is not None:
-            m = m.embed(ext)
+        if alpha.field != field:
+            m = m.embed(alpha.field)
         if not strict_c_labels:
             alpha = c_pair_representative(alpha)
         p = sl2_diagonalize(m, alpha)
         label = label_c(alpha)
-    if extension is not None:
+    if p.field != field:
         pipe.extend_to(p.field)
     if p != Matrix.identity(p.field, 2):
         # dia{P^-1, 1} conjugates the z-adjoint by P while fixing [x,y] = z
         pipe.apply("adjoint-conjugate", _from_inverse(p.field, [
             [p[0, 0], p[0, 1], 0], [p[1, 0], p[1, 1], 0], [0, 0, 1]]))
-    return label, extension
+    return label
 
 
 def _degenerate_branch(pipe: _Pipeline) -> CanonicalLabel:
@@ -422,8 +424,8 @@ def _degenerate_branch(pipe: _Pipeline) -> CanonicalLabel:
     return label_a()
 
 
-def _finish(original: OmegaAlgebra, pipe: _Pipeline, label: CanonicalLabel,
-            extension) -> ClassificationResult:
+def _finish(original: OmegaAlgebra, pipe: _Pipeline,
+            label: CanonicalLabel) -> ClassificationResult:
     target = canonical_algebra(label, pipe.field)
     if pipe.work != target:
         raise AssertionError(f"pipeline did not land on {label}")
@@ -433,6 +435,7 @@ def _finish(original: OmegaAlgebra, pipe: _Pipeline, label: CanonicalLabel,
         raise AssertionError("witness does not reproduce the canonical algebra")
     if source.omega.matrix == standard_j(pipe.field, 3, 2):
         assert in_stabilizer(witness, source.omega)
+    extension = pipe.field.minpoly if pipe.field != original.field else None
     return ClassificationResult(label=label, witness=witness, field=pipe.field,
                                 trace=tuple(pipe.steps), extension=extension)
 
@@ -459,9 +462,12 @@ def iso_witness(alg1: OmegaAlgebra, alg2: OmegaAlgebra,
     the two classification witnesses and is re-verified to carry the first
     bracket and form onto the second.  An algebra over the base of the
     other's quadratic extension is embedded into it; other fields differing
-    is a ValueError.  Inputs classify refuses are refused here too, also when
-    the derived dimensions already tell them apart.
+    is a ValueError.  When no one quadratic extension holds both, under
+    allow_extension each is classified over its own field, and different
+    labels tell them apart.  Inputs classify refuses are refused here too,
+    also when the derived dimensions already tell them apart.
     """
+    own = alg1, alg2
     if alg1.field != alg2.field:
         if alg2.field.depth and alg2.field.base == alg1.field:
             alg1 = alg1.embed(alg2.field)
@@ -476,13 +482,20 @@ def iso_witness(alg1: OmegaAlgebra, alg2: OmegaAlgebra,
         _check_classifiable(alg2)
         return NonIsomorphic(
             reason=f"derived algebra dimensions differ: {d1} vs {d2}")
-    r1 = classify(alg1, allow_extension=allow_extension)
-    a2 = alg2.embed(r1.field)
-    r2 = classify(a2, allow_extension=allow_extension)
-    if r2.field != r1.field:
-        # the second algebra forced the extension; redo the first over it
-        r1 = classify(alg1.embed(r2.field), allow_extension=allow_extension)
-        a2 = alg2.embed(r2.field)
+    try:
+        r1 = classify(alg1, allow_extension=allow_extension)
+        a2 = alg2.embed(r1.field)
+        r2 = classify(a2, allow_extension=allow_extension)
+        if r2.field != r1.field:
+            # the second algebra forced the extension; redo the first over it
+            r1 = classify(alg1.embed(r2.field), allow_extension=allow_extension)
+            a2 = alg2.embed(r2.field)
+    except ExtensionDepthExceeded:
+        if not allow_extension:
+            raise
+        r1, r2 = (classify(alg, allow_extension=True) for alg in own)
+        if r1.label == r2.label:
+            raise
     if r1.label != r2.label:
         return NonIsomorphic(reason="different canonical families",
                              label1=r1.label, label2=r2.label)

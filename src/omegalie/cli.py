@@ -106,11 +106,6 @@ def cmd_check(args) -> int:
     return EXIT_OK if report.ok and recover_ok else EXIT_INPUT
 
 
-def _minpoly_text(minpoly) -> str:
-    c0, c1 = minpoly
-    return f"t^2 + ({c1.encode()})*t + ({c0.encode()})"
-
-
 def cmd_classify(args) -> int:
     alg = _load_algebra(args.algebra)
     res = classify(alg, allow_extension=args.allow_extension,
@@ -121,7 +116,8 @@ def cmd_classify(args) -> int:
         print(f"label: {res.label}")
         print(f"field: {res.field.encode()}")
         if res.extension is not None:
-            print(f"extension minpoly: {_minpoly_text(res.extension)}")
+            c0, c1 = res.extension
+            print(f"extension minpoly: t^2 + ({c1.encode()})*t + ({c0.encode()})")
         print("witness (acts on the input to give the canonical algebra):")
         _print_matrix(res.witness.matrix)
         print("case trace:")
@@ -322,8 +318,7 @@ def main(argv=None) -> int:
             print(f"cannot read input: {exc}", file=sys.stderr)
             status = EXIT_INPUT
         except ExtensionDepthExceeded as exc:
-            print(f"not classifiable: needs a second quadratic extension by"
-                  f" {_minpoly_text(exc.minpoly)}; extension towers are capped at one step",
+            print(f"not classifiable: {exc}; extension towers are capped at one step",
                   file=sys.stderr)
             status = EXIT_INPUT
         except ExtensionRequired as exc:
@@ -331,8 +326,7 @@ def main(argv=None) -> int:
                 print(json.dumps({"error": "extension_required",
                                   "minpoly": [c.encode() for c in exc.minpoly]}))
             else:
-                print(f"needs a quadratic extension by {_minpoly_text(exc.minpoly)};"
-                      " rerun with --allow-extension")
+                print(f"{exc}; rerun with --allow-extension")
             status = EXIT_EXTENSION
         except (NotOmegaLie, IsLie) as exc:
             print(f"not classifiable: {exc}", file=sys.stderr)

@@ -9,7 +9,6 @@ from __future__ import annotations
 import operator
 import re
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, isqrt
@@ -34,13 +33,17 @@ class ExtensionRequired(FieldError):
     adjoined, as the pair (c0, c1) of field elements.
     """
 
-    def __init__(self, c0, c1, message=None):
+    step = "a quadratic extension"
+
+    def __init__(self, c0, c1):
         self.minpoly = (c0, c1)
-        super().__init__(message or f"needs extension by t^2 + ({c1})*t + ({c0})")
+        super().__init__(f"needs {self.step} by t^2 + ({c1})*t + ({c0})")
 
 
 class ExtensionDepthExceeded(ExtensionRequired):
     """A second quadratic extension would be needed; the tower is capped at one."""
+
+    step = "a second quadratic extension"
 
 
 # a decimal with an exponent part: Fraction builds 10**exponent, so the
@@ -305,7 +308,7 @@ class QuadExt(FieldDescriptor):
 
     def __init__(self, base: FieldDescriptor, c0, c1):
         if base.depth != 0:
-            raise ExtensionDepthExceeded(c0, c1, "extension tower depth is capped at 1")
+            raise ExtensionDepthExceeded(base.elem(c0), base.elem(c1))
         self.base = base
         self.c0 = base.coerce(c0)
         self.c1 = base.coerce(c1)
@@ -367,6 +370,11 @@ class QuadExt(FieldDescriptor):
     @property
     def theta(self):
         return self.elem((0, 1))
+
+    @property
+    def minpoly(self):
+        """(c0, c1) as elements of the base field."""
+        return FieldElement(self.base, self.c0), FieldElement(self.base, self.c1)
 
     def embed(self, element: "FieldElement") -> "FieldElement":
         if element.field != self.base:
@@ -565,98 +573,59 @@ def _sqrt_in_depth0(field: FieldDescriptor, payload):
 def _sqrt_in_field(element: FieldElement):
     """Square root inside the element's own field, or None.
 
-    Over a quadratic extension base(t), only values with zero t-component are
-    supported; that covers every value produced by embedding from the base,
-    which is the only way extension scalars arise here.
+    Over base(t), write the element x + y*u in the basis 1, u = t + c1/2, with
+    u^2 = d = c1^2/4 - c0 a non-square of the base.  (p + q*u)^2 = x + y*u
+    says p^2 + d*q^2 = x and 2*p*q = y, so p^2 is (x + n)/2 or (x - n)/2 for
+    a square root n of the norm x^2 - d*y^2; p = 0 leaves q^2 = x/d.
     """
     field = element.field
     if field.depth == 0:
         r = _sqrt_in_depth0(field, element.value)
         return None if r is None else FieldElement(field, r)
-    base = field.base
-    a0, a1 = element.value
-    if not base.is_zero(a1):
-        raise ExtensionDepthExceeded(
-            -element, field.zero,
-            "square roots of generic extension elements are out of scope")
-    r = _sqrt_in_depth0(base, a0)
-    if r is not None:
-        return FieldElement(field, (r, base.coerce(0)))
-    # maybe a0 = (v*(t + c1/2))^2 = v^2 * (c1^2 - 4 c0)/4
-    disc = base.sub(base.mul(field.c1, field.c1), base.mul(base.coerce(4), field.c0))
-    v2 = base.div(base.mul(base.coerce(4), a0), disc)
-    v = _sqrt_in_depth0(base, v2)
-    if v is None:
+    a0, a1 = (FieldElement(field.base, v) for v in element.value)
+    c0, c1 = field.minpoly
+    half_c1 = c1 / 2
+    x, y, d = a0 - a1 * half_c1, a1, half_c1 * half_c1 - c0
+    n = _sqrt_in_field(x * x - d * y * y)
+    if n is None:
         return None
-    half_c1 = base.div(field.c1, base.coerce(2))
-    return FieldElement(field, (base.mul(v, half_c1), v))
+    for p2 in ((x + n) / 2, (x - n) / 2):
+        p = _sqrt_in_field(p2)
+        if p is None:
+            continue
+        q = y / (2 * p) if p else _sqrt_in_field(x / d)
+        if q is not None:
+            return field.elem(((p + q * half_c1).value, q.value))
+    return None
 
 
-@dataclass(frozen=True)
-class RootReport:
-    """Roots of a monic quadratic t^2 + c1*t + c0 over the element's field.
-
-    kind is "root" (root set: the canonical square root), "two_roots" (roots
-    set, both in the field), "double" (root set), or "needs_extension"
-    (minpoly set to (c0, c1)).
-    """
-    kind: str
-    roots: tuple | None = None
-    root: FieldElement | None = None
-    minpoly: tuple | None = None
-
-    def extension(self) -> QuadExt:
-        if self.kind != "needs_extension":
-            raise ValueError("roots already exist in the field")
-        c0, c1 = self.minpoly
-        # construction re-checks that the discriminant is a non-square
-        return QuadExt(c0.field, c0.value, c1.value)
-
-    def roots_in_extension(self, ext: QuadExt) -> tuple:
-        # theta is a root of the minpoly, and the roots sum to -c1
-        return (ext.theta, -ext.theta - ext.embed(self.minpoly[1]))
-
-    def split(self, allow_extension: bool):
-        """(roots, ext): the roots in the field with ext None, or the roots in
-        the quadratic extension ext that they need.  That extension is the
-        one place classification adjoins; without allow_extension it is
-        refused with ExtensionRequired, which carries the minpoly."""
-        if self.kind != "needs_extension":
-            return self.roots or (self.root,), None
-        if not allow_extension:
-            raise ExtensionRequired(*self.minpoly)
-        ext = self.extension()
-        return self.roots_in_extension(ext), ext
+def _adjoin(c0: FieldElement, c1: FieldElement, allow_extension: bool) -> QuadExt:
+    """The field adjoining a root theta of t^2 + c1*t + c0, which has none in
+    the coefficients' field: the one place a root finder extends its field.
+    Without allow_extension this raises ExtensionRequired, and over an
+    extension QuadExt raises ExtensionDepthExceeded; both carry (c0, c1)."""
+    if not allow_extension and c0.field.depth == 0:
+        raise ExtensionRequired(c0, c1)
+    # construction re-checks that the discriminant is a non-square
+    return QuadExt(c0.field, c0.value, c1.value)
 
 
-def sqrt_or_extend(s: FieldElement) -> RootReport:
-    """Square root of a nonzero element, or the minpoly t^2 - s to adjoin."""
+def sqrt_or_extend(s: FieldElement, allow_extension: bool) -> FieldElement:
+    """The canonical square root of a nonzero element, or theta in the field
+    adjoining t^2 - s when s has none in its own field."""
     if s.is_zero():
         raise ZeroInput("sqrt of zero")
     r = _sqrt_in_field(s)
-    if r is not None:
-        return RootReport("root", root=r)
-    if s.field.depth != 0:
-        raise ExtensionDepthExceeded(-s, s.field.zero,
-                                     "second quadratic extension refused")
-    return RootReport("needs_extension", minpoly=(-s, s.field.zero))
+    return r if r is not None else _adjoin(-s, s.field.zero, allow_extension).theta
 
 
-def quadratic_roots(delta: FieldElement) -> RootReport:
-    """Split t^2 + t + delta over delta's field if possible.
-
-    The returned pair is ((-1 + s)/2, (-1 - s)/2) for the canonical square
-    root s of the discriminant 1 - 4*delta.
-    """
-    field = delta.field
-    disc = field.one - 4 * delta
-    if disc.is_zero():
-        return RootReport("double", root=-field.one / 2)
-    s = _sqrt_in_field(disc)
-    if s is not None:
-        two = field.elem(2)
-        return RootReport("two_roots", roots=((s - 1) / two, (-s - 1) / two))
-    if field.depth != 0:
-        raise ExtensionDepthExceeded(delta, field.one,
-                                     "second quadratic extension refused")
-    return RootReport("needs_extension", minpoly=(delta, field.one))
+def quadratic_roots(delta: FieldElement, allow_extension: bool) -> tuple:
+    """The roots ((-1 + s)/2, (-1 - s)/2) of t^2 + t + delta, s the canonical
+    square root of the discriminant 1 - 4*delta, so equal for a double root;
+    or theta and -1 - theta in the field adjoining t^2 + t + delta when s is
+    not in delta's field."""
+    s = _sqrt_in_field(delta.field.one - 4 * delta)
+    if s is None:
+        theta = _adjoin(delta, delta.field.one, allow_extension).theta
+        return theta, -1 - theta
+    return (s - 1) / 2, (-s - 1) / 2

@@ -283,24 +283,15 @@ class ValidationReport:
 
 
 def validate(alg: OmegaAlgebra) -> ValidationReport:
-    """Check the skew-form invariants, bracket antisymmetry as the accessor
-    derives it, and the omega-Jacobi identity on every ordered basis triple.
+    """Check the skew-form invariants and the omega-Jacobi identity on every
+    ordered basis triple.
 
     The identity is evaluated on the strictly increasing triples only; the
     failures of every other order, by the sign of its permutation, are built
     only when some defect is nonzero."""
     report = ValidationReport(ok=True)
-    n, field, sc = alg.dim, alg.field, alg.sc
+    n, field = alg.dim, alg.field
     SkewForm(alg.omega.matrix)  # re-verify rather than trust construction
-    for i in range(n):
-        if sc._payloads(i, i) is not None:
-            report.ok = False
-            report.messages.append(f"[e_{i}, e_{i}] is nonzero")
-    # a pair missing from the stored table reads as zero both ways
-    for i, j in sorted(sc._table):
-        if tuple(map(field.neg, sc._payloads(i, j))) != sc._payloads(j, i):
-            report.ok = False
-            report.messages.append(f"brackets ({i},{j}) and ({j},{i}) not opposite")
     defects = _defects(alg)
     if defects:
         zero = field.coerce(0)

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from omegalie import classify3, linalg
-from omegalie.fields import QQ, ExtensionRequired, PrimeField, QuadExt
+from omegalie.fields import QQ, ExtensionDepthExceeded, ExtensionRequired, PrimeField, QuadExt
 from omegalie.linalg import Matrix, SingularMatrix, SkewForm, standard_j
 from omegalie.classify3 import (
     CanonicalLabel,
@@ -203,6 +203,64 @@ def test_extension_classification_jordan():
     assert res.extension is not None
     assert change_basis(res.witness, alg.embed(res.field)) \
         == canonical_algebra(label_b(), res.field)
+
+
+SQRT2 = QuadExt(QQ, -2, 0)
+
+
+def _eigen_example():
+    """The adjoint eigenvalues need t^2 + t + 1 over Q: label C."""
+    return mk(QQ, {(0, 1): [0, 0, 1], (0, 2): [0, 1, 0], (1, 2): [-1, -1, 0]})
+
+
+def _jordan_example(square):
+    """The Jordan block whose scaling root needs t^2 - square over Q: label B."""
+    half = Fraction(-1, 2)
+    return mk(QQ, {(0, 1): [0, 0, 1], (0, 2): [half, 0, 0], (1, 2): [square, half, 0]})
+
+
+def test_a_square_with_a_t_part_is_split_over_the_extension():
+    # 1 - 4 delta = 3 + 2 sqrt 2 = (1 + sqrt 2)^2 splits in Q(sqrt 2)
+    alg = mk(SQRT2, {(0, 1): [0, 0, 1], (0, 2): [0, SQRT2.elem((Fraction(1, 2), Fraction(1, 2))), 0],
+                     (1, 2): [1, -1, 0]})
+    for allow in (False, True):
+        res = classify(alg, allow_extension=allow)
+        assert str(res.label) == "C:[-1,-1/2]"
+        assert res.field == SQRT2 and res.extension is None
+        assert change_basis(res.witness, alg) == canonical_algebra(res.label, SQRT2)
+        assert isinstance(iso_witness(alg, alg, allow_extension=allow), GroupElement)
+
+
+def test_a_non_square_with_a_t_part_names_t2_plus_t_plus_delta():
+    delta = SQRT2.elem((Fraction(-1, 2), -1))  # 1 - 4 delta = 3 + 4 sqrt 2, norm -23
+    alg = mk(SQRT2, {(0, 1): [0, 0, 1], (0, 2): [0, -delta, 0], (1, 2): [1, -1, 0]})
+    with pytest.raises(ExtensionDepthExceeded) as info:
+        classify(alg, allow_extension=True)
+    assert info.value.minpoly == (delta, SQRT2.one)
+
+
+@pytest.mark.parametrize("want", ["A", "B"], ids=["A-over-sqrt2", "B-needing-sqrt2"])
+def test_iso_tells_apart_algebras_that_need_different_extensions(want):
+    c = _eigen_example()
+    other = canonical_algebra(label_a(), SQRT2) if want == "A" else _jordan_example(2)
+    for left, right in ((c, other), (other, c)):
+        out = iso_witness(left, right, allow_extension=True)
+        assert isinstance(out, NonIsomorphic)
+        assert out.reason == "different canonical families"
+        assert {str(out.label1), str(out.label2)} == {"C:[-1,-1]", want}
+        # without the flag the refusal stays the one classify gives: the
+        # embedded C needs a second extension, the pair over Q a first one
+        with pytest.raises(ExtensionRequired) as info:
+            iso_witness(left, right)
+        assert isinstance(info.value, ExtensionDepthExceeded) == (want == "A")
+
+
+def test_iso_still_refuses_equal_labels_over_different_extensions():
+    b2, b3 = _jordan_example(2), _jordan_example(3)
+    assert classify(b2, allow_extension=True).label == classify(b3, allow_extension=True).label
+    for left, right in ((b2, b3), (b3, b2)):
+        with pytest.raises(ExtensionDepthExceeded):
+            iso_witness(left, right, allow_extension=True)
 
 
 def test_noncanonical_form_is_normalized_first():

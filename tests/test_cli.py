@@ -133,6 +133,66 @@ def test_second_extension_is_refused(capsys, tmp_path, argv):
                    " t^2 + ([1,0])*t + ([1,0]); extension towers are capped at one step\n")
 
 
+def _jordan_file(tmp_path, square):
+    # [x,y] = z, [x,z] = -x/2, [y,z] = square*x - y/2: label B, whose scaling
+    # root needs t^2 - square over Q
+    alg = dict(EXTENSION_EXAMPLE, brackets={"0,1": ["0", "0", "1"], "0,2": ["-1/2", "0", "0"],
+                                            "1,2": [str(square), "-1/2", "0"]})
+    path = tmp_path / f"jordan{square}.alg"
+    path.write_text(json.dumps(alg))
+    return str(path)
+
+
+def test_classify_jordan_extension_reports_its_minpoly(capsys, tmp_path):
+    path = _jordan_file(tmp_path, 2)
+    code, out, _ = run(capsys, ["classify", path])
+    assert code == 3
+    code, out, _ = run(capsys, ["classify", path, "--format", "machine"])
+    assert (code, json.loads(out)["minpoly"]) == (3, ["-2", "0"])
+    code, out, _ = run(capsys, ["classify", path, "--allow-extension"])
+    assert code == 0
+    assert out.splitlines()[:3] == ["label: B", "field: QuadExt:Q:-2,0",
+                                    "extension minpoly: t^2 + (0)*t + (-2)"]
+
+
+def test_classify_splits_a_square_with_a_t_part(capsys, tmp_path):
+    # 1 - 4*det of the z-adjoint is 3 + 2 sqrt 2 = (1 + sqrt 2)^2
+    alg = dict(EXTENSION_EXAMPLE, field="QuadExt:Q:-2,0",
+               brackets={"0,1": ["0", "0", "1"], "0,2": ["0", "[1/2,1/2]", "0"],
+                         "1,2": ["1", "-1", "0"]})
+    path = tmp_path / "square.alg"
+    path.write_text(json.dumps(alg))
+    for flag in ([], ["--allow-extension"]):
+        code, out, err = run(capsys, ["classify", str(path)] + flag)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[:2] == ["label: C:[-1,-1/2]", "field: QuadExt:Q:-2,0"]
+
+
+@pytest.mark.parametrize("other", ["a-over-sqrt2", "jordan2"])
+def test_iso_tells_apart_pairs_that_need_different_extensions(capsys, tmp_path, other):
+    c = tmp_path / "ext.alg"
+    c.write_text(json.dumps(EXTENSION_EXAMPLE))
+    if other == "jordan2":
+        path, label = _jordan_file(tmp_path, 2), "B"
+    else:
+        path, label = tmp_path / "a.alg", "A"
+        path.write_text(algebra_to_json(canonical_algebra(label_a(), parse_descriptor(
+            "QuadExt:Q:-2,0"))))
+    for pair, labels in (((c, path), f"C:[-1,-1] vs {label}"),
+                         ((path, c), f"{label} vs C:[-1,-1]")):
+        code, out, err = run(capsys, ["iso", "--allow-extension", *map(str, pair)])
+        assert (code, out, err) == (0, f"non-isomorphic: different canonical families"
+                                       f" ({labels})\n", "")
+
+
+def test_iso_refuses_equal_labels_over_different_extensions(capsys, tmp_path):
+    argv = ["iso", "--allow-extension", _jordan_file(tmp_path, 2), _jordan_file(tmp_path, 3)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == ("not classifiable: needs a second quadratic extension by"
+                   " t^2 + ([0,0])*t + ([-3,0]); extension towers are capped at one step\n")
+
+
 def test_canonical_rejects_zero_alpha(capsys):
     code, _, err = run(capsys, ["canonical", "C", "--alpha", "0"])
     assert code == 1

@@ -88,8 +88,9 @@ def test_reducible_minpoly_rejected():
 
 def test_tower_depth_capped():
     K = QuadExt(QQ, -2, 0)
-    with pytest.raises(ExtensionDepthExceeded):
+    with pytest.raises(ExtensionDepthExceeded) as info:
         QuadExt(K, K.coerce(-3), K.coerce(0))
+    assert info.value.minpoly == (K.elem(-3), K.zero)
 
 
 def test_division_by_zero():
@@ -127,25 +128,20 @@ def test_field_axioms_randomized():
 
 
 def test_quadratic_roots_split_case():
-    rep = quadratic_roots(QQ.elem(-2))
-    assert rep.kind == "two_roots"
-    assert set(rep.roots) == {QQ.elem(1), QQ.elem(-2)}
+    assert quadratic_roots(QQ.elem(-2), False) == (QQ.elem(1), QQ.elem(-2))
 
 
 def test_quadratic_roots_double_case():
-    rep = quadratic_roots(QQ.elem(Fraction(1, 4)))
-    assert rep.kind == "double"
-    assert rep.root == QQ.elem(Fraction(-1, 2))
+    half = QQ.elem(Fraction(-1, 2))
+    assert quadratic_roots(QQ.elem(Fraction(1, 4)), False) == (half, half)
 
 
 def test_quadratic_roots_extension_case():
     # discriminant 1 - 4 = -3 is negative, hence not a rational square
-    rep = quadratic_roots(QQ.elem(1))
-    assert rep.kind == "needs_extension"
-    c0, c1 = rep.minpoly
-    assert (c0, c1) == (QQ.elem(1), QQ.elem(1))
-    ext = rep.extension()
-    r1, r2 = rep.roots_in_extension(ext)
+    r1, r2 = quadratic_roots(QQ.elem(1), True)
+    ext = r1.field
+    assert isinstance(ext, QuadExt) and ext.base == QQ
+    assert ext.minpoly == (QQ.elem(1), QQ.elem(1))
     assert r1 == ext.theta and r2 == -ext.theta - 1
     for r in (r1, r2):
         assert r * r + r + ext.one == ext.zero
@@ -156,69 +152,63 @@ def test_quadratic_roots_identity_randomized():
     for field in (QQ, F101):
         for _ in range(300):
             delta = _random_element(field, rng)
-            rep = quadratic_roots(delta)
-            d = delta if delta.field is field else delta
-            if rep.kind == "two_roots":
-                b, c = rep.roots
-                assert b + c == -field.one
-                assert b * c == d
-                for r in rep.roots:
-                    assert r * r + r + d == field.zero
-            elif rep.kind == "double":
-                r = rep.root
-                assert r * r + r + d == field.zero
-            else:
-                # re-check the discriminant really is a non-square
-                ext = rep.extension()
-                for r in rep.roots_in_extension(ext):
-                    de = ext.embed(d)
-                    assert r * r + r + de == ext.zero
+            b, c = quadratic_roots(delta, True)
+            d = delta if b.field == field else b.field.embed(delta)
+            if b.field != field:
+                # the roots needed the extension: t^2 + t + delta is its minpoly
+                assert b.field.minpoly == (delta, field.one)
+                assert b != c
+            assert b + c == -b.field.one
+            assert b * c == d
+            for r in (b, c):
+                assert r * r + r + d == b.field.zero
 
 
 def test_split_extends_or_refuses():
-    # roots in the field: no extension
-    assert quadratic_roots(QQ.elem(-2)).split(False) == ((QQ.elem(1), QQ.elem(-2)), None)
-    three_halves = QQ.elem(Fraction(3, 2))
-    assert sqrt_or_extend(three_halves * three_halves).split(False) == ((three_halves,), None)
-    for rep in (quadratic_roots(QQ.elem(1)), sqrt_or_extend(QQ.elem(2))):
+    # roots in the field: no extension, with or without the flag
+    for allow in (False, True):
+        assert quadratic_roots(QQ.elem(-2), allow) == (QQ.elem(1), QQ.elem(-2))
+        three_halves = QQ.elem(Fraction(3, 2))
+        assert sqrt_or_extend(three_halves * three_halves, allow) == three_halves
+    for find, arg, minpoly in (
+            (quadratic_roots, QQ.elem(1), (QQ.elem(1), QQ.elem(1))),
+            (sqrt_or_extend, QQ.elem(2), (QQ.elem(-2), QQ.zero))):
         # refused without allow_extension, naming the minpoly to adjoin
         with pytest.raises(ExtensionRequired) as info:
-            rep.split(False)
-        assert info.value.minpoly == rep.minpoly
-        roots, ext = rep.split(True)
+            find(arg, False)
+        assert type(info.value) is ExtensionRequired
+        assert info.value.minpoly == minpoly
+        root = find(arg, True)
+        root = root if find is sqrt_or_extend else root[0]
+        ext = root.field
         assert isinstance(ext, QuadExt) and ext.base == QQ
-        assert (ext.c0, ext.c1) == tuple(c.value for c in rep.minpoly)
-        assert roots == rep.roots_in_extension(ext)
-        c0, c1 = (ext.embed(c) for c in rep.minpoly)
-        for r in roots:
-            assert r * r + c1 * r + c0 == ext.zero
+        assert ext.minpoly == minpoly
+        assert root == ext.theta
+        c0, c1 = (ext.embed(c) for c in minpoly)
+        assert root * root + c1 * root + c0 == ext.zero
 
 
 def test_sqrt_rational():
-    rep = sqrt_or_extend(QQ.elem(Fraction(9, 4)))
-    assert rep.kind == "root"
-    assert rep.root == QQ.elem(Fraction(3, 2))
+    assert sqrt_or_extend(QQ.elem(Fraction(9, 4)), False) == QQ.elem(Fraction(3, 2))
 
 
 def test_sqrt_prime_field_tie_break():
-    rep = sqrt_or_extend(F7.elem(2))
-    assert rep.kind == "root"
-    assert rep.root == F7.elem(3)  # 3 and 4 both square to 2; 3 is in [0, p/2]
+    # 3 and 4 both square to 2; 3 is in [0, p/2]
+    assert sqrt_or_extend(F7.elem(2), False) == F7.elem(3)
 
 
 def test_sqrt_needs_extension():
-    rep = sqrt_or_extend(QQ.elem(2))
-    assert rep.kind == "needs_extension"
-    ext = rep.extension()
-    r1, r2 = rep.roots_in_extension(ext)
-    assert r1 == ext.theta and r2 == -ext.theta
-    for r in (r1, r2):
-        assert r * r == ext.embed(QQ.elem(2))
+    root = sqrt_or_extend(QQ.elem(2), True)
+    ext = root.field
+    assert ext.minpoly == (QQ.elem(-2), QQ.zero)
+    assert root == ext.theta
+    assert root * root == ext.embed(QQ.elem(2))
 
 
 def test_sqrt_zero_input():
-    with pytest.raises(ZeroInput):
-        sqrt_or_extend(QQ.zero)
+    for allow in (False, True):
+        with pytest.raises(ZeroInput):
+            sqrt_or_extend(QQ.zero, allow)
 
 
 def test_sqrt_randomized_roundtrip():
@@ -228,24 +218,93 @@ def test_sqrt_randomized_roundtrip():
             s = _random_element(field, rng)
             if s.is_zero():
                 continue
-            rep = sqrt_or_extend(s)
-            if rep.kind == "root":
-                assert rep.root * rep.root == s
-            else:
-                ext = rep.extension()
-                for r in rep.roots_in_extension(ext):
-                    assert r * r == ext.embed(s)
+            root = sqrt_or_extend(s, True)
+            if root.field != field:
+                assert root.field.minpoly == (-s, field.zero)
+                s = root.field.embed(s)
+            assert root * root == s
 
 
 def test_sqrt_inside_extension_of_embedded_values():
     K = QuadExt(QQ, -2, 0)  # Q(sqrt 2)
     two = K.embed(QQ.elem(2))
-    rep = sqrt_or_extend(two)
-    assert rep.kind == "root"
-    assert rep.root * rep.root == two
-    # sqrt(3) does not live in Q(sqrt 2): depth cap reported
-    with pytest.raises(ExtensionDepthExceeded):
-        sqrt_or_extend(K.embed(QQ.elem(3)))
+    root = sqrt_or_extend(two, False)
+    assert root == K.theta
+    assert root * root == two
+    # sqrt(3) does not live in Q(sqrt 2): depth cap reported, flag or not
+    for allow in (False, True):
+        with pytest.raises(ExtensionDepthExceeded) as info:
+            sqrt_or_extend(K.embed(QQ.elem(3)), allow)
+        assert info.value.minpoly == (K.embed(QQ.elem(-3)), K.zero)
+        with pytest.raises(ExtensionDepthExceeded) as info:
+            quadratic_roots(K.one, allow)  # t^2 + t + 1 needs sqrt(-3)
+        assert info.value.minpoly == (K.one, K.one)
+
+
+def test_sqrt_of_an_element_with_a_t_part():
+    K = QuadExt(QQ, -2, 0)  # Q(sqrt 2)
+    s = K.elem((3, 2))  # 3 + 2 sqrt 2 = (1 + sqrt 2)^2
+    root = sqrt_or_extend(s, False)
+    assert root * root == s
+    assert root in (K.elem((1, 1)), K.elem((-1, -1)))
+    # 1 - 4 delta = 3 + 2 sqrt 2, so the roots (-1 +- (1 + sqrt 2))/2 split
+    delta = K.elem((Fraction(-1, 2), Fraction(-1, 2)))
+    roots = quadratic_roots(delta, False)
+    assert set(roots) == {K.elem((0, Fraction(1, 2))), K.elem((-1, Fraction(-1, 2)))}
+    # 3 + 4 sqrt 2 has norm 9 - 32 = -23: the refusal names t^2 + t + delta
+    delta = K.elem((Fraction(-1, 2), -1))
+    with pytest.raises(ExtensionDepthExceeded) as info:
+        quadratic_roots(delta, True)
+    assert info.value.minpoly == (delta, K.one)
+    with pytest.raises(ExtensionDepthExceeded) as info:
+        sqrt_or_extend(K.elem((3, 4)), True)
+    assert info.value.minpoly == (K.elem((-3, -4)), K.zero)
+
+
+def _extensions_of(p):
+    base = PrimeField(p)
+    for c0 in range(p):
+        for c1 in range(p):
+            try:
+                yield QuadExt(base, c0, c1)
+            except ValueError:  # t^2 + c1 t + c0 splits over F_p
+                continue
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_extension_sqrt_exists_exactly_for_the_squares(p):
+    for ext in _extensions_of(p):
+        elements = [ext.elem((a, b)) for a in range(p) for b in range(p)]
+        squares = {(x * x).value for x in elements}
+        for x in elements:
+            if x.is_zero():
+                continue
+            if x.value in squares:
+                root = sqrt_or_extend(x, False)
+                assert root.field == ext and root * root == x
+            else:
+                with pytest.raises(ExtensionDepthExceeded) as info:
+                    sqrt_or_extend(x, True)
+                assert info.value.minpoly == (-x, ext.zero)
+
+
+def test_extension_sqrt_of_a_base_value_is_the_depth0_root():
+    # an element with no t-part keeps the root it had before the norm route:
+    # the base's canonical root, else v * (t + c1/2) for the base root v of
+    # 4 a / (c1^2 - 4 c0)
+    for p in (7, 11):
+        base = PrimeField(p)
+        for ext in _extensions_of(p):
+            c0, c1 = ext.minpoly
+            disc = c1 * c1 - 4 * c0
+            for a in range(1, p):
+                root = sqrt_or_extend(ext.elem(a), False)
+                r = _sqrt_in_depth0(base, a)
+                if r is not None:
+                    assert root == ext.elem(r)
+                else:
+                    v = _sqrt_in_depth0(base, (4 * base.elem(a) / disc).value)
+                    assert root == ext.elem(((base.elem(v) * c1 / 2).value, v))
 
 
 def test_descriptor_encoding_roundtrip():
@@ -303,9 +362,7 @@ def test_prime_field_sqrt_large_modulus(p):
     field = PrimeField(p)
     for x in (2, 123456789, p - 5):
         a = x * x % p
-        rep = sqrt_or_extend(field.elem(a))
-        assert rep.kind == "root"
-        assert rep.root.value == min(x, p - x)
+        assert sqrt_or_extend(field.elem(a), False).value == min(x, p - x)
 
 
 # Q payloads are built on Fraction's private slots (fields._fraction), so the

@@ -10,6 +10,7 @@ from omegalie.fields import (
     ExtensionRequired,
     PrimeField,
     QuadExt,
+    _sqrt_in_depth0,
     quadratic_roots,
 )
 from omegalie.linalg import (
@@ -271,15 +272,12 @@ def _jordan_block(field):
 def _sl2_canonical(m):
     """(P, canonical form) of a trace -1 matrix other than -I/2, splitting
     its eigenvalues over an extension first when they need one."""
-    roots = quadratic_roots(m.det())
-    if roots.kind == "double":
-        p, _ = sl2_jordan(m, allow_extension=True)
+    b, c = quadratic_roots(m.det(), True)
+    if b == c:
+        p = sl2_jordan(m, allow_extension=True)
         return p, _jordan_block(p.field)
-    if roots.kind == "needs_extension":
-        ext = roots.extension()
-        m, b = m.embed(ext), roots.roots_in_extension(ext)[0]
-    else:
-        b = roots.roots[0]
+    if b.field != m.field:
+        m = m.embed(b.field)
     zero = m.field.zero
     return sl2_diagonalize(m, b), Matrix.from_rows(m.field, [[b, zero], [zero, -(b + 1)]])
 
@@ -291,9 +289,7 @@ def _assert_sl2_conjugates(m, p, canonical):
 
 
 def test_sl2_jordan_representative_is_fixed():
-    p, minpoly = sl2_jordan(_jordan_block(QQ))
-    assert p == Matrix.identity(QQ, 2)
-    assert minpoly is None
+    assert sl2_jordan(_jordan_block(QQ)) == Matrix.identity(QQ, 2)
 
 
 def test_sl2_diagonal_already_canonical():
@@ -325,23 +321,30 @@ def test_sl2_randomized_conjugation_identity():
         _assert_sl2_conjugates(m, *_sl2_canonical(m))
     # conjugates of the Jordan block, half of them needing the square root
     # of a non-residue
-    done = 0
+    done = extended = 0
     while done < 30:
         g = _rand_matrix(F101, 2, rng)
         if g.det().is_zero():
             continue
         m = g * _jordan_block(F101) * g.inverse()
-        p, minpoly = sl2_jordan(m, allow_extension=True)
-        assert (minpoly is None) == (p.field == F101)
+        p = sl2_jordan(m, allow_extension=True)
+        if p.field != F101:
+            # the square root of det [v w] was adjoined: t^2 - det
+            assert p.field.minpoly[1] == F101.zero
+            assert _sqrt_in_depth0(F101, (-p.field.minpoly[0]).value) is None
+            extended += 1
         _assert_sl2_conjugates(m, p, _jordan_block(p.field))
         done += 1
+    assert 0 < extended < done
 
 
 def test_sl2_extension_required_flag():
     # det = 1 gives discriminant -3, not a square in Q: the eigenvalues live
     # in the extension, and the diagonalizing P is taken over it
     m = Matrix.from_rows(QQ, [[QQ.zero, -QQ.one], [QQ.one, -QQ.one]])
-    assert quadratic_roots(m.det()).kind == "needs_extension"
+    with pytest.raises(ExtensionRequired) as info:
+        quadratic_roots(m.det(), False)
+    assert info.value.minpoly == (QQ.one, QQ.one)
     p, canonical = _sl2_canonical(m)
     assert p.field != QQ
     _assert_sl2_conjugates(m, p, canonical)
@@ -351,10 +354,11 @@ def test_sl2_jordan_extension_square_root():
     # v = (2, 0), w = e2 gives det [v w] = 2: needs sqrt(2) over Q
     half = QQ.elem(Fraction(-1, 2))
     m = Matrix.from_rows(QQ, [[half, QQ.elem(2)], [QQ.zero, half]])
-    with pytest.raises(ExtensionRequired):
+    with pytest.raises(ExtensionRequired) as info:
         sl2_jordan(m)
-    p, minpoly = sl2_jordan(m, allow_extension=True)
-    assert minpoly is not None
+    assert info.value.minpoly == (QQ.elem(-2), QQ.zero)
+    p = sl2_jordan(m, allow_extension=True)
+    assert p.field.minpoly == (QQ.elem(-2), QQ.zero)
     _assert_sl2_conjugates(m, p, _jordan_block(p.field))
 
 
