@@ -190,30 +190,32 @@ class _Pipeline:
         self.work = alg
         self.field = alg.field
         self.steps = []
+        self.witness = GroupElement.identity(alg.field, 3)
 
     def apply(self, tag: str, g: GroupElement):
         """Move the bracket by g, which must lie in the stabilizer of the
-        working form, so the form is kept as it is, and return the brackets
-        read afterwards.  _finish re-verifies the composed witness on both the
-        bracket and the form."""
+        working form, so the form is kept as it is, record g, and return the
+        brackets read afterwards."""
         self.work = transform(g, self.work, check=False)
-        self.steps.append((tag, g))
+        self.record(tag, g)
         return self.read()
+
+    def record(self, tag: str, g: GroupElement):
+        """Add g to the trace and the witness without moving the bracket: a
+        last move is only recorded, since _finish re-verifies the witness on
+        both the bracket and the form."""
+        self.steps.append((tag, g))
+        self.witness = g.compose(self.witness)
 
     def extend_to(self, ext):
         self.work = self.work.embed(ext)
         self.steps = [(tag, g.embed(ext)) for tag, g in self.steps]
+        self.witness = self.witness.embed(ext)
         self.field = ext
 
     def read(self):
         sc = self.work.sc
         return sc.bracket(0, 1), sc.bracket(0, 2), sc.bracket(1, 2)
-
-    def witness(self) -> GroupElement:
-        out = GroupElement.identity(self.field, 3)
-        for _, g in self.steps:
-            out = g.compose(out)
-        return out
 
 
 def _from_inverse(field, rows) -> GroupElement:
@@ -283,16 +285,17 @@ def classify(alg: OmegaAlgebra, allow_extension: bool = False,
     j2 = standard_j(field, 3, 2)
     if alg.omega.matrix != j2:
         # the one move that changes the form, so the one moved in full
-        g = GroupElement(skew_congruence_reduce(alg.omega).q).inverse()
+        q = skew_congruence_reduce(alg.omega).q
+        g = _from_inverse(field, [q.row(i) for i in range(3)])
         pipe.work = change_basis(g, alg)
-        pipe.steps.append(("form-normalize", g))
+        pipe.record("form-normalize", g)
         assert pipe.work.omega.matrix == j2
 
     fast = _match_canonical(pipe.work)
     if fast is not None:
         label, move = fast
         if move is not None:
-            pipe.apply("c-pair-swap", move)
+            pipe.record("c-pair-swap", move)
         return _finish(alg, pipe, label)
 
     a, b, c = pipe.read()
@@ -355,7 +358,7 @@ def _generic_branch(pipe: _Pipeline, allow_extension, strict_c_labels) -> Canoni
         pipe.extend_to(p.field)
     if p != Matrix.identity(p.field, 2):
         # dia{P^-1, 1} conjugates the z-adjoint by P while fixing [x,y] = z
-        pipe.apply("adjoint-conjugate", _from_inverse(p.field, [
+        pipe.record("adjoint-conjugate", _from_inverse(p.field, [
             [p[0, 0], p[0, 1], 0], [p[1, 0], p[1, 1], 0], [0, 0, 1]]))
     return label
 
@@ -388,10 +391,10 @@ def _degenerate_branch(pipe: _Pipeline) -> CanonicalLabel:
             a, b, c = pipe.apply("rescale-z",
                                  _from_inverse(field, [[1, 0, 0], [0, 1, 0], [0, 0, a[2]]]))
         assert b[0] == -one
-        pipe.apply("absorb-first-column",
-                   _from_inverse(field, [[one, zero, zero],
-                                         [-b[1], one, zero],
-                                         [-b[2], zero, one]]))
+        pipe.record("absorb-first-column",
+                    _from_inverse(field, [[one, zero, zero],
+                                          [-b[1], one, zero],
+                                          [-b[2], zero, one]]))
         return label_c(-one)
     # second column is c3 * z with c3 != 0
     if c[2] != one:
@@ -406,10 +409,10 @@ def _degenerate_branch(pipe: _Pipeline) -> CanonicalLabel:
                                                    [zero, zero, one]]))
     assert a[1] == one
     if b[1].is_zero():
-        pipe.apply("absorb-into-y",
-                   _from_inverse(field, [[one, a[0], zero],
-                                         [zero, one, zero],
-                                         [zero, a[2], one]]))
+        pipe.record("absorb-into-y",
+                    _from_inverse(field, [[one, a[0], zero],
+                                          [zero, one, zero],
+                                          [zero, a[2], one]]))
         return label_d()
     assert a[0] == one
     if b[1] != one:
@@ -417,19 +420,17 @@ def _degenerate_branch(pipe: _Pipeline) -> CanonicalLabel:
                              _from_inverse(field, [[1, 0, 0], [0, 1, 0], [0, 0, b[1].inverse()]]))
     if not a[2].is_zero():
         t = a[2] / 2
-        pipe.apply("final-translate",
-                   _from_inverse(field, [[one, zero, zero],
-                                         [zero, one, zero],
-                                         [t, zero, one]]))
+        pipe.record("final-translate",
+                    _from_inverse(field, [[one, zero, zero],
+                                          [zero, one, zero],
+                                          [t, zero, one]]))
     return label_a()
 
 
 def _finish(original: OmegaAlgebra, pipe: _Pipeline,
             label: CanonicalLabel) -> ClassificationResult:
     target = canonical_algebra(label, pipe.field)
-    if pipe.work != target:
-        raise AssertionError(f"pipeline did not land on {label}")
-    witness = pipe.witness()
+    witness = pipe.witness
     source = original.embed(pipe.field)
     if change_basis(witness, source) != target:
         raise AssertionError("witness does not reproduce the canonical algebra")
@@ -462,10 +463,11 @@ def iso_witness(alg1: OmegaAlgebra, alg2: OmegaAlgebra,
     the two classification witnesses and is re-verified to carry the first
     bracket and form onto the second.  An algebra over the base of the
     other's quadratic extension is embedded into it; other fields differing
-    is a ValueError.  When no one quadratic extension holds both, under
-    allow_extension each is classified over its own field, and different
-    labels tell them apart.  Inputs classify refuses are refused here too,
-    also when the derived dimensions already tell them apart.
+    is a ValueError.  When no one quadratic extension holds both, each is
+    classified over its own field, so an extension it needs is refused as
+    classify refuses it, and different labels tell them apart.  Inputs
+    classify refuses are refused here too, also when the derived dimensions
+    already tell them apart.
     """
     own = alg1, alg2
     if alg1.field != alg2.field:
@@ -491,9 +493,7 @@ def iso_witness(alg1: OmegaAlgebra, alg2: OmegaAlgebra,
             r1 = classify(alg1.embed(r2.field), allow_extension=allow_extension)
             a2 = alg2.embed(r2.field)
     except ExtensionDepthExceeded:
-        if not allow_extension:
-            raise
-        r1, r2 = (classify(alg, allow_extension=True) for alg in own)
+        r1, r2 = (classify(alg, allow_extension=allow_extension) for alg in own)
         if r1.label == r2.label:
             raise
     if r1.label != r2.label:

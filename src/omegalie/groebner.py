@@ -689,7 +689,9 @@ def colon_of_meet(meet: Ideal, f: Polynomial) -> Ideal:
 
 def quotient_dimension(ideal: Ideal) -> int:
     """Krull dimension of ring/ideal: the size of the largest variable subset
-    that contains no leading monomial's support, scanned as bitmasks."""
+    that contains no leading monomial's support, scanned as bitmasks.  A
+    variable that is a lead's whole support lies in no such subset, so it is
+    left out of the scan, and so is every support that holds it."""
     gb = ideal.groebner_basis()
     ring = ideal.ring
     n = ring.nvars
@@ -698,8 +700,11 @@ def quotient_dimension(ideal: Ideal) -> int:
     if any(g._lead() == 0 for g in gb):
         raise UnitIdeal("the ideal is the whole ring")
     supports = [ring.support(g._lead()) for g in gb]
-    for size in range(n, 0, -1):
-        for subset in combinations([1 << i for i in range(n)], size):
+    lone = sum({sup for sup in supports if sup & (sup - 1) == 0})
+    supports = [sup for sup in supports if not sup & lone]
+    free = [1 << i for i in range(n) if not lone >> i & 1]
+    for size in range(len(free), 0, -1):
+        for subset in combinations(free, size):
             s = sum(subset)
             if all(sup & s != sup for sup in supports):
                 return size

@@ -248,11 +248,13 @@ def test_iso_tells_apart_algebras_that_need_different_extensions(want):
         assert isinstance(out, NonIsomorphic)
         assert out.reason == "different canonical families"
         assert {str(out.label1), str(out.label2)} == {"C:[-1,-1]", want}
-        # without the flag the refusal stays the one classify gives: the
-        # embedded C needs a second extension, the pair over Q a first one
+        # without the flag each is classified over its own field, so the
+        # refusal asks for a first extension, never a second one
         with pytest.raises(ExtensionRequired) as info:
             iso_witness(left, right)
-        assert isinstance(info.value, ExtensionDepthExceeded) == (want == "A")
+        assert not isinstance(info.value, ExtensionDepthExceeded)
+        if want == "A":
+            assert [c.encode() for c in info.value.minpoly] == ["1", "1"]
 
 
 def test_iso_still_refuses_equal_labels_over_different_extensions():
@@ -606,7 +608,83 @@ def test_hand_built_moves_call_no_solve(monkeypatch):
             classify(alg, allow_extension=True)
     assert len(inside) > 100
     assert inside == [0] * len(inside)
-    assert solves  # form-normalize and center-translate still solve
+    assert solves  # center-translate still solves
+
+
+# The last move of each of these kinds is recorded in the trace and the
+# witness, but the bracket is not moved by it: nothing reads it afterwards.
+RECORDED_LAST = {"c-pair-swap", "adjoint-conjugate", "absorb-first-column",
+                 "absorb-into-y", "final-translate"}
+
+
+def _pipeline_inputs():
+    """(name, algebra): the golden inputs over Q and F_101, orbit images of
+    C(-1), which the degenerate branch ends on absorb-first-column, and a C
+    algebra that the fast path swaps."""
+    made = []
+    for field, seed in ((QQ, 41), (F101, 42)):
+        rng = random.Random(seed)
+        made += [(f"{field!r} {name}", alg) for name, alg in _golden_inputs(field, rng)]
+        made += [(f"{field!r} orbit C:-1", transform(random_stabilizer_element(field, rng),
+                                                    canonical_algebra(label_c(-field.one), field)))
+                 for _ in range(3)]
+    made.append(("swapped C", canonical_algebra(label_c(QQ.elem(2)), QQ)))
+    return made
+
+
+def test_a_doubled_last_move_is_caught_before_classify_returns(monkeypatch):
+    # a move recorded outside apply moves no bracket, so only the
+    # re-verification of the witness can notice that it is wrong
+    made, results = [], []
+    for name, alg in _pipeline_inputs():
+        res = classify(alg, allow_extension=True)
+        if res.trace and res.trace[-1][0] in RECORDED_LAST:
+            made.append((name, alg))
+            results.append(res)
+    assert {res.trace[-1][0] for res in results} == RECORDED_LAST
+    assert {res.field.encode() for res in results} >= {"Q", "Fp:101"}
+    assert any(res.extension is not None for res in results)
+    apply, record = classify3._Pipeline.apply, classify3._Pipeline.record
+    applying, doubled = [], []
+
+    def tracked_apply(self, tag, g):
+        applying.append(tag)
+        try:
+            return apply(self, tag, g)
+        finally:
+            applying.pop()
+
+    def doubled_record(self, tag, g):
+        if not applying and tag != "form-normalize":
+            doubled.append(tag)
+            g = g.compose(g)
+        return record(self, tag, g)
+
+    monkeypatch.setattr(classify3._Pipeline, "apply", tracked_apply)
+    monkeypatch.setattr(classify3._Pipeline, "record", doubled_record)
+    for name, alg in made:
+        doubled.clear()
+        with pytest.raises(AssertionError, match="witness does not reproduce"):
+            classify(alg, allow_extension=True)
+        assert len(doubled) == 1 and doubled[0] in RECORDED_LAST, name
+
+
+def test_classify_transforms_every_move_but_a_recorded_last_one(monkeypatch):
+    calls = []
+    transform_ = classify3.transform
+
+    def counted(g, alg, check=True):
+        calls.append(g)
+        return transform_(g, alg, check=check)
+
+    # change_basis reaches transform through omega, so _finish is not counted
+    monkeypatch.setattr(classify3, "transform", counted)
+    for _, alg in _pipeline_inputs():
+        calls.clear()
+        tags = [tag for tag, _ in classify(alg, allow_extension=True).trace]
+        assert "reenter-translation" not in tags  # its probes transform too
+        moves = [tag for tag in tags if tag != "form-normalize"]
+        assert len(calls) == len(moves) - (bool(moves) and moves[-1] in RECORDED_LAST)
 
 
 @pytest.mark.parametrize("field", [QQ, F101, F101_EXT], ids=["Q", "F101", "F101(t)"])

@@ -185,6 +185,20 @@ def test_iso_tells_apart_pairs_that_need_different_extensions(capsys, tmp_path, 
                                        f" ({labels})\n", "")
 
 
+def test_iso_without_the_flag_asks_for_the_extension_a_pair_needs(capsys, tmp_path):
+    # the C example needs t^2 + t + 1 over Q, and a second one over Q(sqrt 2)
+    c, a = tmp_path / "ext.alg", tmp_path / "a.alg"
+    c.write_text(json.dumps(EXTENSION_EXAMPLE))
+    a.write_text(algebra_to_json(canonical_algebra(label_a(), parse_descriptor(
+        "QuadExt:Q:-2,0"))))
+    machine = json.dumps({"error": "extension_required", "minpoly": ["1", "1"]}) + "\n"
+    for pair in ((c, a), (a, c)):
+        argv = ["iso", *map(str, pair)]
+        assert run(capsys, argv) == (3, "needs a quadratic extension by t^2 + (1)*t + (1);"
+                                        " rerun with --allow-extension\n", "")
+        assert run(capsys, argv + ["--format", "machine"]) == (3, machine, "")
+
+
 def test_iso_refuses_equal_labels_over_different_extensions(capsys, tmp_path):
     argv = ["iso", "--allow-extension", _jordan_file(tmp_path, 2), _jordan_file(tmp_path, 3)]
     code, out, err = run(capsys, argv)
