@@ -24,7 +24,6 @@ from .fields import (
 )
 from .linalg import (
     Matrix,
-    SingularMatrix,
     SkewForm,
     _from_payloads,
     skew_congruence_reduce,
@@ -46,18 +45,9 @@ from .omega import (
 from .report import ReportTable
 
 
-class NotOmegaLie(Exception):
-    def __init__(self, report):
-        self.report = report
-        super().__init__("; ".join(report.messages) or "bracket identity fails")
-
-
-class IsLie(Exception):
-    pass
-
-
-class InvalidAlpha(Exception):
-    pass
+class NotClassifiable(ValueError):
+    """A 3-dimensional algebra that classify refuses: its bracket fails the
+    identity, or its form vanishes, so the bracket is a classical Lie one."""
 
 
 @dataclass(frozen=True)
@@ -68,9 +58,9 @@ class CanonicalLabel:
     def __post_init__(self):
         if self.kind == "C":
             if self.alpha is None or self.alpha.is_zero():
-                raise InvalidAlpha("the C family needs a nonzero parameter")
+                raise ValueError("the C family needs a nonzero parameter")
         elif self.alpha is not None:
-            raise InvalidAlpha(f"family {self.kind} takes no parameter")
+            raise ValueError(f"family {self.kind} takes no parameter")
 
     def __str__(self):
         if self.kind == "C":
@@ -86,7 +76,7 @@ def c_pair_representative(alpha: FieldElement) -> FieldElement:
     {-1, 0} is represented by -1 (the zero parameter is excluded).
     """
     if alpha.is_zero():
-        raise InvalidAlpha("zero is not a valid parameter")
+        raise ValueError("zero is not a valid parameter")
     other = -(alpha + 1)
     if other.is_zero():
         return alpha
@@ -118,7 +108,7 @@ def _build_canonical(label: CanonicalLabel, field: FieldDescriptor) -> OmegaAlge
     elif label.kind == "C":
         alpha = label.alpha
         if alpha.field != field:
-            raise InvalidAlpha("parameter lives in a different field")
+            raise ValueError("parameter lives in a different field")
         table = {(0, 1): (zero, zero, one),
                  (0, 2): (alpha, zero, zero),
                  (1, 2): (zero, -(alpha + 1), zero)}
@@ -232,7 +222,7 @@ def _from_inverse(field, rows) -> GroupElement:
            for i in range(3) for j in range(3)]
     det = field.add(field.add(mul(p[0], cof[0]), mul(p[1], cof[1])), mul(p[2], cof[2]))
     if field.is_zero(det):
-        raise SingularMatrix("matrix is not invertible")
+        raise ValueError("matrix is not invertible")
     s = field.inv(det)
     return GroupElement._pair(
         _from_payloads(field, 3, 3, [mul(cof[3 * j + i], s) for i in range(3) for j in range(3)]),
@@ -265,9 +255,9 @@ def _check_classifiable(alg: OmegaAlgebra) -> None:
         raise ValueError("only 3-dimensional algebras are classified")
     report = validate(alg)
     if not report.ok:
-        raise NotOmegaLie(report)
+        raise NotClassifiable("; ".join(report.messages) or "bracket identity fails")
     if alg.omega.is_zero():
-        raise IsLie("the bilinear form vanishes; this is a classical bracket")
+        raise NotClassifiable("the bilinear form vanishes; this is a classical bracket")
 
 
 def classify(alg: OmegaAlgebra, allow_extension: bool = False,
@@ -516,10 +506,11 @@ VERIFY_SAMPLES, VERIFY_SEED = 40, 7
 
 
 def _random_scalar(field, rng, num: int, den: int) -> FieldElement:
-    """Uniform over a prime field; otherwise a fraction with numerator in
-    [-num, num] and denominator in [1, den]."""
-    if isinstance(field, PrimeField):
-        return field.elem(rng.randrange(field.p))
+    """Uniform over the prime field a field is or extends; otherwise a fraction
+    with numerator in [-num, num] and denominator in [1, den]."""
+    base = field.base if field.depth else field
+    if isinstance(base, PrimeField):
+        return field.elem(rng.randrange(base.p))
     return field.elem(Fraction(rng.randint(-num, num), rng.randint(1, den)))
 
 

@@ -22,7 +22,7 @@ from .groebner import (
     read_ideal_text,
     write_ideal_text,
 )
-from .linalg import NotSkew, SkewForm, skew_congruence_reduce, standard_j
+from .linalg import SkewForm, skew_congruence_reduce, standard_j
 from .omega import (
     _parse_scalar,
     algebra_from_json,
@@ -31,19 +31,14 @@ from .omega import (
     validate,
 )
 from .classify3 import (
-    InvalidAlpha,
-    IsLie,
+    CanonicalLabel,
     NonIsomorphic,
-    NotOmegaLie,
+    NotClassifiable,
     _matrix_rows,
     c_pair_audit,
     canonical_algebra,
     classify,
     iso_witness,
-    label_a,
-    label_b,
-    label_c,
-    label_d,
     verify_classification,
 )
 from .variety import defining_ideal, verify_example51, verify_section3
@@ -156,14 +151,11 @@ def cmd_iso(args) -> int:
 def cmd_canonical(args) -> int:
     field = parse_descriptor(args.field)
     try:
-        if args.label == "C":
-            if args.alpha is None:
-                raise InvalidAlpha("the C family needs --alpha")
-            label = label_c(_parse_scalar(field, args.alpha, "--alpha"))
-        else:
-            label = {"A": label_a, "B": label_b, "D": label_d}[args.label]()
-        alg = canonical_algebra(label, field)
-    except (InvalidAlpha, ValueError, KeyError) as exc:
+        if args.label == "C" and args.alpha is None:
+            raise ValueError("the C family needs --alpha")
+        alpha = None if args.alpha is None else _parse_scalar(field, args.alpha, "--alpha")
+        alg = canonical_algebra(CanonicalLabel(args.label, alpha), field)
+    except ValueError as exc:
         print(f"bad label: {exc}", file=sys.stderr)
         return EXIT_INPUT
     print(algebra_to_json(alg))
@@ -328,10 +320,10 @@ def main(argv=None) -> int:
             else:
                 print(f"{exc}; rerun with --allow-extension")
             status = EXIT_EXTENSION
-        except (NotOmegaLie, IsLie) as exc:
+        except NotClassifiable as exc:
             print(f"not classifiable: {exc}", file=sys.stderr)
             status = EXIT_INPUT
-        except (ValueError, NotSkew) as exc:
+        except ValueError as exc:
             print(f"bad input: {exc}", file=sys.stderr)
             status = EXIT_INPUT
         # a refusal's stdout text is flushed here too, under the guard below

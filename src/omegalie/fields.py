@@ -14,19 +14,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 
-class FieldError(Exception):
-    pass
-
-
-class DescriptorMismatch(FieldError):
-    """Arithmetic attempted between elements of different fields."""
-
-
-class ZeroInput(FieldError):
-    """An operation required a nonzero argument."""
-
-
-class ExtensionRequired(FieldError):
+class ExtensionRequired(Exception):
     """A root does not exist in the current field.
 
     Carries the monic minimal polynomial t^2 + c1*t + c0 that would have to be
@@ -378,7 +366,7 @@ class QuadExt(FieldDescriptor):
 
     def embed(self, element: "FieldElement") -> "FieldElement":
         if element.field != self.base:
-            raise DescriptorMismatch(f"{element.field!r} is not the base of {self!r}")
+            raise ValueError(f"{element.field!r} is not the base of {self!r}")
         return FieldElement(self, (element.value, self.base.coerce(0)))
 
     def payload_to_str(self, a):
@@ -446,8 +434,7 @@ class FieldElement:
     def _coerce_other(self, other):
         if isinstance(other, FieldElement):
             if other.field != self.field:
-                raise DescriptorMismatch(
-                    f"mixed fields: {self.field!r} and {other.field!r}")
+                raise ValueError(f"mixed fields: {self.field!r} and {other.field!r}")
             return other.value
         if isinstance(other, (int, Fraction)):
             return self.field.coerce(other)
@@ -614,7 +601,7 @@ def sqrt_or_extend(s: FieldElement, allow_extension: bool) -> FieldElement:
     """The canonical square root of a nonzero element, or theta in the field
     adjoining t^2 - s when s has none in its own field."""
     if s.is_zero():
-        raise ZeroInput("sqrt of zero")
+        raise ValueError("sqrt of zero")
     r = _sqrt_in_field(s)
     return r if r is not None else _adjoin(-s, s.field.zero, allow_extension).theta
 

@@ -29,22 +29,6 @@ _MAX_EXP = (1 << _WIDTH - 1) - 1
 _GUARD = 1 << _WIDTH - 1
 
 
-class RingMismatch(Exception):
-    pass
-
-
-class NotAGroebnerBasis(Exception):
-    pass
-
-
-class InexactDivision(Exception):
-    pass
-
-
-class UnitIdeal(Exception):
-    pass
-
-
 class PolyRing:
     """Polynomial ring with named variables and a fixed monomial order.
 
@@ -211,7 +195,7 @@ class Polynomial:
 
     def _check_ring(self, other):
         if other.ring != self.ring:
-            raise RingMismatch("polynomials from different rings")
+            raise ValueError("polynomials from different rings")
 
     def __add__(self, other):
         if isinstance(other, _SCALARS):
@@ -427,8 +411,8 @@ def _divide(f: Polynomial, divisors, quotient=None) -> dict:
     has cancelled and is skipped.  The first divisor whose leading monomial
     divides the term (ring.divides, inlined) cancels it.  A term that no
     leading monomial divides goes to the remainder; given a quotient dict (one
-    divisor), its quotient terms are recorded there and such a term raises
-    InexactDivision.
+    divisor), its quotient terms are recorded there and such a term raises a
+    ValueError.
     """
     ring = f.ring
     field = ring.field
@@ -472,7 +456,7 @@ def _divide(f: Polynomial, divisors, quotient=None) -> dict:
         else:
             if quotient is not None:
                 work[m] = c
-                raise InexactDivision(format_polynomial(_from_payloads(ring, work)))
+                raise ValueError(format_polynomial(_from_payloads(ring, work)))
             out[m] = c
     return out
 
@@ -552,7 +536,7 @@ def _assert_groebner(basis):
             if supports[i] & supports[j] == 0:
                 continue
             if not normal_form(s_polynomial(basis[i], basis[j]), basis).is_zero():
-                raise NotAGroebnerBasis(
+                raise AssertionError(
                     f"S-polynomial of elements {j} and {i} does not reduce to zero")
 
 
@@ -587,7 +571,7 @@ class Ideal:
         gens = tuple(gens)
         for g in gens:
             if g.ring != ring:
-                raise RingMismatch("generator from a different ring")
+                raise ValueError("generator from a different ring")
         self.ring = ring
         self.gens = gens
         self._reduced = None
@@ -610,13 +594,13 @@ def _from_reduced(ring, basis: list) -> Ideal:
 
 def ideal_member(f: Polynomial, ideal: Ideal) -> bool:
     if f.ring != ideal.ring:
-        raise RingMismatch("polynomial from a different ring")
+        raise ValueError("polynomial from a different ring")
     return normal_form(f, ideal.groebner_basis()).is_zero()
 
 
 def ideal_equal(i1: Ideal, i2: Ideal) -> bool:
     if i1.ring != i2.ring:
-        raise RingMismatch("ideals from different rings")
+        raise ValueError("ideals from different rings")
     return i1.groebner_basis() == i2.groebner_basis()
 
 
@@ -633,7 +617,7 @@ def elimination_ideal(i1: Ideal, i2: Ideal) -> Ideal:
     """t*I1 + (1-t)*I2, with a fresh variable t prepended to the grevlex ring
     as an elimination block (order "elim1"); its contraction is I1 cap I2."""
     if i1.ring != i2.ring:
-        raise RingMismatch("ideals from different rings")
+        raise ValueError("ideals from different rings")
     ring = i1.ring
     if ring.order != "grevlex":
         raise ValueError("intersection requires a grevlex base ring")
@@ -654,7 +638,7 @@ def contract(aux: Ideal, ring: PolyRing) -> Ideal:
     ext = aux.ring
     if (ext.order, ext.field, ext.variables[1:], ring.order) != (
             "elim1", ring.field, ring.variables, "grevlex"):
-        raise RingMismatch("not an elimination ideal over this ring")
+        raise ValueError("not an elimination ideal over this ring")
     # t is the top field: a t-free lead is below it and packs as in ring
     kept = [_from_payloads(ring, g.terms) for g in aux.groebner_basis()
             if g._lead() < ext._units[0]]
@@ -667,7 +651,7 @@ def intersect(i1: Ideal, i2: Ideal) -> Ideal:
 
 
 def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
-    """The quotient f/g when g divides f exactly; InexactDivision otherwise."""
+    """The quotient f/g when g divides f exactly; a ValueError otherwise."""
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     quotient = {}
@@ -698,7 +682,7 @@ def quotient_dimension(ideal: Ideal) -> int:
     if not gb:
         return n
     if any(g._lead() == 0 for g in gb):
-        raise UnitIdeal("the ideal is the whole ring")
+        raise ValueError("the ideal is the whole ring")
     supports = [ring.support(g._lead()) for g in gb]
     lone = sum({sup for sup in supports if sup & (sup - 1) == 0})
     supports = [sup for sup in supports if not sup & lone]

@@ -6,25 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .fields import (
-    DescriptorMismatch,
-    FieldDescriptor,
-    FieldElement,
-    QuadExt,
-    sqrt_or_extend,
-)
-
-
-class SingularMatrix(Exception):
-    pass
-
-
-class InconsistentSystem(Exception):
-    pass
-
-
-class NotSkew(Exception):
-    pass
+from .fields import FieldDescriptor, FieldElement, QuadExt, sqrt_or_extend
 
 
 class Matrix:
@@ -143,7 +125,7 @@ class Matrix:
 
     def embed(self, ext: QuadExt):
         if self.field != ext.base:
-            raise DescriptorMismatch(f"{self.field!r} is not the base of {ext!r}")
+            raise ValueError(f"{self.field!r} is not the base of {ext!r}")
         zero = ext.base.zero.value
         return _from_payloads(ext, self.rows, self.cols,
                               [(a, zero) for a in self.payloads])
@@ -178,11 +160,8 @@ class Matrix:
 
     def inverse(self):
         if self.rows != self.cols:
-            raise SingularMatrix("non-square matrix")
-        try:
-            return solve(self, Matrix.identity(self.field, self.rows))
-        except (InconsistentSystem, SingularMatrix):
-            raise SingularMatrix("matrix is not invertible") from None
+            raise ValueError("non-square matrix")
+        return solve(self, Matrix.identity(self.field, self.rows))
 
     def __repr__(self):
         body = "; ".join(" ".join(e.encode() for e in self.row(i))
@@ -193,8 +172,8 @@ class Matrix:
 def solve(a: Matrix, b: Matrix) -> Matrix:
     """Unique solution X of A X = B by exact Gauss-Jordan elimination.
 
-    Raises InconsistentSystem when no solution exists and SingularMatrix when
-    the solution is not unique (rank below the number of unknowns).
+    Raises ValueError when no solution exists or when it is not unique (rank
+    below the number of unknowns).
     """
     if a.rows != b.rows:
         raise ValueError("row mismatch between matrix and right-hand side")
@@ -203,9 +182,9 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
     aug = [ra + rb for ra, rb in zip(_payload_rows(a, field), _payload_rows(b, field))]
     pivots, _ = _eliminate(aug, m, field, clear_above=True)
     if any(not field.is_zero(x) for row in aug[len(pivots):] for x in row[m:]):
-        raise InconsistentSystem("no solution")
+        raise ValueError("no solution")
     if len(pivots) < m:
-        raise SingularMatrix("solution is not unique")
+        raise ValueError("solution is not unique")
     mul = field.mul
     out = [None] * (m * k)
     for row, c in zip(aug, pivots):
@@ -227,15 +206,15 @@ class SkewForm:
 
     def __init__(self, matrix: Matrix):
         if matrix.rows != matrix.cols:
-            raise NotSkew("form matrix must be square")
+            raise ValueError("form matrix must be square")
         n, p = matrix.rows, matrix.payloads
         neg, is_zero = matrix.field.neg, matrix.field.is_zero
         for i in range(n):
             if not is_zero(p[i * n + i]):
-                raise NotSkew(f"nonzero diagonal entry at ({i},{i})")
+                raise ValueError(f"nonzero diagonal entry at ({i},{i})")
             for j in range(i + 1, n):
                 if p[i * n + j] != neg(p[j * n + i]):
-                    raise NotSkew(f"entry ({i},{j}) is not the negative of ({j},{i})")
+                    raise ValueError(f"entry ({i},{j}) is not the negative of ({j},{i})")
         self.matrix = matrix
 
     @property
@@ -377,14 +356,14 @@ def _payload(x, field):
     """The payload of a scalar, checked to lie in field; ints are coerced."""
     if isinstance(x, FieldElement):
         if x.field is not field and x.field != field:
-            raise DescriptorMismatch(f"mixed fields: {field!r} and {x.field!r}")
+            raise ValueError(f"mixed fields: {field!r} and {x.field!r}")
         return x.value
     return field.coerce(x)
 
 
 def _check_field(m: Matrix, field):
     if m.field is not field and m.field != field:
-        raise DescriptorMismatch(f"mixed fields: {field!r} and {m.field!r}")
+        raise ValueError(f"mixed fields: {field!r} and {m.field!r}")
 
 
 def _payload_rows(m: Matrix, field) -> list:

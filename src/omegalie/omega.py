@@ -8,16 +8,8 @@ import json
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations, permutations
 
-from .fields import DescriptorMismatch, FieldDescriptor, FieldElement, parse_descriptor
+from .fields import FieldDescriptor, FieldElement, parse_descriptor
 from .linalg import Matrix, SkewForm, _from_payloads, _payload
-
-
-class DimensionTooSmall(Exception):
-    pass
-
-
-class NoSolution(Exception):
-    """No bilinear form makes the given bracket an omega-Lie algebra."""
 
 
 class StructureConstants:
@@ -42,8 +34,8 @@ class StructureConstants:
                 raise IndexError(f"bracket key ({i},{j}) out of range for i<j<{dim}")
             try:
                 payloads = tuple([_payload(v, field) for v in vec])
-            except DescriptorMismatch as exc:
-                raise DescriptorMismatch(f"bracket ({i},{j}): {exc}") from None
+            except ValueError as exc:
+                raise ValueError(f"bracket ({i},{j}): {exc}") from None
             if len(payloads) != dim:
                 raise ValueError(f"bracket ({i},{j}) must have {dim} coefficients")
             if not all(map(is_zero, payloads)):
@@ -91,7 +83,7 @@ class StructureConstants:
 
     def embed(self, ext):
         if self.field != ext.base:
-            raise DescriptorMismatch(f"{self.field!r} is not the base of {ext!r}")
+            raise ValueError(f"{self.field!r} is not the base of {ext!r}")
         zero = ext.base.zero.value
         return StructureConstants._from_payloads(
             ext, self.dim, {k: tuple((a, zero) for a in vec) for k, vec in self._table.items()})
@@ -310,12 +302,12 @@ def recover_omega(sc: StructureConstants) -> SkewForm:
     bracket sum is form(i, j) e_k + form(j, k) e_i + form(k, i) e_j, so each
     form value is read off the first triple that holds its pair, and
     identity_defects checks the candidate: the form is unique from dimension 3
-    on, so it passes exactly when a compatible form exists.  Raises NoSolution
-    when none does and DimensionTooSmall below dimension 3.
+    on, so it passes exactly when a compatible form exists.  Raises ValueError
+    when none does and below dimension 3.
     """
     n = sc.dim
     if n < 3:
-        raise DimensionTooSmall("no meaningful form below dimension 3")
+        raise ValueError("no meaningful form below dimension 3")
     field = sc.field
     sums = sc._payload_sums()
     form = {}
@@ -324,7 +316,7 @@ def recover_omega(sc: StructureConstants) -> SkewForm:
             if c in jac and (a, b) not in form:
                 form[a, b], form[b, a] = jac[c], field.neg(jac[c])
     if identity_defects(sums, n, form, field.add, field.neg, field.is_zero):
-        raise NoSolution("no compatible bilinear form exists")
+        raise ValueError("no compatible bilinear form exists")
     payloads = [field.zero.value] * (n * n)
     for (a, b), v in form.items():
         payloads[a * n + b] = v
@@ -437,7 +429,7 @@ def algebra_from_json(text: str) -> OmegaAlgebra:
         raise ValueError(f"'omega' must be a {n}x{n} matrix")
     omega_mat = Matrix.from_rows(
         field, [[_parse_scalar(field, x, "'omega'") for x in row] for row in omega_rows])
-    omega = SkewForm(omega_mat)  # NotSkew names the offending entry
+    omega = SkewForm(omega_mat)  # SkewForm names the offending entry
     if not isinstance(payload["brackets"], dict):
         raise ValueError("'brackets' must be an object mapping 'i,j' to coefficients")
     table = {}

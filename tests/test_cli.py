@@ -213,6 +213,14 @@ def test_canonical_rejects_zero_alpha(capsys):
     assert "bad label" in err
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["canonical", "B", "--alpha", "2"], "bad label: family B takes no parameter\n"),
+    (["canonical", "C"], "bad label: the C family needs --alpha\n"),
+])
+def test_canonical_refuses_a_missing_or_needless_alpha(capsys, argv, err):
+    assert run(capsys, argv) == (1, "", err)
+
+
 @pytest.mark.parametrize("field, alpha", [("Q", "1/0"), ("Fp:7", "1/7")])
 def test_canonical_rejects_zero_denominator_alpha(capsys, field, alpha):
     code, _, err = run(capsys, ["canonical", "C", "--alpha", alpha, "--field", field])

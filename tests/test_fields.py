@@ -11,13 +11,11 @@ import pytest
 
 from omegalie.fields import (
     QQ,
-    DescriptorMismatch,
     ExtensionDepthExceeded,
     ExtensionRequired,
     FieldElement,
     PrimeField,
     QuadExt,
-    ZeroInput,
     _sqrt_in_depth0,
     parse_descriptor,
     quadratic_roots,
@@ -54,7 +52,7 @@ def test_quadext_inverse():
 
 
 def test_descriptor_mismatch_rejected():
-    with pytest.raises(DescriptorMismatch):
+    with pytest.raises(ValueError, match="mixed fields: F_7 and F_101"):
         F7.elem(1) + F101.elem(1)
 
 
@@ -207,7 +205,7 @@ def test_sqrt_needs_extension():
 
 def test_sqrt_zero_input():
     for allow in (False, True):
-        with pytest.raises(ZeroInput):
+        with pytest.raises(ValueError, match="sqrt of zero"):
             sqrt_or_extend(QQ.zero, allow)
 
 

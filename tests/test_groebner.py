@@ -5,15 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from omegalie.fields import QQ, DescriptorMismatch
+from omegalie.fields import QQ
 from omegalie.groebner import (
     Ideal,
-    InexactDivision,
-    NotAGroebnerBasis,
     PolyRing,
     Polynomial,
-    RingMismatch,
-    UnitIdeal,
     buchberger,
     colon,
     contract,
@@ -169,7 +165,8 @@ def test_reduce_basis_order_independent():
 def test_reduce_basis_rejects_non_groebner():
     ring = sc_ring()
     f1, _, f3, _, _ = sc_polys(ring)
-    with pytest.raises(NotAGroebnerBasis):
+    with pytest.raises(AssertionError,
+                       match="S-polynomial of elements 0 and 1 does not reduce to zero"):
         reduce_basis([f1, f3])
 
 
@@ -243,7 +240,8 @@ def test_exact_divide():
     f1, f2, _, _, _ = sc_polys(ring)
     delta = parse_polynomial(ring, DELTA_TEXT)
     assert exact_divide(delta * f1, delta) == f1
-    with pytest.raises(InexactDivision):
+    # the message is the remainder, here all of f1
+    with pytest.raises(ValueError, match=r"^x2\*z1 \+ y3\*z1 - x1\*z2 - y1\*z3$"):
         exact_divide(f1, delta)
 
 
@@ -252,7 +250,7 @@ def test_quotient_dimension_goldens():
     assert quotient_dimension(ideal_p(ring)) == 6
     assert quotient_dimension(Ideal(ring, [])) == 9
     assert quotient_dimension(Ideal(ring, [ring.zero()])) == 9
-    with pytest.raises(UnitIdeal):
+    with pytest.raises(ValueError, match="the ideal is the whole ring"):
         quotient_dimension(Ideal(ring, [ring.one()]))
 
 
@@ -488,7 +486,7 @@ def test_elimination_basis_golden(field, name):
     lambda ring: ring.var("x") + F101.elem(3),
 ], ids=["constructor", "const", "scalar-mul", "scalar-rmul", "scalar-add"])
 def test_coefficient_of_another_field_is_refused(build):
-    with pytest.raises(DescriptorMismatch, match="mixed fields: Q and F_101"):
+    with pytest.raises(ValueError, match="mixed fields: Q and F_101"):
         build(PolyRing(QQ, "xy"))
 
 
@@ -591,9 +589,9 @@ def test_contract_refuses_another_ring():
     aux = elimination_ideal(ideal_p(ring), Ideal(ring, [ring.var("x1")]))
     for other in (sc_ring(F101), PolyRing(QQ, ring.variables[1:]),
                   PolyRing(QQ, ring.variables, order="elim1")):
-        with pytest.raises(RingMismatch):
+        with pytest.raises(ValueError, match="not an elimination ideal over this ring"):
             contract(aux, other)
-    with pytest.raises(RingMismatch):
+    with pytest.raises(ValueError, match="not an elimination ideal over this ring"):
         contract(ideal_p(ring), ring)
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from omegalie.fields import (
     QQ,
-    DescriptorMismatch,
     ExtensionRequired,
     PrimeField,
     QuadExt,
@@ -14,10 +13,7 @@ from omegalie.fields import (
     quadratic_roots,
 )
 from omegalie.linalg import (
-    InconsistentSystem,
     Matrix,
-    NotSkew,
-    SingularMatrix,
     SkewForm,
     _from_payloads,
     _payload_rows,
@@ -62,28 +58,28 @@ def test_solve_and_errors():
     x = solve_vector(a, (QQ.elem(5), QQ.elem(6)))
     assert a.apply(x) == (QQ.elem(5), QQ.elem(6))
     singular = Matrix.from_rows(QQ, [[1, 2], [2, 4]])
-    with pytest.raises(InconsistentSystem):
+    with pytest.raises(ValueError, match="^no solution$"):
         solve_vector(singular, (QQ.elem(1), QQ.elem(0)))
-    with pytest.raises(SingularMatrix):
+    with pytest.raises(ValueError, match="^solution is not unique$"):
         solve_vector(singular, (QQ.elem(1), QQ.elem(2)))
-    with pytest.raises(SingularMatrix):
+    with pytest.raises(ValueError, match="^no solution$"):
         singular.inverse()
 
 
 def test_mixed_field_product_raises():
-    with pytest.raises(DescriptorMismatch):
+    with pytest.raises(ValueError, match="mixed fields: Q and F_101"):
         Matrix.identity(QQ, 2) * Matrix.identity(F101, 2)
-    with pytest.raises(DescriptorMismatch):
+    with pytest.raises(ValueError, match="mixed fields: Q and F_101"):
         Matrix.identity(QQ, 2).apply((F101.one, F101.zero))
 
 
 def test_foreign_entry_raises():
     # an F_101 entry is refused when a Q matrix is built, not at first use
-    with pytest.raises(DescriptorMismatch):
+    with pytest.raises(ValueError, match="mixed fields: Q and F_101"):
         Matrix(QQ, 2, 2, [QQ.one, F101.one, QQ.zero, QQ.one])
-    with pytest.raises(DescriptorMismatch):
+    with pytest.raises(ValueError, match="mixed fields: Q and F_101"):
         Matrix.from_rows(QQ, [[QQ.one, F101.one], [QQ.zero, QQ.one]])
-    with pytest.raises(DescriptorMismatch):
+    with pytest.raises(ValueError, match="mixed fields: Q and F_101"):
         Matrix.identity(QQ, 2).with_entry(0, 1, F101.one)
 
 
@@ -115,9 +111,9 @@ def test_translation_system_determinant():
 
 
 def test_skewform_invariants():
-    with pytest.raises(NotSkew):
+    with pytest.raises(ValueError, match=r"entry \(0,1\) is not the negative of \(1,0\)"):
         SkewForm(Matrix.from_rows(QQ, [[0, 1], [1, 0]]))
-    with pytest.raises(NotSkew):
+    with pytest.raises(ValueError, match=r"nonzero diagonal entry at \(0,0\)"):
         SkewForm(Matrix.from_rows(QQ, [[1, 0], [0, 0]]))
 
 

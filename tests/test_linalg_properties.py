@@ -11,9 +11,7 @@ from hypothesis import strategies as st
 
 from omegalie.fields import QQ, FieldElement, PrimeField, QuadExt
 from omegalie.linalg import (
-    InconsistentSystem,
     Matrix,
-    SingularMatrix,
     SkewForm,
     skew_congruence_reduce,
     solve,
@@ -181,9 +179,9 @@ def reference_solve(a, b):
         r += 1
     for i in range(r, n):
         if any(not is_zero(x) for x in aug[i][m:]):
-            raise InconsistentSystem("no solution")
+            raise ValueError("no solution")
     if len(pivots) < m:
-        raise SingularMatrix("solution is not unique")
+        raise ValueError("solution is not unique")
     out = [None] * (m * k)
     for row_idx, c in enumerate(pivots):
         out[c * k:(c + 1) * k] = aug[row_idx][m:]
@@ -192,18 +190,15 @@ def reference_solve(a, b):
 
 def reference_inverse(a):
     if a.rows != a.cols:
-        raise SingularMatrix("non-square matrix")
-    try:
-        return reference_solve(a, Matrix.identity(a.field, a.rows))
-    except (InconsistentSystem, SingularMatrix):
-        raise SingularMatrix("matrix is not invertible") from None
+        raise ValueError("non-square matrix")
+    return reference_solve(a, Matrix.identity(a.field, a.rows))
 
 
 def outcome(f, *args):
     """f(*args), or the type and text of the exception it raised."""
     try:
         return f(*args)
-    except (InconsistentSystem, SingularMatrix, ValueError) as exc:
+    except ValueError as exc:
         return type(exc), str(exc)
 
 

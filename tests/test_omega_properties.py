@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from itertools import combinations, permutations
 
 from omegalie.classify3 import (
-    InvalidAlpha,
     canonical_algebra,
     label_a,
     label_b,
@@ -24,17 +23,13 @@ from omegalie.classify3 import (
 )
 from omegalie.fields import QQ, PrimeField, parse_descriptor
 from omegalie.linalg import (
-    InconsistentSystem,
     Matrix,
-    SingularMatrix,
     SkewForm,
     solve,
     standard_j,
 )
 from omegalie.omega import (
-    DimensionTooSmall,
     GroupElement,
-    NoSolution,
     OmegaAlgebra,
     StructureConstants,
     change_basis,
@@ -165,7 +160,7 @@ def test_validate_matches_brute_force(alg):
 def test_recover_omega_agrees_with_validate(alg):
     try:
         form = recover_omega(alg.sc)
-    except NoSolution:
+    except ValueError:
         # no form at all works, the drawn one included
         assert not validate(alg).ok
         return
@@ -179,7 +174,7 @@ def reference_recover_omega(sc):
     and output coordinate, solved by Gauss-Jordan elimination."""
     n = sc.dim
     if n < 3:
-        raise DimensionTooSmall("no meaningful form below dimension 3")
+        raise ValueError("no meaningful form below dimension 3")
     field = sc.field
     unknowns = [(i, j) for i in range(n) for j in range(i + 1, n)]
     index = {pair: t for t, pair in enumerate(unknowns)}
@@ -205,10 +200,10 @@ def reference_recover_omega(sc):
             rhs.append(jac[m])
     try:
         sol = solve(Matrix.from_rows(field, rows), Matrix(field, len(rhs), 1, rhs))
-    except InconsistentSystem:
-        raise NoSolution("no compatible bilinear form exists") from None
-    except SingularMatrix as exc:
-        raise NoSolution(f"underdetermined form system: {exc}") from None
+    except ValueError as exc:
+        if str(exc) == "no solution":
+            raise ValueError("no compatible bilinear form exists") from None
+        raise ValueError(f"underdetermined form system: {exc}") from None
     m = Matrix.zeros(field, n, n)
     for (i, j), t in index.items():
         m = m.with_entry(i, j, sol[t, 0]).with_entry(j, i, -sol[t, 0])
@@ -240,7 +235,7 @@ def consistent_algebras(draw, field):
         label = draw(st.sampled_from((label_a(), label_b(), label_d(), None)))
         try:
             return canonical_algebra(label or label_c(draw(field_scalars(field))), field)
-        except InvalidAlpha:
+        except ValueError:  # a zero C parameter
             assume(False)
     if kind == "configuration":
         x3, x4, y1, y3, z3 = (draw(field_scalars(field)) for _ in range(5))
@@ -296,8 +291,8 @@ def differential_brackets(draw):
 def _outcome(fn, sc):
     try:
         return "form", fn(sc).matrix.payloads
-    except (DimensionTooSmall, NoSolution) as exc:
-        return type(exc).__name__, str(exc)
+    except ValueError as exc:
+        return "refused", str(exc)
 
 
 @DIFFERENTIAL
@@ -322,7 +317,7 @@ def sparse_algebras(draw):
     if draw(st.booleans()):
         try:
             return OmegaAlgebra(field, sc, recover_omega(sc))
-        except NoSolution:
+        except ValueError:
             pass
     m = Matrix.zeros(field, n, n)
     for i, j in combinations(range(n), 2):

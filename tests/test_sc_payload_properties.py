@@ -14,7 +14,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omegalie.fields import QQ, DescriptorMismatch, FieldElement, PrimeField, QuadExt
+from omegalie.fields import QQ, FieldElement, PrimeField, QuadExt
 from omegalie.omega import StructureConstants
 
 F101 = PrimeField(101)
@@ -116,5 +116,5 @@ def test_embed_over_another_base_is_refused(name, data, dim):
     field, values = FIELDS[name]
     other = F101_EXT if field == QQ else Q_EXT
     sc = StructureConstants(field, dim, draw_table(data, field, values, dim))
-    with pytest.raises(DescriptorMismatch, match="is not the base of"):
+    with pytest.raises(ValueError, match="is not the base of"):
         sc.embed(other)
