@@ -186,7 +186,7 @@ class _Pipeline:
         """Move the bracket by g, which must lie in the stabilizer of the
         working form, so the form is kept as it is, record g, and return the
         brackets read afterwards."""
-        self.work = transform(g, self.work, check=False)
+        self.work = transform(g, self.work)
         self.record(tag, g)
         return self.read()
 
@@ -293,7 +293,7 @@ def classify(alg: OmegaAlgebra, allow_extension: bool = False,
         # some center translation gives the product bracket a z-component
         for t1, t2 in ((0, 1), (0, -1), (1, 0), (-1, 0)):
             u = _from_inverse(field, [[1, 0, 0], [0, 1, 0], [t1, t2, 1]])
-            if not transform(u, pipe.work, check=False).sc.bracket(0, 1)[2].is_zero():
+            if not transform(u, pipe.work).sc.bracket(0, 1)[2].is_zero():
                 a, b, c = pipe.apply("reenter-translation", u)
                 break
         else:

@@ -102,8 +102,6 @@ class FieldDescriptor:
         return self.add(a, self.neg(b))
 
     def div(self, a, b):
-        if self.is_zero(b):
-            raise ZeroDivisionError("division by zero field element")
         return self.mul(a, self.inv(b))
 
 
@@ -155,8 +153,6 @@ class Rationals(FieldDescriptor):
             return value
         if isinstance(value, int):
             return Fraction(value)
-        if isinstance(value, str):
-            return self.payload_from_str(value)
         raise TypeError(f"cannot coerce {value!r} into Q")
 
     def add(self, a, b):
@@ -239,8 +235,6 @@ class PrimeField(FieldDescriptor):
             if value.denominator % self.p == 0:
                 raise ZeroDivisionError(f"denominator divisible by {self.p}")
             return value.numerator * pow(value.denominator, -1, self.p) % self.p
-        if isinstance(value, str):
-            return self.payload_from_str(value)
         raise TypeError(f"cannot coerce {value!r} into F_{self.p}")
 
     def add(self, a, b):
@@ -310,8 +304,6 @@ class QuadExt(FieldDescriptor):
     def coerce(self, value):
         if isinstance(value, tuple) and len(value) == 2:
             return (self.base.coerce(value[0]), self.base.coerce(value[1]))
-        if isinstance(value, str):
-            return self.payload_from_str(value)
         return (self.base.coerce(value), self.base.coerce(0))
 
     def add(self, a, b):

@@ -251,19 +251,6 @@ def ordered_defects(defects: dict, neg) -> list:
     return out
 
 
-def _defects(alg: "OmegaAlgebra") -> dict:
-    """The nonzero identity defects of alg on increasing triples, on payloads.
-    The form's matrix must already be known to be skew."""
-    field, n = alg.field, alg.dim
-    p, is_zero = alg.omega.matrix.payloads, field.is_zero
-    form = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            if not is_zero(p[a * n + b]):
-                form[a, b], form[b, a] = p[a * n + b], p[b * n + a]
-    return identity_defects(alg.sc._payload_sums(), n, form, field.add, field.neg, is_zero)
-
-
 @dataclass
 class ValidationReport:
     ok: bool
@@ -284,7 +271,13 @@ def validate(alg: OmegaAlgebra) -> ValidationReport:
     report = ValidationReport(ok=True)
     n, field = alg.dim, alg.field
     SkewForm(alg.omega.matrix)  # re-verify rather than trust construction
-    defects = _defects(alg)
+    p, is_zero = alg.omega.matrix.payloads, field.is_zero
+    form = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            if not is_zero(p[a * n + b]):
+                form[a, b], form[b, a] = p[a * n + b], p[b * n + a]
+    defects = identity_defects(alg.sc._payload_sums(), n, form, field.add, field.neg, is_zero)
     if defects:
         zero = field.coerce(0)
         report.ok = False
@@ -323,8 +316,7 @@ def recover_omega(sc: StructureConstants) -> SkewForm:
     return SkewForm(_from_payloads(field, n, n, payloads))
 
 
-def transform(g: GroupElement, alg: OmegaAlgebra,
-              check: bool = True) -> OmegaAlgebra:
+def transform(g: GroupElement, alg: OmegaAlgebra) -> OmegaAlgebra:
     """The bracket moved by g: [x, y] -> g[g^-1 x, g^-1 y], form unchanged.
 
     With C the matrix whose columns are the basis brackets [e_i, e_j], i < j,
@@ -332,8 +324,8 @@ def transform(g: GroupElement, alg: OmegaAlgebra,
     g^-1: [g^-1 e_i, g^-1 e_j] = sum over a < b of its 2x2 minor on rows
     a, b and columns i, j times [e_a, e_b].
 
-    When g preserves the form, the result is re-checked to satisfy the
-    bracket identity (cheap: only strictly increasing triples are evaluated).
+    This is only the action: a stabilizer element maps omega-Lie brackets to
+    omega-Lie brackets, and whoever returns the result verifies it.
     """
     if g.matrix.rows != alg.dim:
         raise ValueError("dimension mismatch between element and algebra")
@@ -345,16 +337,13 @@ def transform(g: GroupElement, alg: OmegaAlgebra,
     moved = (g.matrix * c * g.inverse_matrix.second_compound()).payloads
     sc = StructureConstants._from_payloads(
         field, n, {pair: moved[t::len(pairs)] for t, pair in enumerate(pairs)})
-    out = OmegaAlgebra(field, sc, alg.omega)
-    if check and in_stabilizer(g, alg.omega) and _defects(out):
-        raise AssertionError("stabilizer action broke the bracket identity")
-    return out
+    return OmegaAlgebra(field, sc, alg.omega)
 
 
 def change_basis(g: GroupElement, alg: OmegaAlgebra) -> OmegaAlgebra:
     """Full base change: brackets moved as in transform, and the form moved to
     omega(g^-1 x, g^-1 y)."""
-    moved = transform(g, alg, check=False)
+    moved = transform(g, alg)
     gi = g.inverse_matrix
     new_omega = SkewForm(gi.transpose() * alg.omega.matrix * gi)
     return OmegaAlgebra(alg.field, moved.sc, new_omega)

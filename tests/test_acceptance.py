@@ -172,7 +172,7 @@ def _roundtrip(field, rng, labels):
     label = (rng.choice(labels) if rng.random() < 0.5
              else label_c(random_nonzero(field, rng)))
     g = random_stabilizer_element(field, rng)
-    moved = transform(g, canonical_algebra(label, field), check=False)
+    moved = transform(g, canonical_algebra(label, field))
     res = classify(moved)
     want = (label if label.kind != "C"
             else label_c(c_pair_representative(label.alpha)))
@@ -297,7 +297,7 @@ def test_criterion_9_form_recovery():
             label = (rng.choice(labels) if rng.random() < 0.5
                      else label_c(random_nonzero(F101, rng)))
             g = random_stabilizer_element(F101, rng)
-            alg = transform(g, canonical_algebra(label, F101), check=False)
+            alg = transform(g, canonical_algebra(label, F101))
             assert validate(alg).ok
             assert recover_omega(alg.sc) == alg.omega
         # 4-dimensional: random points on both components
@@ -322,6 +322,6 @@ def test_criterion_10_action_laws():
             alg = canonical_algebra(label, F101)
             g = random_stabilizer_element(F101, rng)
             h = random_stabilizer_element(F101, rng)
-            assert transform(eye, alg, check=False) == alg
-            assert transform(g.compose(h), alg, check=False) \
-                == transform(g, transform(h, alg, check=False), check=False)
+            assert transform(eye, alg) == alg
+            assert transform(g.compose(h), alg) \
+                == transform(g, transform(h, alg))

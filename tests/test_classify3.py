@@ -680,9 +680,9 @@ def test_classify_transforms_every_move_but_a_recorded_last_one(monkeypatch):
     calls = []
     transform_ = classify3.transform
 
-    def counted(g, alg, check=True):
+    def counted(g, alg):
         calls.append(g)
-        return transform_(g, alg, check=check)
+        return transform_(g, alg)
 
     # change_basis reaches transform through omega, so _finish is not counted
     monkeypatch.setattr(classify3, "transform", counted)

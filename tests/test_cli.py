@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from omegalie.cli import main
-from omegalie.classify3 import canonical_algebra, label_a, label_c, label_d
+from omegalie.classify3 import canonical_algebra, label_a, label_b, label_c, label_d
 from omegalie.fields import QQ, PrimeField, parse_descriptor
 from omegalie.omega import algebra_to_json
 
@@ -199,6 +199,18 @@ def test_iso_without_the_flag_asks_for_the_extension_a_pair_needs(capsys, tmp_pa
         assert run(capsys, argv + ["--format", "machine"]) == (3, machine, "")
 
 
+def test_iso_extends_the_first_algebra_when_the_second_needs_it(capsys, tmp_path):
+    # B over Q classifies over Q; the Jordan example needs sqrt 2, so the first
+    # algebra is classified again over Q(sqrt 2) before the witnesses compose
+    b = _canonical_file(tmp_path, "b.alg", label_b(), QQ)
+    argv = ["iso", b, _jordan_file(tmp_path, 2)]
+    assert run(capsys, argv + ["--allow-extension"]) == (
+        0, "isomorphic; witness carrying the first algebra onto the second:\n"
+           "  [0,1] [0,0] [0,0]\n  [0,0] [0,1/2] [0,0]\n  [0,0] [0,0] [1,0]\n", "")
+    assert run(capsys, argv) == (3, "needs a quadratic extension by t^2 + (0)*t + (-2);"
+                                    " rerun with --allow-extension\n", "")
+
+
 def test_iso_refuses_equal_labels_over_different_extensions(capsys, tmp_path):
     argv = ["iso", "--allow-extension", _jordan_file(tmp_path, 2), _jordan_file(tmp_path, 3)]
     code, out, err = run(capsys, argv)
@@ -249,6 +261,19 @@ def _canonical_file(tmp_path, name, label, field):
     return str(path)
 
 
+@pytest.mark.parametrize("first, second, reason, labels", [
+    (label_d(), label_a(), "derived algebra dimensions differ: 2 vs 3", [None, None]),
+    (label_a(), label_b(), "different canonical families", ["A", "B"]),
+], ids=["D-A", "A-B"])
+def test_iso_machine_reports_a_non_isomorphic_pair(capsys, tmp_path, first, second,
+                                                  reason, labels):
+    pair = [_canonical_file(tmp_path, f"{k}.alg", label, QQ)
+            for k, label in enumerate((first, second))]
+    code, out, err = run(capsys, ["iso", *pair, "--format", "machine"])
+    assert (code, err) == (0, "")
+    assert out == json.dumps({"isomorphic": False, "reason": reason, "labels": labels}) + "\n"
+
+
 def test_iso_embeds_the_base_field_algebra(capsys, tmp_path):
     # C(3) over Q(sqrt 2) and C(-4) over Q: the swap carries one onto the other,
     # in either order
@@ -286,6 +311,10 @@ def test_variety_emits_reference_generators(capsys):
     assert "x3*y1 - x1*y3 + x3*z2 - x2*z3 + 1" in out
     assert "x2*y1 - x1*y2 - y3*z2 + y2*z3" in out
     assert "quotient dimension: 6" in out
+
+
+def test_variety_refuses_another_dimension(capsys):
+    assert run(capsys, ["variety", "--dim", "4"]) == (1, "", "only --dim 3 is supported\n")
 
 
 def test_variety_machine_format(capsys):

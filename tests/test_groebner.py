@@ -209,6 +209,22 @@ def test_intersection_self():
     assert ideal_equal(intersect(p, p), p)
 
 
+@pytest.mark.parametrize("names, aux, basis", [
+    ("txy", "t0", ["t*x*y - x*y^2", "t^3 - t^2*y - t*x + x*y"]),
+    ("uxy", "t", ["u*x*y - x*y^2", "u^3 - u^2*y - u*x + x*y"]),
+    (("t", "t0", "x"), "t1", ["t*t0*x - t0^2*x", "t^3 - t^2*t0 - t*x + t0*x"]),
+], ids=["t-taken", "t-free", "t-and-t0-taken"])
+def test_intersect_picks_a_fresh_auxiliary_variable(names, aux, basis):
+    # <a^2 - x, x*b> cap <a - b>, with a and b the ring's two variables other
+    # than x: the auxiliary variable skips the names the ring already has
+    ring = PolyRing(QQ, names)
+    a, b = (v for v in ring.variables if v != "x")
+    i1 = Ideal(ring, [parse_polynomial(ring, f"{a}^2 - x"), parse_polynomial(ring, f"x*{b}")])
+    i2 = Ideal(ring, [parse_polynomial(ring, f"{a} - {b}")])
+    assert elimination_ideal(i1, i2).ring.variables[0] == aux
+    assert [format_polynomial(p) for p in intersect(i1, i2).groebner_basis()] == basis
+
+
 def test_colon_goldens():
     ring = sc_ring()
     f1, f2, f3, _, _ = sc_polys(ring)

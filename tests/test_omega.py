@@ -277,7 +277,7 @@ def test_transform_z_scaling_normalizes_a3():
     })
     g = GroupElement(Matrix.from_rows(field, [[1, 0, 0], [0, 1, 0],
                                               [0, 0, a3.inverse()]]))
-    moved = transform(g, alg, check=False)
+    moved = transform(g, alg)
     assert moved.sc.bracket(0, 1) == (field.elem(2), field.elem(-1), field.one)
 
 
@@ -404,6 +404,8 @@ def test_algebra_json_refuses_a_repeated_key(old, new, key):
     (lambda p: {**p, "brackets": {"0,1": "001"}}, "bracket '0,1' needs 3 coefficients"),
     (lambda p: {**p, "brackets": {"0,1": ["0", None, "1"]}}, "None is not a string"),
     (lambda p: {**p, "brackets": {"0,1": ["0", "1/0", "1"]}}, "'1/0' divides by zero"),
+    (lambda p: {**p, "brackets": {"0-1": ["0", "0", "1"]}},
+     "bracket key '0-1' is not of the form 'i,j'"),
 ])
 def test_algebra_json_rejects_wrong_types(edit, message):
     import json as _json

@@ -89,7 +89,7 @@ def test_transform_is_the_moved_bracket(name, data):
     alg = OmegaAlgebra(field, StructureConstants(field, n, table),
                        SkewForm(Matrix.from_rows(field, rows)))
 
-    moved = transform(GroupElement(g), alg, check=False)
+    moved = transform(GroupElement(g), alg)
 
     gi = g.inverse()
     zero = field.zero
