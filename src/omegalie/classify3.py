@@ -229,7 +229,7 @@ def _from_inverse(field, rows) -> GroupElement:
         inverse)
 
 
-def _match_canonical(alg: OmegaAlgebra):
+def _match_canonical(alg: OmegaAlgebra, strict_c_labels: bool):
     """Exact-pattern fast path: (label, optional pre-move) or None."""
     field = alg.field
     for label in (label_d(), label_a(), label_b()):
@@ -242,7 +242,7 @@ def _match_canonical(alg: OmegaAlgebra):
             and c == (zero, -(b[0] + 1), zero)):
         alpha = b[0]
         rep = c_pair_representative(alpha)
-        if rep == alpha:
+        if strict_c_labels or rep == alpha:
             return label_c(alpha), None
         return label_c(rep), c_pair_swap(field)
     return None
@@ -255,7 +255,7 @@ def _check_classifiable(alg: OmegaAlgebra) -> None:
         raise ValueError("only 3-dimensional algebras are classified")
     report = validate(alg)
     if not report.ok:
-        raise NotClassifiable("; ".join(report.messages) or "bracket identity fails")
+        raise NotClassifiable("; ".join(report.messages))
     if alg.omega.is_zero():
         raise NotClassifiable("the bilinear form vanishes; this is a classical bracket")
 
@@ -281,7 +281,7 @@ def classify(alg: OmegaAlgebra, allow_extension: bool = False,
         pipe.record("form-normalize", g)
         assert pipe.work.omega.matrix == j2
 
-    fast = _match_canonical(pipe.work)
+    fast = _match_canonical(pipe.work, strict_c_labels)
     if fast is not None:
         label, move = fast
         if move is not None:
@@ -424,8 +424,6 @@ def _finish(original: OmegaAlgebra, pipe: _Pipeline,
     source = original.embed(pipe.field)
     if change_basis(witness, source) != target:
         raise AssertionError("witness does not reproduce the canonical algebra")
-    if source.omega.matrix == standard_j(pipe.field, 3, 2):
-        assert in_stabilizer(witness, source.omega)
     extension = pipe.field.minpoly if pipe.field != original.field else None
     return ClassificationResult(label=label, witness=witness, field=pipe.field,
                                 trace=tuple(pipe.steps), extension=extension)
@@ -624,9 +622,6 @@ def verify_classification(field) -> ReportTable:
                     else label_c(c_pair_representative(label.alpha)))
             rec.expect(res.label == want,
                        f"roundtrip of {label} returned {res.label}")
-            target = canonical_algebra(res.label, res.field)
-            rec.expect(change_basis(res.witness, moved.embed(res.field)) == target,
-                       "witness identity failed")
 
     with table.timed("family-separation") as rec:
         k1, alpha1 = parameter(2)

@@ -339,5 +339,6 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
         return EXIT_INPUT
 
+
 if __name__ == "__main__":
     sys.exit(main())

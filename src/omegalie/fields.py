@@ -423,54 +423,40 @@ class FieldElement:
         self.field = field
         self.value = payload
 
-    def _coerce_other(self, other):
+    def _binary(self, other, op, swap=False):
+        """self op other, or other op self with swap: an element of another field
+        is refused, an int or a Fraction is coerced, any other type NotImplemented."""
         if isinstance(other, FieldElement):
             if other.field != self.field:
                 raise ValueError(f"mixed fields: {self.field!r} and {other.field!r}")
-            return other.value
-        if isinstance(other, (int, Fraction)):
-            return self.field.coerce(other)
-        return NotImplemented
+            v = other.value
+        elif isinstance(other, (int, Fraction)):
+            v = self.field.coerce(other)
+        else:
+            return NotImplemented
+        return FieldElement(self.field, op(v, self.value) if swap else op(self.value, v))
 
     def __add__(self, other):
-        v = self._coerce_other(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.add(self.value, v))
+        return self._binary(other, self.field.add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        v = self._coerce_other(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(self.value, v))
+        return self._binary(other, self.field.sub)
 
     def __rsub__(self, other):
-        v = self._coerce_other(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(v, self.value))
+        return self._binary(other, self.field.sub, swap=True)
 
     def __mul__(self, other):
-        v = self._coerce_other(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul(self.value, v))
+        return self._binary(other, self.field.mul)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        v = self._coerce_other(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(self.value, v))
+        return self._binary(other, self.field.div)
 
     def __rtruediv__(self, other):
-        v = self._coerce_other(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(v, self.value))
+        return self._binary(other, self.field.div, swap=True)
 
     def __neg__(self):
         return FieldElement(self.field, self.field.neg(self.value))

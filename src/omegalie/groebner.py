@@ -12,7 +12,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 
-from .fields import FieldDescriptor, FieldElement, Rationals
+from .fields import FieldDescriptor, FieldElement, Rationals, parse_descriptor
 from .linalg import _payload
 
 # When enabled (the test suite turns it on), every Buchberger run re-verifies
@@ -659,13 +659,6 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
     return _from_payloads(f.ring, quotient)
 
 
-def colon(ideal: Ideal, f: Polynomial) -> Ideal:
-    """The colon ideal I : f, computed as (1/f) * (I cap <f>)."""
-    if f.is_zero():
-        raise ZeroDivisionError("colon by the zero polynomial")
-    return colon_of_meet(intersect(ideal, Ideal(ideal.ring, [f])), f)
-
-
 def colon_of_meet(meet: Ideal, f: Polynomial) -> Ideal:
     """I : f from an already computed meet = I cap <f>, as (1/f) * meet."""
     return Ideal(meet.ring, [exact_divide(g, f) for g in meet.gens])
@@ -715,7 +708,6 @@ def read_ideal_text(text: str) -> Ideal:
     if " over " not in head:
         raise ValueError("ring header must name its field after 'over'")
     vars_part, field_part = head.rsplit(" over ", 1)
-    from .fields import parse_descriptor
     field = parse_descriptor(field_part.strip())
     names = vars_part.split()
     bad = [v for v in names if not v.isidentifier()]

@@ -71,22 +71,12 @@ class Matrix:
         return _from_payloads(self.field, c, self.rows,
                               [x for j in range(c) for x in p[j::c]])
 
-    def __add__(self, other):
-        return self._entrywise(self.field.add, other)
-
     def __sub__(self, other):
-        return self._entrywise(self.field.sub, other)
-
-    def _entrywise(self, op, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
         _check_field(other, self.field)
         return _from_payloads(self.field, self.rows, self.cols,
-                              list(map(op, self.payloads, other.payloads)))
-
-    def __neg__(self):
-        return _from_payloads(self.field, self.rows, self.cols,
-                              list(map(self.field.neg, self.payloads)))
+                              list(map(self.field.sub, self.payloads, other.payloads)))
 
     def __mul__(self, other):
         field = self.field
@@ -105,15 +95,6 @@ class Matrix:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def apply(self, vec):
-        """Matrix times coefficient vector (a tuple), returning a tuple."""
-        if len(vec) != self.cols:
-            raise ValueError("length mismatch")
-        field = self.field
-        v = [_payload(x, field) for x in vec]
-        return tuple(FieldElement(field, field.dot(ri, v))
-                     for ri in _payload_rows(self, field))
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and other.rows == self.rows
@@ -422,11 +403,9 @@ def sl2_jordan(m: Matrix, allow_extension: bool = False) -> Matrix:
     field = m.field
     half = -field.one / 2
     shifted = m - Matrix.from_rows(field, [[half, field.zero], [field.zero, half]])
-    w = (field.one, field.zero)
-    v = shifted.apply(w)
+    w, v = (field.one, field.zero), shifted.col(0)
     if v[0].is_zero() and v[1].is_zero():
-        w = (field.zero, field.one)
-        v = shifted.apply(w)
+        w, v = (field.zero, field.one), shifted.col(1)
     sinv = sqrt_or_extend(v[0] * w[1] - v[1] * w[0], allow_extension).inverse()
     if sinv.field != field:
         v, w = (tuple(sinv.field.embed(x) for x in vec) for vec in (v, w))

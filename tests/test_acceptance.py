@@ -18,7 +18,7 @@ from omegalie.fields import QQ, PrimeField
 from omegalie.groebner import (
     Ideal,
     buchberger,
-    colon,
+    colon_of_meet,
     ideal_equal,
     intersect,
     parse_polynomial,
@@ -127,11 +127,11 @@ def test_criterion_3_colon_identities():
         i12 = Ideal(ring, [f1, f2])
         meet = intersect(i12, Ideal(ring, [delta]))
         assert ideal_equal(meet, Ideal(ring, [delta * f1, delta * f2]))
-        assert ideal_equal(colon(i12, delta), i12)
+        assert ideal_equal(colon_of_meet(meet, delta), i12)
         p = ideal_p(ring)
         meet2 = intersect(p, Ideal(ring, [detm]))
         assert ideal_equal(meet2, Ideal(ring, [detm * q for q in (f1, f2, f3, g, h)]))
-        assert ideal_equal(colon(p, detm), p)
+        assert ideal_equal(colon_of_meet(meet2, detm), p)
 
 
 def test_criterion_4_quotient_dimension():

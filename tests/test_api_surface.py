@@ -19,14 +19,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "omegalie"
 
-# names kept without a caller, each for a stated reason
-ALLOWLIST = {
-    # the one-call colon ideal I : f that the README documents; the library
-    # itself goes through colon_of_meet to reuse an intersection it already has
-    "colon",
-}
-
-
 # defaulted parameters kept without a passing call, each for a stated reason
 DEFAULT_ALLOWLIST = {
     # test_example51_sensitive_to_form_convention and the ideal golden pin the
@@ -77,7 +69,7 @@ def unreferenced_names():
     missing = []
     for path, tree in src.items():
         for name, first, last in _definitions(tree):
-            if name.startswith("__") and name.endswith("__") or name in ALLOWLIST:
+            if name.startswith("__") and name.endswith("__"):
                 continue
             if all(other == path and first <= line <= last for other, line in uses[name]):
                 missing.append(f"{path.name}:{first} {name}")

@@ -133,6 +133,21 @@ def test_strict_labels_keep_the_computed_root():
         assert change_basis(res.witness, src) == canonical_algebra(res.label, QQ)
 
 
+@pytest.mark.parametrize("field, k", [(QQ, 3), (F101, 97)], ids=["Q", "F101"])
+def test_strict_labels_keep_the_parameter_of_a_canonical_c_input(field, k):
+    # k is not its pair representative (-4 over Q, 3 over F_101), so only the
+    # loose label moves the canonical input
+    alpha = field.elem(k)
+    src = canonical_algebra(label_c(alpha), field)
+    strict = classify(src, strict_c_labels=True)
+    assert strict.label == label_c(alpha)
+    assert strict.witness == GroupElement.identity(field, 3)
+    assert strict.trace == ()
+    loose = classify(src)
+    assert loose.label == label_c(c_pair_representative(alpha)) != strict.label
+    assert [tag for tag, _ in loose.trace] == ["c-pair-swap"]
+
+
 def test_reduced_negative_parameter_shape():
     alg = mk(QQ, {(0, 1): [0, 0, 1], (0, 2): [-1, 0, 0]})
     res = classify(alg)

@@ -261,6 +261,20 @@ def _canonical_file(tmp_path, name, label, field):
     return str(path)
 
 
+@pytest.mark.parametrize("flags, label, trace", [
+    ([], "C:-4", "  c-pair-swap:"),
+    (["--strict-c-labels"], "C:3", "  already canonical"),
+], ids=["loose", "strict"])
+def test_classify_of_canonical_c_keeps_its_parameter_only_under_the_strict_flag(
+        capsys, tmp_path, flags, label, trace):
+    path = _canonical_file(tmp_path, "c3.alg", label_c(QQ.elem(3)), QQ)
+    code, out, _ = run(capsys, ["classify", *flags, path])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == f"label: {label}"
+    assert lines[lines.index("case trace:") + 1] == trace
+
+
 @pytest.mark.parametrize("first, second, reason, labels", [
     (label_d(), label_a(), "derived algebra dimensions differ: 2 vs 3", [None, None]),
     (label_a(), label_b(), "different canonical families", ["A", "B"]),

@@ -1,3 +1,4 @@
+import operator
 import os
 import random
 import re
@@ -379,3 +380,44 @@ def test_import_fails_loudly_when_the_fraction_layout_changes(patch):
     assert proc.returncode != 0
     assert "ImportError" in proc.stderr
     assert f"Python {sys.version.split()[0]}" in proc.stderr
+
+
+PROTOCOL_FIELDS, PROTOCOL_IDS = [QQ, F101, QuadExt(QQ, -2, 0)], ["Q", "F101", "QuadExt"]
+PROTOCOL_OPS = [(operator.add, "add"), (operator.sub, "sub"),
+                (operator.mul, "mul"), (operator.truediv, "div")]
+
+
+@pytest.mark.parametrize("field", PROTOCOL_FIELDS, ids=PROTOCOL_IDS)
+@pytest.mark.parametrize("apply, method", PROTOCOL_OPS, ids=[m for _, m in PROTOCOL_OPS])
+def test_operators_coerce_ints_and_fractions_on_either_side(field, apply, method):
+    x = field.elem((Fraction(5, 7), 3)) if field.depth else field.elem(Fraction(5, 7))
+    op = getattr(field, method)
+    for other in (field.elem(Fraction(-2, 3)), 3, Fraction(2, 3)):
+        v = other.value if isinstance(other, FieldElement) else field.coerce(other)
+        forward, reflected = apply(x, other), apply(other, x)
+        assert isinstance(forward, FieldElement) and isinstance(reflected, FieldElement)
+        assert forward.field == field and reflected.field == field
+        assert forward.value == op(x.value, v)
+        assert reflected.value == op(v, x.value)
+
+
+@pytest.mark.parametrize("field", PROTOCOL_FIELDS, ids=PROTOCOL_IDS)
+@pytest.mark.parametrize("apply", [op for op, _ in PROTOCOL_OPS], ids=lambda op: op.__name__)
+def test_operators_refuse_other_types_and_other_fields(field, apply):
+    x, stranger = field.elem(3), F7.elem(3)
+    with pytest.raises(TypeError):
+        apply(x, "a")
+    with pytest.raises(TypeError):
+        apply("a", x)
+    for a, b in ((x, stranger), (stranger, x)):
+        with pytest.raises(ValueError, match="mixed fields: "):
+            apply(a, b)
+
+
+@pytest.mark.parametrize("field", PROTOCOL_FIELDS, ids=PROTOCOL_IDS)
+def test_reflected_division_by_zero(field):
+    with pytest.raises(ZeroDivisionError):
+        1 / field.zero
+    with pytest.raises(ZeroDivisionError):
+        Fraction(1, 2) / field.zero
+    assert 1 / field.elem(4) == field.elem(4).inverse()

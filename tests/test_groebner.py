@@ -11,7 +11,7 @@ from omegalie.groebner import (
     PolyRing,
     Polynomial,
     buchberger,
-    colon,
+    colon_of_meet,
     contract,
     elimination_ideal,
     exact_divide,
@@ -230,11 +230,11 @@ def test_colon_goldens():
     f1, f2, f3, _, _ = sc_polys(ring)
     delta = parse_polynomial(ring, DELTA_TEXT)
     i12 = Ideal(ring, [f1, f2])
-    assert ideal_equal(colon(i12, delta), i12)
+    assert ideal_equal(colon_of_meet(intersect(i12, Ideal(ring, [delta])), delta), i12)
     detm = parse_polynomial(ring, DETM_TEXT)
     p = ideal_p(ring)
-    assert ideal_equal(colon(p, detm), p)
-    assert ideal_equal(colon(p, ring.one()), p)
+    assert ideal_equal(colon_of_meet(intersect(p, Ideal(ring, [detm])), detm), p)
+    assert ideal_equal(colon_of_meet(intersect(p, Ideal(ring, [ring.one()])), ring.one()), p)
 
 
 def test_colon_contains_ideal_property():
@@ -246,7 +246,7 @@ def test_colon_contains_ideal_property():
         if f.is_zero():
             continue
         i12 = Ideal(ring, [f1, f2])
-        quot = colon(i12, f)
+        quot = colon_of_meet(intersect(i12, Ideal(ring, [f])), f)
         for gen in i12.gens:
             assert ideal_member(gen, quot)
 
