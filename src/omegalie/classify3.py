@@ -17,6 +17,7 @@ from functools import lru_cache
 
 from .fields import (
     ExtensionDepthExceeded,
+    ExtensionRequired,
     FieldDescriptor,
     FieldElement,
     PrimeField,
@@ -267,7 +268,8 @@ def classify(alg: OmegaAlgebra, allow_extension: bool = False,
 
     The input must live over the rationals or an odd prime field; at most one
     quadratic extension is introduced (eigenvalue splitting or the scaling
-    square root in the non-diagonalizable case) when allow_extension is set.
+    square root in the non-diagonalizable case), and without allow_extension
+    a needed one is refused with ExtensionRequired naming its minpoly.
     """
     _check_classifiable(alg)
     pipe = _Pipeline(alg)
@@ -305,13 +307,15 @@ def classify(alg: OmegaAlgebra, allow_extension: bool = False,
 
     delta = b[0] * c[1] - b[1] * c[0]
     if not delta.is_zero():
-        label = _generic_branch(pipe, allow_extension, strict_c_labels)
+        label = _generic_branch(pipe, strict_c_labels)
     else:
         label = _degenerate_branch(pipe)
+    if pipe.field != field and not allow_extension:
+        raise ExtensionRequired(*pipe.field.minpoly)
     return _finish(alg, pipe, label)
 
 
-def _generic_branch(pipe: _Pipeline, allow_extension, strict_c_labels) -> CanonicalLabel:
+def _generic_branch(pipe: _Pipeline, strict_c_labels) -> CanonicalLabel:
     """Nonzero 2x2 minor of the z-adjoint: normalize the product bracket to z,
     then split by the conjugacy class of the trace -1 adjoint matrix."""
     field = pipe.field
@@ -330,12 +334,12 @@ def _generic_branch(pipe: _Pipeline, allow_extension, strict_c_labels) -> Canoni
     assert b[2].is_zero() and c[2].is_zero()
     m = Matrix.from_rows(field, [[b[0], c[0]], [b[1], c[1]]])
     assert m[0, 0] + m[1, 1] == -field.one
-    alpha, beta = quadratic_roots(m.det(), allow_extension)
+    alpha, beta = quadratic_roots(m.det())
     if alpha == beta:
         # double eigenvalue -1/2: the scalar matrix or the Jordan block
         if m == Matrix.from_rows(field, [[alpha, field.zero], [field.zero, alpha]]):
             return label_c(alpha)
-        p = sl2_jordan(m, allow_extension)
+        p = sl2_jordan(m)
         label = label_b()
     else:
         if alpha.field != field:

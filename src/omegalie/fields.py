@@ -564,33 +564,22 @@ def _sqrt_in_field(element: FieldElement):
     return None
 
 
-def _adjoin(c0: FieldElement, c1: FieldElement, allow_extension: bool) -> QuadExt:
-    """The field adjoining a root theta of t^2 + c1*t + c0, which has none in
-    the coefficients' field: the one place a root finder extends its field.
-    Without allow_extension this raises ExtensionRequired, and over an
-    extension QuadExt raises ExtensionDepthExceeded; both carry (c0, c1)."""
-    if not allow_extension and c0.field.depth == 0:
-        raise ExtensionRequired(c0, c1)
-    # construction re-checks that the discriminant is a non-square
-    return QuadExt(c0.field, c0.value, c1.value)
-
-
-def sqrt_or_extend(s: FieldElement, allow_extension: bool) -> FieldElement:
+def sqrt_or_extend(s: FieldElement) -> FieldElement:
     """The canonical square root of a nonzero element, or theta in the field
     adjoining t^2 - s when s has none in its own field."""
     if s.is_zero():
         raise ValueError("sqrt of zero")
     r = _sqrt_in_field(s)
-    return r if r is not None else _adjoin(-s, s.field.zero, allow_extension).theta
+    return r if r is not None else QuadExt(s.field, (-s).value, 0).theta
 
 
-def quadratic_roots(delta: FieldElement, allow_extension: bool) -> tuple:
+def quadratic_roots(delta: FieldElement) -> tuple:
     """The roots ((-1 + s)/2, (-1 - s)/2) of t^2 + t + delta, s the canonical
     square root of the discriminant 1 - 4*delta, so equal for a double root;
     or theta and -1 - theta in the field adjoining t^2 + t + delta when s is
     not in delta's field."""
     s = _sqrt_in_field(delta.field.one - 4 * delta)
     if s is None:
-        theta = _adjoin(delta, delta.field.one, allow_extension).theta
+        theta = QuadExt(delta.field, delta.value, 1).theta
         return theta, -1 - theta
     return (s - 1) / 2, (-s - 1) / 2

@@ -540,13 +540,11 @@ def _assert_groebner(basis):
                     f"S-polynomial of elements {j} and {i} does not reduce to zero")
 
 
-def reduce_basis(basis, check: bool = True) -> list:
+def reduce_basis(basis) -> list:
     """The unique reduced Groebner basis: monic, mutually reduced, sorted
-    ascending in the ring order.  With check=True the input is verified to be
-    a Groebner basis first."""
+    ascending in the ring order.  The input must be a Groebner basis; it is
+    not checked."""
     basis = [g.monic() for g in basis if not g.is_zero()]
-    if check:
-        _assert_groebner(basis)
     if not basis:
         return []
     ring = basis[0].ring
@@ -578,7 +576,7 @@ class Ideal:
 
     def groebner_basis(self) -> list:
         if self._reduced is None:
-            self._reduced = reduce_basis(buchberger(list(self.gens)), check=False)
+            self._reduced = reduce_basis(buchberger(list(self.gens)))
         return self._reduced
 
     def __repr__(self):

@@ -391,14 +391,13 @@ def sl2_diagonalize(m: Matrix, b: FieldElement) -> Matrix:
     return Matrix.from_rows(m.field, [[vb[0], vc[0] * dinv], [vb[1], vc[1] * dinv]])
 
 
-def sl2_jordan(m: Matrix, allow_extension: bool = False) -> Matrix:
+def sl2_jordan(m: Matrix) -> Matrix:
     """P with det(P) = 1 and P^-1 m P = [[-1/2, 1], [0, -1/2]], for a 2x2
     matrix m other than -I/2 whose only eigenvalue is -1/2.
 
     v = (m + I/2) w spans both the image and the kernel of m + I/2, and P is
     [v w] scaled by a square root of its determinant.  When that root needs a
-    quadratic extension, P lives over it, or, without allow_extension,
-    sqrt_or_extend raises ExtensionRequired.
+    quadratic extension, P lives over it.
     """
     field = m.field
     half = -field.one / 2
@@ -406,7 +405,7 @@ def sl2_jordan(m: Matrix, allow_extension: bool = False) -> Matrix:
     w, v = (field.one, field.zero), shifted.col(0)
     if v[0].is_zero() and v[1].is_zero():
         w, v = (field.zero, field.one), shifted.col(1)
-    sinv = sqrt_or_extend(v[0] * w[1] - v[1] * w[0], allow_extension).inverse()
+    sinv = sqrt_or_extend(v[0] * w[1] - v[1] * w[0]).inverse()
     if sinv.field != field:
         v, w = (tuple(sinv.field.embed(x) for x in vec) for vec in (v, w))
     return Matrix.from_rows(sinv.field, [[v[0] * sinv, w[0] * sinv],

@@ -7,7 +7,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations
 
 from .fields import FieldDescriptor, QQ
 from .groebner import (
@@ -29,7 +28,7 @@ from .groebner import (
     s_polynomial,
 )
 from .linalg import SkewForm, standard_j
-from .omega import cyclic_sums, identity_defects, ordered_defects
+from .omega import cyclic_sums, identity_defects
 from .report import ReportTable
 
 
@@ -63,7 +62,6 @@ def reference_polys(ring: PolyRing):
 class VarietyIdeal:
     ring: PolyRing
     generators: tuple
-    provenance: tuple  # ((triple, component, polynomial), ...) before normalization
 
     def ideal(self) -> Ideal:
         return Ideal(self.ring, self.generators)
@@ -95,23 +93,17 @@ def _poly_dot(ps, qs):
 
 
 def _identity_ideal(ring: PolyRing, upper: dict, omega: SkewForm) -> VarietyIdeal:
-    """The components of the bracket-identity defect on every ordered triple
-    of distinct basis indices, for the symbolic bracket {(a, b): coordinates}:
-    the omega kernel with polynomial coefficients."""
-    n, zero = omega.dim, ring.zero()
+    """The components of the bracket-identity defect on every increasing
+    triple of basis indices, for the symbolic bracket {(a, b): coordinates}:
+    the omega kernel with polynomial coefficients.  Any other ordering of a
+    triple gives the same components up to sign, which normalization drops."""
+    n = omega.dim
     form = {(a, b): ring.const(omega(a, b)) for a in range(n) for b in range(n)
             if a != b and not omega(a, b).is_zero()}
     sums = cyclic_sums(upper, n, _poly_dot, operator.neg, Polynomial.is_zero)
     defects = identity_defects(sums, n, form, operator.add, operator.neg, Polynomial.is_zero)
-    every = {triple: defects.get(triple, {}) for triple in combinations(range(n), 3)}
-    raw = []
-    provenance = []
-    for triple, res in ordered_defects(every, operator.neg):
-        for comp in range(n):
-            p = res.get(comp, zero)
-            provenance.append((triple, comp, p))
-            raw.append(p)
-    return VarietyIdeal(ring, _normalize_generators(raw), tuple(provenance))
+    raw = [res[comp] for res in defects.values() for comp in range(n) if comp in res]
+    return VarietyIdeal(ring, _normalize_generators(raw))
 
 
 # ---------------------------------------------------------------------------

@@ -209,13 +209,28 @@ def test_extension_classification_eigenvalues():
 def test_extension_classification_jordan():
     half = Fraction(-1, 2)
     alg = mk(QQ, {(0, 1): [0, 0, 1], (0, 2): [half, 0, 0], (1, 2): [2, half, 0]})
-    with pytest.raises(ExtensionRequired):
+    with pytest.raises(ExtensionRequired) as info:
         classify(alg)
+    assert info.value.minpoly == (QQ.elem(-2), QQ.zero)
     res = classify(alg, allow_extension=True)
     assert res.label == label_b()
     assert res.extension is not None
     assert change_basis(res.witness, alg.embed(res.field)) \
         == canonical_algebra(label_b(), res.field)
+
+
+@pytest.mark.parametrize("c1, minpoly", [(2, (3, 0)), (3, (2, 0))])
+def test_jordan_refusal_over_f5_names_the_scaling_root(c1, minpoly):
+    # -1/2 = 2 in F_5: [x,z] = 2x, [y,z] = c1 x + 2y is a Jordan block whose
+    # scaling root is not in F_5
+    f5 = PrimeField(5)
+    alg = mk(f5, {(0, 1): [0, 0, 1], (0, 2): [2, 0, 0], (1, 2): [c1, 2, 0]})
+    with pytest.raises(ExtensionRequired) as info:
+        classify(alg)
+    assert type(info.value) is ExtensionRequired
+    assert info.value.minpoly == tuple(f5.elem(c) for c in minpoly)
+    res = classify(alg, allow_extension=True)
+    assert res.label == label_b() and res.extension == info.value.minpoly
 
 
 SQRT2 = QuadExt(QQ, -2, 0)
@@ -247,9 +262,10 @@ def test_a_square_with_a_t_part_is_split_over_the_extension():
 def test_a_non_square_with_a_t_part_names_t2_plus_t_plus_delta():
     delta = SQRT2.elem((Fraction(-1, 2), -1))  # 1 - 4 delta = 3 + 4 sqrt 2, norm -23
     alg = mk(SQRT2, {(0, 1): [0, 0, 1], (0, 2): [0, -delta, 0], (1, 2): [1, -1, 0]})
-    with pytest.raises(ExtensionDepthExceeded) as info:
-        classify(alg, allow_extension=True)
-    assert info.value.minpoly == (delta, SQRT2.one)
+    for allow in (False, True):
+        with pytest.raises(ExtensionDepthExceeded) as info:
+            classify(alg, allow_extension=allow)
+        assert info.value.minpoly == (delta, SQRT2.one)
 
 
 @pytest.mark.parametrize("want", ["A", "B"], ids=["A-over-sqrt2", "B-needing-sqrt2"])

@@ -13,7 +13,6 @@ import pytest
 from omegalie.fields import (
     QQ,
     ExtensionDepthExceeded,
-    ExtensionRequired,
     FieldElement,
     PrimeField,
     QuadExt,
@@ -127,17 +126,17 @@ def test_field_axioms_randomized():
 
 
 def test_quadratic_roots_split_case():
-    assert quadratic_roots(QQ.elem(-2), False) == (QQ.elem(1), QQ.elem(-2))
+    assert quadratic_roots(QQ.elem(-2)) == (QQ.elem(1), QQ.elem(-2))
 
 
 def test_quadratic_roots_double_case():
     half = QQ.elem(Fraction(-1, 2))
-    assert quadratic_roots(QQ.elem(Fraction(1, 4)), False) == (half, half)
+    assert quadratic_roots(QQ.elem(Fraction(1, 4))) == (half, half)
 
 
 def test_quadratic_roots_extension_case():
     # discriminant 1 - 4 = -3 is negative, hence not a rational square
-    r1, r2 = quadratic_roots(QQ.elem(1), True)
+    r1, r2 = quadratic_roots(QQ.elem(1))
     ext = r1.field
     assert isinstance(ext, QuadExt) and ext.base == QQ
     assert ext.minpoly == (QQ.elem(1), QQ.elem(1))
@@ -151,7 +150,7 @@ def test_quadratic_roots_identity_randomized():
     for field in (QQ, F101):
         for _ in range(300):
             delta = _random_element(field, rng)
-            b, c = quadratic_roots(delta, True)
+            b, c = quadratic_roots(delta)
             d = delta if b.field == field else b.field.embed(delta)
             if b.field != field:
                 # the roots needed the extension: t^2 + t + delta is its minpoly
@@ -163,21 +162,15 @@ def test_quadratic_roots_identity_randomized():
                 assert r * r + r + d == b.field.zero
 
 
-def test_split_extends_or_refuses():
-    # roots in the field: no extension, with or without the flag
-    for allow in (False, True):
-        assert quadratic_roots(QQ.elem(-2), allow) == (QQ.elem(1), QQ.elem(-2))
-        three_halves = QQ.elem(Fraction(3, 2))
-        assert sqrt_or_extend(three_halves * three_halves, allow) == three_halves
+def test_split_extends_when_no_root_lies_in_the_field():
+    # roots in the field: no extension
+    assert quadratic_roots(QQ.elem(-2)) == (QQ.elem(1), QQ.elem(-2))
+    three_halves = QQ.elem(Fraction(3, 2))
+    assert sqrt_or_extend(three_halves * three_halves) == three_halves
     for find, arg, minpoly in (
             (quadratic_roots, QQ.elem(1), (QQ.elem(1), QQ.elem(1))),
             (sqrt_or_extend, QQ.elem(2), (QQ.elem(-2), QQ.zero))):
-        # refused without allow_extension, naming the minpoly to adjoin
-        with pytest.raises(ExtensionRequired) as info:
-            find(arg, False)
-        assert type(info.value) is ExtensionRequired
-        assert info.value.minpoly == minpoly
-        root = find(arg, True)
+        root = find(arg)
         root = root if find is sqrt_or_extend else root[0]
         ext = root.field
         assert isinstance(ext, QuadExt) and ext.base == QQ
@@ -188,16 +181,16 @@ def test_split_extends_or_refuses():
 
 
 def test_sqrt_rational():
-    assert sqrt_or_extend(QQ.elem(Fraction(9, 4)), False) == QQ.elem(Fraction(3, 2))
+    assert sqrt_or_extend(QQ.elem(Fraction(9, 4))) == QQ.elem(Fraction(3, 2))
 
 
 def test_sqrt_prime_field_tie_break():
     # 3 and 4 both square to 2; 3 is in [0, p/2]
-    assert sqrt_or_extend(F7.elem(2), False) == F7.elem(3)
+    assert sqrt_or_extend(F7.elem(2)) == F7.elem(3)
 
 
 def test_sqrt_needs_extension():
-    root = sqrt_or_extend(QQ.elem(2), True)
+    root = sqrt_or_extend(QQ.elem(2))
     ext = root.field
     assert ext.minpoly == (QQ.elem(-2), QQ.zero)
     assert root == ext.theta
@@ -205,9 +198,8 @@ def test_sqrt_needs_extension():
 
 
 def test_sqrt_zero_input():
-    for allow in (False, True):
-        with pytest.raises(ValueError, match="sqrt of zero"):
-            sqrt_or_extend(QQ.zero, allow)
+    with pytest.raises(ValueError, match="sqrt of zero"):
+        sqrt_or_extend(QQ.zero)
 
 
 def test_sqrt_randomized_roundtrip():
@@ -217,7 +209,7 @@ def test_sqrt_randomized_roundtrip():
             s = _random_element(field, rng)
             if s.is_zero():
                 continue
-            root = sqrt_or_extend(s, True)
+            root = sqrt_or_extend(s)
             if root.field != field:
                 assert root.field.minpoly == (-s, field.zero)
                 s = root.field.embed(s)
@@ -227,36 +219,35 @@ def test_sqrt_randomized_roundtrip():
 def test_sqrt_inside_extension_of_embedded_values():
     K = QuadExt(QQ, -2, 0)  # Q(sqrt 2)
     two = K.embed(QQ.elem(2))
-    root = sqrt_or_extend(two, False)
+    root = sqrt_or_extend(two)
     assert root == K.theta
     assert root * root == two
-    # sqrt(3) does not live in Q(sqrt 2): depth cap reported, flag or not
-    for allow in (False, True):
-        with pytest.raises(ExtensionDepthExceeded) as info:
-            sqrt_or_extend(K.embed(QQ.elem(3)), allow)
-        assert info.value.minpoly == (K.embed(QQ.elem(-3)), K.zero)
-        with pytest.raises(ExtensionDepthExceeded) as info:
-            quadratic_roots(K.one, allow)  # t^2 + t + 1 needs sqrt(-3)
-        assert info.value.minpoly == (K.one, K.one)
+    # sqrt(3) does not live in Q(sqrt 2): depth cap reported
+    with pytest.raises(ExtensionDepthExceeded) as info:
+        sqrt_or_extend(K.embed(QQ.elem(3)))
+    assert info.value.minpoly == (K.embed(QQ.elem(-3)), K.zero)
+    with pytest.raises(ExtensionDepthExceeded) as info:
+        quadratic_roots(K.one)  # t^2 + t + 1 needs sqrt(-3)
+    assert info.value.minpoly == (K.one, K.one)
 
 
 def test_sqrt_of_an_element_with_a_t_part():
     K = QuadExt(QQ, -2, 0)  # Q(sqrt 2)
     s = K.elem((3, 2))  # 3 + 2 sqrt 2 = (1 + sqrt 2)^2
-    root = sqrt_or_extend(s, False)
+    root = sqrt_or_extend(s)
     assert root * root == s
     assert root in (K.elem((1, 1)), K.elem((-1, -1)))
     # 1 - 4 delta = 3 + 2 sqrt 2, so the roots (-1 +- (1 + sqrt 2))/2 split
     delta = K.elem((Fraction(-1, 2), Fraction(-1, 2)))
-    roots = quadratic_roots(delta, False)
+    roots = quadratic_roots(delta)
     assert set(roots) == {K.elem((0, Fraction(1, 2))), K.elem((-1, Fraction(-1, 2)))}
     # 3 + 4 sqrt 2 has norm 9 - 32 = -23: the refusal names t^2 + t + delta
     delta = K.elem((Fraction(-1, 2), -1))
     with pytest.raises(ExtensionDepthExceeded) as info:
-        quadratic_roots(delta, True)
+        quadratic_roots(delta)
     assert info.value.minpoly == (delta, K.one)
     with pytest.raises(ExtensionDepthExceeded) as info:
-        sqrt_or_extend(K.elem((3, 4)), True)
+        sqrt_or_extend(K.elem((3, 4)))
     assert info.value.minpoly == (K.elem((-3, -4)), K.zero)
 
 
@@ -279,11 +270,11 @@ def test_extension_sqrt_exists_exactly_for_the_squares(p):
             if x.is_zero():
                 continue
             if x.value in squares:
-                root = sqrt_or_extend(x, False)
+                root = sqrt_or_extend(x)
                 assert root.field == ext and root * root == x
             else:
                 with pytest.raises(ExtensionDepthExceeded) as info:
-                    sqrt_or_extend(x, True)
+                    sqrt_or_extend(x)
                 assert info.value.minpoly == (-x, ext.zero)
 
 
@@ -297,7 +288,7 @@ def test_extension_sqrt_of_a_base_value_is_the_depth0_root():
             c0, c1 = ext.minpoly
             disc = c1 * c1 - 4 * c0
             for a in range(1, p):
-                root = sqrt_or_extend(ext.elem(a), False)
+                root = sqrt_or_extend(ext.elem(a))
                 r = _sqrt_in_depth0(base, a)
                 if r is not None:
                     assert root == ext.elem(r)
@@ -361,7 +352,7 @@ def test_prime_field_sqrt_large_modulus(p):
     field = PrimeField(p)
     for x in (2, 123456789, p - 5):
         a = x * x % p
-        assert sqrt_or_extend(field.elem(a), False).value == min(x, p - x)
+        assert sqrt_or_extend(field.elem(a)).value == min(x, p - x)
 
 
 # Q payloads are built on Fraction's private slots (fields._fraction), so the

@@ -6,7 +6,6 @@ import pytest
 
 from omegalie.fields import (
     QQ,
-    ExtensionRequired,
     PrimeField,
     QuadExt,
     _sqrt_in_depth0,
@@ -266,9 +265,9 @@ def _jordan_block(field):
 def _sl2_canonical(m):
     """(P, canonical form) of a trace -1 matrix other than -I/2, splitting
     its eigenvalues over an extension first when they need one."""
-    b, c = quadratic_roots(m.det(), True)
+    b, c = quadratic_roots(m.det())
     if b == c:
-        p = sl2_jordan(m, allow_extension=True)
+        p = sl2_jordan(m)
         return p, _jordan_block(p.field)
     if b.field != m.field:
         m = m.embed(b.field)
@@ -321,7 +320,7 @@ def test_sl2_randomized_conjugation_identity():
         if g.det().is_zero():
             continue
         m = g * _jordan_block(F101) * g.inverse()
-        p = sl2_jordan(m, allow_extension=True)
+        p = sl2_jordan(m)
         if p.field != F101:
             # the square root of det [v w] was adjoined: t^2 - det
             assert p.field.minpoly[1] == F101.zero
@@ -336,11 +335,8 @@ def test_sl2_extension_required_flag():
     # det = 1 gives discriminant -3, not a square in Q: the eigenvalues live
     # in the extension, and the diagonalizing P is taken over it
     m = Matrix.from_rows(QQ, [[QQ.zero, -QQ.one], [QQ.one, -QQ.one]])
-    with pytest.raises(ExtensionRequired) as info:
-        quadratic_roots(m.det(), False)
-    assert info.value.minpoly == (QQ.one, QQ.one)
     p, canonical = _sl2_canonical(m)
-    assert p.field != QQ
+    assert p.field.minpoly == (QQ.one, QQ.one)
     _assert_sl2_conjugates(m, p, canonical)
 
 
@@ -348,10 +344,7 @@ def test_sl2_jordan_extension_square_root():
     # v = (2, 0), w = e2 gives det [v w] = 2: needs sqrt(2) over Q
     half = QQ.elem(Fraction(-1, 2))
     m = Matrix.from_rows(QQ, [[half, QQ.elem(2)], [QQ.zero, half]])
-    with pytest.raises(ExtensionRequired) as info:
-        sl2_jordan(m)
-    assert info.value.minpoly == (QQ.elem(-2), QQ.zero)
-    p = sl2_jordan(m, allow_extension=True)
+    p = sl2_jordan(m)
     assert p.field.minpoly == (QQ.elem(-2), QQ.zero)
     _assert_sl2_conjugates(m, p, _jordan_block(p.field))
 

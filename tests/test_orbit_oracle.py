@@ -9,12 +9,16 @@ by union-find over five generators of the stabilizer, and checks that classify
 gives each orbit one answer and different orbits different answers.
 
 The points and the group action are computed in plain int arithmetic mod 3;
-only classify and the objects it takes come from the package."""
+only classify and the objects it takes come from the package.  A second test
+checks that, without allow_extension, classify refuses exactly the points whose
+flagged result needs the extension."""
 
 from itertools import combinations, product
 
+import pytest
+
 from omegalie.classify3 import classify
-from omegalie.fields import PrimeField
+from omegalie.fields import ExtensionRequired, PrimeField
 from omegalie.linalg import Matrix, SkewForm
 from omegalie.omega import OmegaAlgebra, StructureConstants
 
@@ -110,10 +114,18 @@ def orbits(pts):
     return list(out.values())
 
 
-def answer(field, form, pt):
+def algebra(field, form, pt):
     sc = StructureConstants(field, 3, {pair: [field.elem(x) for x in vec]
                                        for pair, vec in zip(PAIRS, pt)})
-    res = classify(OmegaAlgebra(field, sc, form), allow_extension=True)
+    return OmegaAlgebra(field, sc, form)
+
+
+def j_form(field):
+    return SkewForm(Matrix.from_rows(field, [[field.elem(x) for x in row] for row in J]))
+
+
+def answer(field, form, pt):
+    res = classify(algebra(field, form, pt), allow_extension=True)
     ext = None if res.extension is None else tuple(c.encode() for c in res.extension)
     return str(res.label), ext
 
@@ -128,10 +140,30 @@ def test_orbits_over_f3_match_the_classification():
     assert all(GROUP_ORDER % size == 0 for size in sizes)
 
     field = PrimeField(P)
-    form = SkewForm(Matrix.from_rows(field, [[field.elem(x) for x in row] for row in J]))
+    form = j_form(field)
     answers = []
     for orbit in found:
         got = {answer(field, form, pt) for pt in orbit}
         assert len(got) == 1, got  # one (label, extension) per orbit
         answers += got
     assert len(set(answers)) == len(found), answers  # distinct orbits, distinct answers
+
+
+def test_the_refusal_is_exactly_the_flagged_extension():
+    # without the flag, classify gives the flagged result when that needs no
+    # extension, and otherwise refuses, naming the extension the flag adjoins
+    field = PrimeField(P)
+    form = j_form(field)
+    refused = 0
+    for pt in points():
+        alg = algebra(field, form, pt)
+        flagged = classify(alg, allow_extension=True)
+        if flagged.extension is None:
+            assert classify(alg) == flagged
+            continue
+        with pytest.raises(ExtensionRequired) as info:
+            classify(alg)
+        assert type(info.value) is ExtensionRequired
+        assert info.value.minpoly == flagged.extension
+        refused += 1
+    assert refused == 180
