@@ -169,7 +169,7 @@ def _matrix_rows(m: Matrix):
 
 def c_pair_swap(field: FieldDescriptor) -> GroupElement:
     """x -> y, y -> -x, z -> z: carries the C parameter a to -(a+1)."""
-    return _from_inverse(field, [[0, 1, 0], [-1, 0, 0], [0, 0, 1]])
+    return _block(field, ((0, 1), (-1, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -209,25 +209,21 @@ class _Pipeline:
         return sc.bracket(0, 1), sc.bracket(0, 2), sc.bracket(1, 2)
 
 
-def _from_inverse(field, rows) -> GroupElement:
-    """The move whose inverse has the given 3x3 rows; its matrix is the
-    adjugate of the rows over their determinant, on payloads."""
-    inverse = Matrix.from_rows(field, rows)
-    p, mul, sub = inverse.payloads, field.mul, field.sub
-
-    def at(i, j):
-        return p[3 * (i % 3) + j % 3]
-
-    # the cofactors of a 3x3 matrix, read cyclically, need no signs
-    cof = [sub(mul(at(i + 1, j + 1), at(i + 2, j + 2)), mul(at(i + 1, j + 2), at(i + 2, j + 1)))
-           for i in range(3) for j in range(3)]
-    det = field.add(field.add(mul(p[0], cof[0]), mul(p[1], cof[1])), mul(p[2], cof[2]))
-    if field.is_zero(det):
-        raise ValueError("matrix is not invertible")
-    s = field.inv(det)
-    return GroupElement._pair(
-        _from_payloads(field, 3, 3, [mul(cof[3 * j + i], s) for i in range(3) for j in range(3)]),
-        inverse)
+def _block(field, p=((1, 0), (0, 1)), t=(0, 0), d=1) -> GroupElement:
+    """The element of the stabilizer of J whose inverse has the rows (p0, 0),
+    (p1, 0) and (t, d), for a 2x2 block p of determinant 1 and d != 0.  Its
+    matrix is read off on payloads: the rows (adj p, 0) and (-t adj p / d, 1/d)."""
+    inverse = Matrix.from_rows(field, [[*p[0], 0], [*p[1], 0], [*t, d]])
+    p00, p01, _, p10, p11, _, t0, t1, d = inverse.payloads
+    mul, neg, dot = field.mul, field.neg, field.dot
+    if field.sub(mul(p00, p11), mul(p01, p10)) != field.one.value or field.is_zero(d):
+        raise ValueError("not a stabilizer block")
+    a00, a01, a10, a11 = p11, neg(p01), neg(p10), p00  # adj p
+    s, zero = field.inv(d), field.zero.value
+    ns = neg(s)
+    return GroupElement._pair(_from_payloads(field, 3, 3, [
+        a00, a01, zero, a10, a11, zero,
+        mul(dot((t0, t1), (a00, a10)), ns), mul(dot((t0, t1), (a01, a11)), ns), s]), inverse)
 
 
 def _match_canonical(alg: OmegaAlgebra, strict_c_labels: bool):
@@ -277,8 +273,7 @@ def classify(alg: OmegaAlgebra, allow_extension: bool = False,
     j2 = standard_j(field, 3, 2)
     if alg.omega.matrix != j2:
         # the one move that changes the form, so the one moved in full
-        q = skew_congruence_reduce(alg.omega).q
-        g = _from_inverse(field, [q.row(i) for i in range(3)])
+        g = GroupElement(skew_congruence_reduce(alg.omega).q).inverse()
         pipe.work = change_basis(g, alg)
         pipe.record("form-normalize", g)
         assert pipe.work.omega.matrix == j2
@@ -294,7 +289,7 @@ def classify(alg: OmegaAlgebra, allow_extension: bool = False,
     if a[2].is_zero():
         # some center translation gives the product bracket a z-component
         for t1, t2 in ((0, 1), (0, -1), (1, 0), (-1, 0)):
-            u = _from_inverse(field, [[1, 0, 0], [0, 1, 0], [t1, t2, 1]])
+            u = _block(field, t=(t1, t2))
             if not transform(u, pipe.work).sc.bracket(0, 1)[2].is_zero():
                 a, b, c = pipe.apply("reenter-translation", u)
                 break
@@ -302,8 +297,7 @@ def classify(alg: OmegaAlgebra, allow_extension: bool = False,
             raise AssertionError("no translation re-enters the generic branch")
 
     if a[2] != field.one:
-        a, b, c = pipe.apply("scale-z",
-                             _from_inverse(field, [[1, 0, 0], [0, 1, 0], [0, 0, a[2]]]))
+        a, b, c = pipe.apply("scale-z", _block(field, d=a[2]))
 
     delta = b[0] * c[1] - b[1] * c[0]
     if not delta.is_zero():
@@ -328,8 +322,7 @@ def _generic_branch(pipe: _Pipeline, strict_c_labels) -> CanonicalLabel:
         ])
         t1, t2, d = solve_vector(t_mat, (a[0], a[1], field.one))
         assert not d.is_zero()
-        a, b, c = pipe.apply("center-translate",
-                             _from_inverse(field, [[1, 0, 0], [0, 1, 0], [t1, t2, d]]))
+        a, b, c = pipe.apply("center-translate", _block(field, t=(t1, t2), d=d))
     assert a == (field.zero, field.zero, field.one)
     assert b[2].is_zero() and c[2].is_zero()
     m = Matrix.from_rows(field, [[b[0], c[0]], [b[1], c[1]]])
@@ -352,8 +345,7 @@ def _generic_branch(pipe: _Pipeline, strict_c_labels) -> CanonicalLabel:
         pipe.extend_to(p.field)
     if p != Matrix.identity(p.field, 2):
         # dia{P^-1, 1} conjugates the z-adjoint by P while fixing [x,y] = z
-        pipe.record("adjoint-conjugate", _from_inverse(p.field, [
-            [p[0, 0], p[0, 1], 0], [p[1, 0], p[1, 1], 0], [0, 0, 1]]))
+        pipe.record("adjoint-conjugate", _block(p.field, (p.row(0), p.row(1))))
     return label
 
 
@@ -367,8 +359,7 @@ def _degenerate_branch(pipe: _Pipeline) -> CanonicalLabel:
         a, b, c = pipe.apply("swap-xy", c_pair_swap(field))
     if not (c[0].is_zero() and c[1].is_zero()):
         k = c[0] / b[0] if not b[0].is_zero() else c[1] / b[1]
-        a, b, c = pipe.apply("clear-second-column",
-                             _from_inverse(field, [[1, -k, 0], [0, 1, 0], [0, 0, 1]]))
+        a, b, c = pipe.apply("clear-second-column", _block(field, ((1, -k), (0, 1))))
         assert c[0].is_zero() and c[1].is_zero()
     if c[2].is_zero() and b[0].is_zero() and b[1].is_zero():
         # [x,z] = b3 z, [y,z] = 0: swapping x and y moves b3 into [y,z]
@@ -378,46 +369,29 @@ def _degenerate_branch(pipe: _Pipeline) -> CanonicalLabel:
         if not (a[0].is_zero() and a[1].is_zero()):
             k2 = a[0] / b[0] if not b[0].is_zero() else a[1] / b[1]
             if not k2.is_zero():
-                a, b, c = pipe.apply("clear-product-xy",
-                                     _from_inverse(field, [[1, 0, 0], [0, 1, 0], [0, -k2, 1]]))
+                a, b, c = pipe.apply("clear-product-xy", _block(field, t=(0, -k2)))
         assert a[0].is_zero() and a[1].is_zero()
         if a[2] != one:
-            a, b, c = pipe.apply("rescale-z",
-                                 _from_inverse(field, [[1, 0, 0], [0, 1, 0], [0, 0, a[2]]]))
+            a, b, c = pipe.apply("rescale-z", _block(field, d=a[2]))
         assert b[0] == -one
-        pipe.record("absorb-first-column",
-                    _from_inverse(field, [[one, zero, zero],
-                                          [-b[1], one, zero],
-                                          [-b[2], zero, one]]))
+        pipe.record("absorb-first-column", _block(field, ((1, 0), (-b[1], 1)), (-b[2], 0)))
         return label_c(-one)
     # second column is c3 * z with c3 != 0
     if c[2] != one:
-        a, b, c = pipe.apply("scale-to-unit", _from_inverse(
-            field, [[c[2], 0, 0], [0, c[2].inverse(), 0], [0, 0, 1]]))
+        a, b, c = pipe.apply("scale-to-unit", _block(field, ((c[2], 0), (0, c[2].inverse()))))
     assert b[0].is_zero()
     assert (one - a[0]) * b[1] == zero and a[0] * b[2] + a[1] == one
     if not b[2].is_zero():
-        a, b, c = pipe.apply("clear-b3",
-                             _from_inverse(field, [[one, zero, zero],
-                                                   [-b[2], one, zero],
-                                                   [zero, zero, one]]))
+        a, b, c = pipe.apply("clear-b3", _block(field, ((1, 0), (-b[2], 1))))
     assert a[1] == one
     if b[1].is_zero():
-        pipe.record("absorb-into-y",
-                    _from_inverse(field, [[one, a[0], zero],
-                                          [zero, one, zero],
-                                          [zero, a[2], one]]))
+        pipe.record("absorb-into-y", _block(field, ((1, a[0]), (0, 1)), (0, a[2])))
         return label_d()
     assert a[0] == one
     if b[1] != one:
-        a, b, c = pipe.apply("scale-middle",
-                             _from_inverse(field, [[1, 0, 0], [0, 1, 0], [0, 0, b[1].inverse()]]))
+        a, b, c = pipe.apply("scale-middle", _block(field, d=b[1].inverse()))
     if not a[2].is_zero():
-        t = a[2] / 2
-        pipe.record("final-translate",
-                    _from_inverse(field, [[one, zero, zero],
-                                          [zero, one, zero],
-                                          [t, zero, one]]))
+        pipe.record("final-translate", _block(field, t=(a[2] / 2, 0)))
     return label_a()
 
 
@@ -532,10 +506,7 @@ def random_stabilizer_element(field, rng) -> GroupElement:
         d = rand()
         if not d.is_zero():
             break
-    m = Matrix.from_rows(field, [[s1, s3, field.zero],
-                                 [s2, s4, field.zero],
-                                 [t1, t2, d]])
-    return GroupElement(m)
+    return _block(field, ((s1, s3), (s2, s4)), (t1, t2), d).inverse()
 
 
 def random_nonzero(field, rng) -> FieldElement:
@@ -655,11 +626,7 @@ def verify_classification(field) -> ReportTable:
         probe = canonical_algebra(label_c(field.elem(2)), field)
         for _ in range(15):
             g = random_stabilizer_element(field, rng)
-            h_mat = Matrix.from_rows(field, [
-                [g.matrix[0, 0], g.matrix[0, 1], field.zero],
-                [g.matrix[1, 0], g.matrix[1, 1], field.zero],
-                [field.zero, field.zero, field.one]])
-            h = GroupElement(h_mat)
+            h = _block(field, (g.matrix.row(0)[:2], g.matrix.row(1)[:2])).inverse()
             moved = transform(h, probe)
             rec.expect(moved.sc.bracket(0, 1) == (field.zero, field.zero, field.one),
                        "block element moved the product bracket")

@@ -131,7 +131,7 @@ class GroupElement:
     @classmethod
     def _pair(cls, matrix: Matrix, inverse_matrix: Matrix) -> "GroupElement":
         """An element from a pair already known to be mutually inverse: the
-        identity, a matrix and its adjugate over its determinant, or checked
+        identity, a stabilizer block and its closed-form inverse, or checked
         pairs swapped, embedded or composed.  It is not multiplied back;
         classify and iso_witness re-verify every witness they return through
         change_basis, which uses both matrices."""

@@ -195,21 +195,15 @@ def x1_configuration_ring(field: FieldDescriptor = QQ) -> PolyRing:
     return PolyRing(field, tuple(f"{b}{i}" for b in "xyz" for i in range(1, 5)))
 
 
-def x1_configuration_ideal(field: FieldDescriptor = QQ,
-                           omega_e_column=None) -> VarietyIdeal:
-    """Bracket-identity ideal of 4-dimensional structures containing the fixed
-    2-parameter solvable subalgebra ([x,y]=y, [x,z]=0, [y,z]=z) with symbolic
-    brackets against the fourth basis vector.
-
-    omega_e_column optionally overrides the (by default zero) form values
-    against the fourth vector, as (w(x,e), w(y,e), w(z,e)).
-    """
-    ring = x1_configuration_ring(field)
+def x1_configuration_bracket(ring: PolyRing) -> dict:
+    """The symbolic bracket {(a, b): coordinates} of 4-dimensional structures
+    containing the fixed 2-parameter solvable subalgebra ([x,y]=y, [x,z]=0,
+    [y,z]=z), with symbolic brackets against the fourth basis vector."""
     xs = [ring.var(f"x{i}") for i in range(1, 5)]
     ys = [ring.var(f"y{i}") for i in range(1, 5)]
     zs = [ring.var(f"z{i}") for i in range(1, 5)]
     zero, one = ring.zero(), ring.one()
-    table = {
+    return {
         (0, 1): (zero, one, zero, zero),   # [x,y] = y
         (0, 2): (zero, zero, zero, zero),  # [x,z] = 0
         (1, 2): (zero, zero, one, zero),   # [y,z] = z
@@ -217,12 +211,14 @@ def x1_configuration_ideal(field: FieldDescriptor = QQ,
         (1, 3): tuple(ys),
         (2, 3): tuple(zs),
     }
-    omega_mat = standard_j(field, 4, 2)
-    if omega_e_column is not None:
-        for row, value in enumerate(omega_e_column):
-            v = value if not isinstance(value, int) else field.elem(value)
-            omega_mat = omega_mat.with_entry(row, 3, v).with_entry(3, row, -v)
-    return _identity_ideal(ring, table, SkewForm(omega_mat))
+
+
+def x1_configuration_ideal(field: FieldDescriptor = QQ) -> VarietyIdeal:
+    """Bracket-identity ideal of the configuration bracket, for the canonical
+    rank-2 form, which vanishes against the fourth basis vector."""
+    ring = x1_configuration_ring(field)
+    return _identity_ideal(ring, x1_configuration_bracket(ring),
+                           SkewForm(standard_j(field, 4, 2)))
 
 
 def x1_component_ideals(field: FieldDescriptor = QQ):

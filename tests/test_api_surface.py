@@ -19,14 +19,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "omegalie"
 
-# defaulted parameters kept without a passing call, each for a stated reason
-DEFAULT_ALLOWLIST = {
-    # test_example51_sensitive_to_form_convention and the ideal golden pin the
-    # paper's form convention through it
-    ("x1_configuration_ideal", "omega_e_column"),
-}
-
-
 def _definitions(tree):
     """(name, first line, last line) of module-level functions and classes and
     of the methods of module-level classes."""
@@ -123,8 +115,6 @@ def unpassed_defaults():
             params += [(None, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
                        if d is not None]
             for index, arg in params:
-                if (fn.name, arg) in DEFAULT_ALLOWLIST:
-                    continue
                 if not any(_passes(call, index, arg) for call in calls[callee]):
                     missing.append(f"{path.name}:{fn.lineno} {fn.name}({arg}=...)")
     return missing

@@ -493,8 +493,8 @@ def test_classify_golden(field, name, seed):
 
 # Only the public GroupElement(matrix) computes an inverse.  identity, compose,
 # inverse and embed build their pair unchecked, and so does every hand-built
-# classify move, whose matrix is the adjugate of its given inverse over the
-# determinant.  The tests below check that these pairs are still inverse, and
+# classify move, a stabilizer block whose matrix is read off its given inverse
+# in closed form.  The tests below check that these pairs are still inverse, and
 # that a wrong composed inverse cannot leave classify, whose witness is
 # re-verified before it is returned.
 
@@ -627,26 +627,26 @@ def test_classify_moves_the_form_only_to_reverify(monkeypatch):
 
 def test_hand_built_moves_call_no_solve(monkeypatch):
     solves, inside = [], []
-    solve, from_inverse = linalg.solve, classify3._from_inverse
+    solve, block = linalg.solve, classify3._block
 
     def counted_solve(a, b):
         solves.append(a)
         return solve(a, b)
 
-    def counted_from_inverse(field, rows):
+    def counted_block(*args, **kwargs):
         before = len(solves)
-        out = from_inverse(field, rows)
+        out = block(*args, **kwargs)
         inside.append(len(solves) - before)
         return out
 
     monkeypatch.setattr(linalg, "solve", counted_solve)
-    monkeypatch.setattr(classify3, "_from_inverse", counted_from_inverse)
+    monkeypatch.setattr(classify3, "_block", counted_block)
     for field, seed in ((QQ, 41), (F101, 42)):
         for _, alg in _golden_inputs(field, random.Random(seed)):
             classify(alg, allow_extension=True)
     assert len(inside) > 100
     assert inside == [0] * len(inside)
-    assert solves  # center-translate still solves
+    assert solves  # center-translate and form-normalize still solve
 
 
 # The last move of each of these kinds is recorded in the trace and the
@@ -726,25 +726,29 @@ def test_classify_transforms_every_move_but_a_recorded_last_one(monkeypatch):
 
 
 @pytest.mark.parametrize("field", [QQ, F101, F101_EXT], ids=["Q", "F101", "F101(t)"])
-def test_from_inverse_is_the_inverse_of_its_rows(field):
+def test_block_is_the_inverse_of_its_rows(field):
     rng = random.Random(12)
+    j = SkewForm(standard_j(field, 3, 2))
 
     def rand():
         if field.depth:
             return field.elem((rng.randrange(-2, 3), rng.randrange(-1, 2)))
         return field.elem(Fraction(rng.randint(-2, 2), rng.randint(1, 2)))
 
-    for _ in range(60):
-        rows = [[rand() for _ in range(3)] for _ in range(3)]
-        m = Matrix.from_rows(field, rows)
-        if m.det().is_zero():
-            with pytest.raises(ValueError, match="matrix is not invertible"):
-                classify3._from_inverse(field, rows)
+    made = 0
+    while made < 60:
+        a, b, c, d = rand(), rand(), rand(), rand()
+        if a.is_zero() or d.is_zero():
             continue
-        g = classify3._from_inverse(field, rows)
+        p = ((a, b), (c, (1 + b * c) / a))
+        t = (rand(), rand())
+        g = classify3._block(field, p, t, d)
+        m = Matrix.from_rows(field, [[*p[0], 0], [*p[1], 0], [*t, d]])
         assert g.inverse_matrix == m
         assert g.matrix == m.inverse()
-    for rows in ([[1, 2, 3], [2, 4, 6], [0, 0, 1]], [[0] * 3] * 3,
-                 [[1, 0, 0], [0, 1, 0], [1, 1, 0]]):
-        with pytest.raises(ValueError, match="not invertible"):
-            classify3._from_inverse(field, rows)
+        assert in_stabilizer(g, j)
+        made += 1
+    for p, d in ((((1, 2), (2, 4)), 1), (((2, 0), (0, 1)), 1), (((1, 0), (0, 1)), 0),
+                 (((0, 0), (0, 0)), 2)):
+        with pytest.raises(ValueError, match="^not a stabilizer block$"):
+            classify3._block(field, p, (rand(), rand()), d)

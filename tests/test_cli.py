@@ -10,13 +10,23 @@ import pytest
 from omegalie.cli import main
 from omegalie.classify3 import canonical_algebra, label_a, label_b, label_c, label_d
 from omegalie.fields import QQ, PrimeField, parse_descriptor
-from omegalie.omega import algebra_to_json
+from omegalie.linalg import Matrix
+from omegalie.omega import GroupElement, algebra_to_json, change_basis
 
 
 @pytest.fixture
 def d_file(tmp_path):
     path = tmp_path / "d.alg"
     path.write_text(algebra_to_json(canonical_algebra(label_d(), QQ)))
+    return str(path)
+
+
+@pytest.fixture
+def d_moved_file(tmp_path):
+    """Canonical D moved by diag(2, 1, 1): its form is J scaled to 1/2 on x, y."""
+    g = GroupElement(Matrix.from_rows(QQ, [[2, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    path = tmp_path / "d-moved.alg"
+    path.write_text(algebra_to_json(change_basis(g, canonical_algebra(label_d(), QQ))))
     return str(path)
 
 
@@ -233,6 +243,12 @@ def test_canonical_refuses_a_missing_or_needless_alpha(capsys, argv, err):
     assert run(capsys, argv) == (1, "", err)
 
 
+@pytest.mark.parametrize("p", ["1", "0", "-7"])
+def test_canonical_refuses_a_prime_field_descriptor_below_two(capsys, p):
+    argv = ["canonical", "A", "--field", f"Fp:{p}"]
+    assert run(capsys, argv) == (1, "", f"bad input: {p} is not prime\n")
+
+
 @pytest.mark.parametrize("field, alpha", [("Q", "1/0"), ("Fp:7", "1/7")])
 def test_canonical_rejects_zero_denominator_alpha(capsys, field, alpha):
     code, _, err = run(capsys, ["canonical", "C", "--alpha", alpha, "--field", field])
@@ -316,6 +332,31 @@ def test_omega_reduce(capsys, d_file):
     assert code == 0
     payload = json.loads(out)
     assert payload["rank"] == 2
+
+
+def test_omega_reduce_human_prints_the_rank_and_q(capsys, d_file, d_moved_file):
+    header = "rank: 2\ncongruence matrix Q (Q^t * form * Q is the block canonical form):\n"
+    assert run(capsys, ["omega-reduce", d_file]) == (
+        0, header + "  1 0 0\n  0 1 0\n  0 0 1\n", "")
+    assert run(capsys, ["omega-reduce", d_moved_file]) == (
+        0, header + "  1 0 0\n  0 2 0\n  0 0 1\n", "")
+
+
+def test_check_machine_reports_validity_failures_and_form(capsys, tmp_path, d_file):
+    assert run(capsys, ["check", d_file, "--format", "machine"]) == (
+        0, '{"valid": true, "failures": [], "form_recovered": true}\n', "")
+    path = tmp_path / "xy-z.alg"
+    path.write_text(json.dumps({"field": "Q", "dim": 3,
+                                "omega": [["0", "1", "0"], ["-1", "0", "0"], ["0", "0", "0"]],
+                                "brackets": {"0,1": ["0", "0", "1"]}}))
+    code, out, err = run(capsys, ["check", str(path), "--format", "machine"])
+    assert (code, err) == (1, "")
+    signs = {(0, 1, 2): "-1", (0, 2, 1): "1", (1, 0, 2): "1",
+             (1, 2, 0): "-1", (2, 0, 1): "-1", (2, 1, 0): "1"}
+    assert json.loads(out) == {
+        "valid": False,
+        "failures": [{"triple": list(t), "residual": ["0", "0", r]} for t, r in signs.items()],
+        "form_recovered": False}
 
 
 def test_variety_emits_reference_generators(capsys):

@@ -331,7 +331,7 @@ def test_sl2_randomized_conjugation_identity():
     assert 0 < extended < done
 
 
-def test_sl2_extension_required_flag():
+def test_sl2_split_adjoins_the_eigenvalue_field():
     # det = 1 gives discriminant -3, not a square in Q: the eigenvalues live
     # in the extension, and the diagonalizing P is taken over it
     m = Matrix.from_rows(QQ, [[QQ.zero, -QQ.one], [QQ.one, -QQ.one]])

@@ -11,6 +11,7 @@ from omegalie.groebner import (
     reduce_basis,
 )
 from omegalie.linalg import Matrix, SkewForm, solve_vector, standard_j
+from omegalie import variety
 from omegalie.omega import OmegaAlgebra, StructureConstants, validate
 from omegalie.variety import (
     defining_ideal,
@@ -19,7 +20,9 @@ from omegalie.variety import (
     verify_example51,
     verify_section3,
     x1_component_ideals,
+    x1_configuration_bracket,
     x1_configuration_ideal,
+    x1_configuration_ring,
 )
 
 from test_omega import algebra_c, algebra_d, heisenberg, random_g_omega
@@ -194,9 +197,20 @@ def test_example51_ideal_structure():
     assert meet_basis  # nontrivial ideal
 
 
+def _configuration_ideal_with_column(field, column):
+    """The configuration ideal for the canonical rank-2 form with its values
+    (w(x,e), w(y,e), w(z,e)) against the fourth vector set to column."""
+    omega = standard_j(field, 4, 2)
+    for row, value in enumerate(column):
+        v = field.elem(value)
+        omega = omega.with_entry(row, 3, v).with_entry(3, row, -v)
+    ring = x1_configuration_ring(field)
+    return variety._identity_ideal(ring, x1_configuration_bracket(ring), SkewForm(omega))
+
+
 def test_example51_sensitive_to_form_convention():
     # moving the form value w(z, e) from 0 to 1 must break the equality
-    vi = x1_configuration_ideal(QQ, omega_e_column=(0, 0, 1))
+    vi = _configuration_ideal_with_column(QQ, (0, 0, 1))
     from omegalie.groebner import ideal_equal, intersect
     p1, p2 = x1_component_ideals(QQ)
     assert not ideal_equal(vi.ideal(), intersect(p1, p2))
@@ -212,9 +226,10 @@ def _ideal_golden_lines(field):
     ideals = [(f"defining_ideal rank={rank}",
                defining_ideal(SkewForm(standard_j(field, 3, rank))))
               for rank in (0, 2)]
+    ideals.append(("x1_configuration_ideal column=None", x1_configuration_ideal(field)))
     ideals += [(f"x1_configuration_ideal column={column}",
-                x1_configuration_ideal(field, omega_e_column=column))
-               for column in (None, (0, 0, 1), (1, 2, 3))]
+                _configuration_ideal_with_column(field, column))
+               for column in ((0, 0, 1), (1, 2, 3))]
     lines = []
     for name, vi in ideals:
         lines.append(name)
