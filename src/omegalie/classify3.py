@@ -22,14 +22,13 @@ from .fields import (
     FieldElement,
     PrimeField,
     quadratic_roots,
+    sqrt_or_extend,
 )
 from .linalg import (
     Matrix,
     SkewForm,
     _from_payloads,
     skew_congruence_reduce,
-    sl2_diagonalize,
-    sl2_jordan,
     solve_vector,
     standard_j,
 )
@@ -301,7 +300,7 @@ def classify(alg: OmegaAlgebra, allow_extension: bool = False,
 
     delta = b[0] * c[1] - b[1] * c[0]
     if not delta.is_zero():
-        label = _generic_branch(pipe, strict_c_labels)
+        label = _generic_branch(pipe, delta, strict_c_labels)
     else:
         label = _degenerate_branch(pipe)
     if pipe.field != field and not allow_extension:
@@ -309,44 +308,89 @@ def classify(alg: OmegaAlgebra, allow_extension: bool = False,
     return _finish(alg, pipe, label)
 
 
-def _generic_branch(pipe: _Pipeline, strict_c_labels) -> CanonicalLabel:
-    """Nonzero 2x2 minor of the z-adjoint: normalize the product bracket to z,
-    then split by the conjugacy class of the trace -1 adjoint matrix."""
+def _generic_branch(pipe: _Pipeline, delta, strict_c_labels) -> CanonicalLabel:
+    """Nonzero 2x2 minor delta of the z-adjoint: normalize the product bracket
+    to z, then split by the conjugacy class of the trace -1 adjoint block."""
     field = pipe.field
     a, b, c = pipe.read()
     if not (a[0].is_zero() and a[1].is_zero()):
-        t_mat = Matrix.from_rows(field, [
-            [c[0], -b[0], field.zero],
-            [c[1], -b[1], field.zero],
-            [c[2], -b[2], field.one],
-        ])
-        t1, t2, d = solve_vector(t_mat, (a[0], a[1], field.one))
-        assert not d.is_zero()
-        a, b, c = pipe.apply("center-translate", _block(field, t=(t1, t2), d=d))
+        # the translation (t, d) carrying [x,y] to z solves a linear system
+        # whose leading 2x2 minor is delta: Cramer's rule
+        t1, t2 = (b[0] * a[1] - b[1] * a[0]) / delta, (c[0] * a[1] - c[1] * a[0]) / delta
+        a, b, c = pipe.apply("center-translate",
+                             _block(field, t=(t1, t2), d=1 - c[2] * t1 + b[2] * t2))
     assert a == (field.zero, field.zero, field.one)
     assert b[2].is_zero() and c[2].is_zero()
-    m = Matrix.from_rows(field, [[b[0], c[0]], [b[1], c[1]]])
-    assert m[0, 0] + m[1, 1] == -field.one
-    alpha, beta = quadratic_roots(m.det())
+    assert b[0] + c[1] == -field.one
+    m = (b[0], c[0]), (b[1], c[1])
+    alpha, beta = quadratic_roots(b[0] * c[1] - b[1] * c[0])
     if alpha == beta:
-        # double eigenvalue -1/2: the scalar matrix or the Jordan block
-        if m == Matrix.from_rows(field, [[alpha, field.zero], [field.zero, alpha]]):
+        # double eigenvalue -1/2: the scalar block or the Jordan block
+        if c[0].is_zero() and b[1].is_zero():
             return label_c(alpha)
         p = sl2_jordan(m)
         label = label_b()
     else:
         if alpha.field != field:
-            m = m.embed(alpha.field)
+            m = tuple(tuple(map(alpha.field.embed, row)) for row in m)
         if not strict_c_labels:
             alpha = c_pair_representative(alpha)
         p = sl2_diagonalize(m, alpha)
         label = label_c(alpha)
-    if p.field != field:
-        pipe.extend_to(p.field)
-    if p != Matrix.identity(p.field, 2):
+    ext = p[0][0].field
+    if ext != field:
+        pipe.extend_to(ext)
+    if p != ((1, 0), (0, 1)):
         # dia{P^-1, 1} conjugates the z-adjoint by P while fixing [x,y] = z
-        pipe.record("adjoint-conjugate", _block(p.field, (p.row(0), p.row(1))))
+        pipe.record("adjoint-conjugate", _block(ext, p))
     return label
+
+
+# SL2 conjugacy canonical forms of a trace -1 block, given and returned as the
+# row pair ((m00, m01), (m10, m11)) that _block takes
+
+def _eigenvector_2x2(m, lam):
+    """Kernel vector of m - lam I, scaled so its first nonzero entry is 1."""
+    (m00, m01), (m10, m11) = m
+    if m01.is_zero() and m00 == lam:
+        v = (m11 - lam, -m10)
+    else:
+        v = (m01, lam - m00)
+    inv = (v[0] if not v[0].is_zero() else v[1]).inverse()
+    return v[0] * inv, v[1] * inv
+
+
+def sl2_diagonalize(m, b):
+    """P with det P = 1 and P^-1 m P = dia{b, -(b+1)}, for a trace -1 block m
+    whose eigenvalues b and -(b+1) are distinct and lie in its field.
+
+    P is assembled from eigenvectors, the second column rescaled by 1/det so
+    that no square root is needed.
+    """
+    vb = _eigenvector_2x2(m, b)
+    vc = _eigenvector_2x2(m, -(b + 1))
+    dinv = (vb[0] * vc[1] - vb[1] * vc[0]).inverse()
+    return (vb[0], vc[0] * dinv), (vb[1], vc[1] * dinv)
+
+
+def sl2_jordan(m):
+    """P with det P = 1 and P^-1 m P = [[-1/2, 1], [0, -1/2]], for a block m
+    other than -I/2 whose only eigenvalue is -1/2.
+
+    v = (m + I/2) w spans both the image and the kernel of m + I/2, and P is
+    [v w] scaled by a square root of its determinant.  When that root needs a
+    quadratic extension, P lives over it.
+    """
+    (m00, m01), (m10, m11) = m
+    field = m00.field
+    half = field.one / 2
+    w, v = (field.one, field.zero), (m00 + half, m10)
+    if v[0].is_zero() and v[1].is_zero():
+        w, v = (field.zero, field.one), (m01, m11 + half)
+    sinv = sqrt_or_extend(v[0] * w[1] - v[1] * w[0]).inverse()
+    if sinv.field != field:
+        v, w = (tuple(map(sinv.field.embed, vec)) for vec in (v, w))
+    return (v[0] * sinv, w[0] * sinv), (v[1] * sinv, w[1] * sinv)
 
 
 def _degenerate_branch(pipe: _Pipeline) -> CanonicalLabel:

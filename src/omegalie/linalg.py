@@ -1,12 +1,11 @@
-"""Exact dense matrix kernel: elimination, congruence reduction of skew forms,
-and SL2 conjugacy canonical forms for trace -1 matrices."""
+"""Exact dense matrix kernel: elimination and skew-form congruence reduction."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
 
-from .fields import FieldDescriptor, FieldElement, QuadExt, sqrt_or_extend
+from .fields import FieldDescriptor, FieldElement, QuadExt
 
 
 class Matrix:
@@ -70,13 +69,6 @@ class Matrix:
         p, c = self.payloads, self.cols
         return _from_payloads(self.field, c, self.rows,
                               [x for j in range(c) for x in p[j::c]])
-
-    def __sub__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-        _check_field(other, self.field)
-        return _from_payloads(self.field, self.rows, self.cols,
-                              list(map(self.field.sub, self.payloads, other.payloads)))
 
     def __mul__(self, other):
         field = self.field
@@ -359,54 +351,3 @@ def _from_payloads(field, rows, cols, payloads) -> Matrix:
     m = object.__new__(Matrix)
     m.field, m.rows, m.cols, m.payloads = field, rows, cols, tuple(payloads)
     return m
-
-
-# ---------------------------------------------------------------------------
-# SL2 conjugacy canonical forms for trace -1 matrices
-# ---------------------------------------------------------------------------
-
-def _eigenvector_2x2(m: Matrix, lam: FieldElement):
-    """Kernel vector of (m - lam I), scaled so its first nonzero entry is 1."""
-    a, b = m[0, 0] - lam, m[0, 1]
-    c, d = m[1, 0], m[1, 1] - lam
-    if not b.is_zero() or not a.is_zero():
-        v = (b, -a)
-    else:
-        v = (d, -c)
-    lead = v[0] if not v[0].is_zero() else v[1]
-    inv = lead.inverse()
-    return (v[0] * inv, v[1] * inv)
-
-
-def sl2_diagonalize(m: Matrix, b: FieldElement) -> Matrix:
-    """P with det(P) = 1 and P^-1 m P = dia{b, -(b+1)}, for a 2x2 trace -1
-    matrix m whose eigenvalues b and -(b+1) are distinct and lie in its field.
-
-    P is assembled from eigenvectors, the second column rescaled by 1/det so
-    that no square root is needed.
-    """
-    vb = _eigenvector_2x2(m, b)
-    vc = _eigenvector_2x2(m, -(b + 1))
-    dinv = (vb[0] * vc[1] - vb[1] * vc[0]).inverse()
-    return Matrix.from_rows(m.field, [[vb[0], vc[0] * dinv], [vb[1], vc[1] * dinv]])
-
-
-def sl2_jordan(m: Matrix) -> Matrix:
-    """P with det(P) = 1 and P^-1 m P = [[-1/2, 1], [0, -1/2]], for a 2x2
-    matrix m other than -I/2 whose only eigenvalue is -1/2.
-
-    v = (m + I/2) w spans both the image and the kernel of m + I/2, and P is
-    [v w] scaled by a square root of its determinant.  When that root needs a
-    quadratic extension, P lives over it.
-    """
-    field = m.field
-    half = -field.one / 2
-    shifted = m - Matrix.from_rows(field, [[half, field.zero], [field.zero, half]])
-    w, v = (field.one, field.zero), shifted.col(0)
-    if v[0].is_zero() and v[1].is_zero():
-        w, v = (field.zero, field.one), shifted.col(1)
-    sinv = sqrt_or_extend(v[0] * w[1] - v[1] * w[0]).inverse()
-    if sinv.field != field:
-        v, w = (tuple(sinv.field.embed(x) for x in vec) for vec in (v, w))
-    return Matrix.from_rows(sinv.field, [[v[0] * sinv, w[0] * sinv],
-                                         [v[1] * sinv, w[1] * sinv]])

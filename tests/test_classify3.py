@@ -1,11 +1,20 @@
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from omegalie import classify3, linalg
-from omegalie.fields import QQ, ExtensionDepthExceeded, ExtensionRequired, PrimeField, QuadExt
+from omegalie.fields import (
+    QQ,
+    ExtensionDepthExceeded,
+    ExtensionRequired,
+    PrimeField,
+    QuadExt,
+    _sqrt_in_depth0,
+    quadratic_roots,
+)
 from omegalie.linalg import Matrix, SkewForm, standard_j
 from omegalie.classify3 import (
     CanonicalLabel,
@@ -23,6 +32,8 @@ from omegalie.classify3 import (
     label_d,
     random_nonzero,
     random_stabilizer_element,
+    sl2_diagonalize,
+    sl2_jordan,
     verify_classification,
 )
 from omegalie.omega import (
@@ -626,27 +637,34 @@ def test_classify_moves_the_form_only_to_reverify(monkeypatch):
 
 
 def test_hand_built_moves_call_no_solve(monkeypatch):
-    solves, inside = [], []
-    solve, block = linalg.solve, classify3._block
+    # form-normalize inverts the congruence matrix, the one solve in classify;
+    # every other move is a _block, and _generic_branch reads its 2x2 block
+    # as a row pair, with no Matrix and no determinant
+    solves, callers, tags = [], [], set()
+    solve, from_rows, det = linalg.solve, Matrix.from_rows.__func__, Matrix.det
 
     def counted_solve(a, b):
         solves.append(a)
         return solve(a, b)
 
-    def counted_block(*args, **kwargs):
-        before = len(solves)
-        out = block(*args, **kwargs)
-        inside.append(len(solves) - before)
-        return out
+    def with_caller(fn):
+        def wrapped(*args):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return fn(*args)
+        return wrapped
 
     monkeypatch.setattr(linalg, "solve", counted_solve)
-    monkeypatch.setattr(classify3, "_block", counted_block)
+    monkeypatch.setattr(Matrix, "from_rows", classmethod(with_caller(from_rows)))
+    monkeypatch.setattr(Matrix, "det", with_caller(det))
     for field, seed in ((QQ, 41), (F101, 42)):
         for _, alg in _golden_inputs(field, random.Random(seed)):
-            classify(alg, allow_extension=True)
-    assert len(inside) > 100
-    assert inside == [0] * len(inside)
-    assert solves  # center-translate and form-normalize still solve
+            solves.clear()
+            trace = [tag for tag, _ in classify(alg, allow_extension=True).trace]
+            assert len(solves) == trace.count("form-normalize")
+            tags.update(trace)
+    assert {"form-normalize", "center-translate", "adjoint-conjugate"} <= tags
+    assert "_block" in callers and "_generic_branch" not in callers
+    assert not hasattr(Matrix, "__sub__")
 
 
 # The last move of each of these kinds is recorded in the trace and the
@@ -752,3 +770,130 @@ def test_block_is_the_inverse_of_its_rows(field):
                  (((0, 0), (0, 0)), 2)):
         with pytest.raises(ValueError, match="^not a stabilizer block$"):
             classify3._block(field, p, (rand(), rand()), d)
+
+
+# ---------------------------------------------------------------------------
+# SL2 conjugacy canonical forms of a trace -1 block
+# ---------------------------------------------------------------------------
+
+def _sl2(fn, m, *args):
+    """fn on the row pair of the 2x2 Matrix m, with its row-pair result read
+    back as a Matrix, so that P^-1 m P is checked by Matrix products."""
+    p = fn((m.row(0), m.row(1)), *args)
+    return Matrix.from_rows(p[0][0].field, p)
+
+
+def _rand_2x2(field, rng):
+    return Matrix.from_rows(field, [[rng.randrange(field.p) for _ in range(2)]
+                                    for _ in range(2)])
+
+
+def _jordan_block(field):
+    half = -field.one / 2
+    return Matrix.from_rows(field, [[half, field.one], [field.zero, half]])
+
+
+def _sl2_canonical(m):
+    """(P, canonical form) of a trace -1 matrix other than -I/2, splitting
+    its eigenvalues over an extension first when they need one."""
+    b, c = quadratic_roots(m.det())
+    if b == c:
+        p = _sl2(sl2_jordan, m)
+        return p, _jordan_block(p.field)
+    if b.field != m.field:
+        m = m.embed(b.field)
+    zero = m.field.zero
+    return _sl2(sl2_diagonalize, m, b), Matrix.from_rows(m.field, [[b, zero], [zero, -(b + 1)]])
+
+
+def _assert_sl2_conjugates(m, p, canonical):
+    assert p.det() == p.field.one
+    target = m if m.field == p.field else m.embed(p.field)
+    assert p.inverse() * target * p == canonical
+
+
+def test_sl2_jordan_representative_is_fixed():
+    assert _sl2(sl2_jordan, _jordan_block(QQ)) == Matrix.identity(QQ, 2)
+
+
+def test_sl2_diagonal_already_canonical():
+    b = QQ.elem(3)
+    c = -(b + 1)
+    m = Matrix.from_rows(QQ, [[b, QQ.zero], [QQ.zero, c]])
+    assert _sl2(sl2_diagonalize, m, b) == Matrix.identity(QQ, 2)
+    # the prescribed eigenvalue sets the orientation
+    _assert_sl2_conjugates(m, _sl2(sl2_diagonalize, m, c),
+                           Matrix.from_rows(QQ, [[c, QQ.zero], [QQ.zero, b]]))
+
+
+def _rand_trace_minus_one(field, rng):
+    a = field.elem(rng.randrange(field.p) if isinstance(field, PrimeField)
+                   else rng.randint(-6, 6))
+    b = field.elem(rng.randrange(field.p) if isinstance(field, PrimeField)
+                   else rng.randint(-6, 6))
+    c = field.elem(rng.randrange(field.p) if isinstance(field, PrimeField)
+                   else rng.randint(-6, 6))
+    return Matrix.from_rows(field, [[a, b], [c, -(a + field.one)]])
+
+
+def test_sl2_randomized_conjugation_identity():
+    rng = random.Random(9)
+    for _ in range(60):
+        m = _rand_trace_minus_one(F101, rng)
+        if m == Matrix.identity(F101, 2) * F101.elem(Fraction(-1, 2)):
+            continue
+        _assert_sl2_conjugates(m, *_sl2_canonical(m))
+    # conjugates of the Jordan block, half of them needing the square root
+    # of a non-residue
+    done = extended = 0
+    while done < 30:
+        g = _rand_2x2(F101, rng)
+        if g.det().is_zero():
+            continue
+        m = g * _jordan_block(F101) * g.inverse()
+        p = _sl2(sl2_jordan, m)
+        if p.field != F101:
+            # the square root of det [v w] was adjoined: t^2 - det
+            assert p.field.minpoly[1] == F101.zero
+            assert _sqrt_in_depth0(F101, (-p.field.minpoly[0]).value) is None
+            extended += 1
+        _assert_sl2_conjugates(m, p, _jordan_block(p.field))
+        done += 1
+    assert 0 < extended < done
+
+
+def test_sl2_split_adjoins_the_eigenvalue_field():
+    # det = 1 gives discriminant -3, not a square in Q: the eigenvalues live
+    # in the extension, and the diagonalizing P is taken over it
+    m = Matrix.from_rows(QQ, [[QQ.zero, -QQ.one], [QQ.one, -QQ.one]])
+    p, canonical = _sl2_canonical(m)
+    assert p.field.minpoly == (QQ.one, QQ.one)
+    _assert_sl2_conjugates(m, p, canonical)
+
+
+def test_sl2_jordan_extension_square_root():
+    # v = (2, 0), w = e2 gives det [v w] = 2: needs sqrt(2) over Q
+    half = QQ.elem(Fraction(-1, 2))
+    m = Matrix.from_rows(QQ, [[half, QQ.elem(2)], [QQ.zero, half]])
+    p = _sl2(sl2_jordan, m)
+    assert p.field.minpoly == (QQ.elem(-2), QQ.zero)
+    _assert_sl2_conjugates(m, p, _jordan_block(p.field))
+
+
+def test_gl2_square_det_conjugation_invariance():
+    # conjugating by any g with square determinant does not change the
+    # canonical form
+    rng = random.Random(21)
+    done = 0
+    while done < 40:
+        m = _rand_trace_minus_one(F101, rng)
+        g = _rand_2x2(F101, rng)
+        h = g * g  # det(h) = det(g)^2 is a square
+        if h.det().is_zero() or m == Matrix.identity(F101, 2) * F101.elem(Fraction(-1, 2)):
+            continue
+        m2 = h.inverse() * m * h
+        p1, canonical = _sl2_canonical(m)
+        p2, _ = _sl2_canonical(m2)
+        _assert_sl2_conjugates(m, p1, canonical)
+        _assert_sl2_conjugates(m2, p2, canonical)
+        done += 1

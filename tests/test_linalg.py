@@ -4,21 +4,13 @@ from pathlib import Path
 
 import pytest
 
-from omegalie.fields import (
-    QQ,
-    PrimeField,
-    QuadExt,
-    _sqrt_in_depth0,
-    quadratic_roots,
-)
+from omegalie.fields import QQ, PrimeField, QuadExt
 from omegalie.linalg import (
     Matrix,
     SkewForm,
     _from_payloads,
     _payload_rows,
     skew_congruence_reduce,
-    sl2_diagonalize,
-    sl2_jordan,
     solve_vector,
     standard_j,
 )
@@ -255,114 +247,3 @@ def test_congruence_update_matches_the_add_mul_loop(field):
                 assert res.rank == want_rank == f.matrix.rank()
                 assert res.q.transpose() * f.matrix * res.q == standard_j(field, n, res.rank)
                 assert not res.q.det().is_zero()
-
-
-def _jordan_block(field):
-    half = -field.one / 2
-    return Matrix.from_rows(field, [[half, field.one], [field.zero, half]])
-
-
-def _sl2_canonical(m):
-    """(P, canonical form) of a trace -1 matrix other than -I/2, splitting
-    its eigenvalues over an extension first when they need one."""
-    b, c = quadratic_roots(m.det())
-    if b == c:
-        p = sl2_jordan(m)
-        return p, _jordan_block(p.field)
-    if b.field != m.field:
-        m = m.embed(b.field)
-    zero = m.field.zero
-    return sl2_diagonalize(m, b), Matrix.from_rows(m.field, [[b, zero], [zero, -(b + 1)]])
-
-
-def _assert_sl2_conjugates(m, p, canonical):
-    assert p.det() == p.field.one
-    target = m if m.field == p.field else m.embed(p.field)
-    assert p.inverse() * target * p == canonical
-
-
-def test_sl2_jordan_representative_is_fixed():
-    assert sl2_jordan(_jordan_block(QQ)) == Matrix.identity(QQ, 2)
-
-
-def test_sl2_diagonal_already_canonical():
-    b = QQ.elem(3)
-    c = -(b + 1)
-    m = Matrix.from_rows(QQ, [[b, QQ.zero], [QQ.zero, c]])
-    assert sl2_diagonalize(m, b) == Matrix.identity(QQ, 2)
-    # the prescribed eigenvalue sets the orientation
-    _assert_sl2_conjugates(m, sl2_diagonalize(m, c),
-                           Matrix.from_rows(QQ, [[c, QQ.zero], [QQ.zero, b]]))
-
-
-def _rand_trace_minus_one(field, rng):
-    a = field.elem(rng.randrange(field.p) if isinstance(field, PrimeField)
-                   else rng.randint(-6, 6))
-    b = field.elem(rng.randrange(field.p) if isinstance(field, PrimeField)
-                   else rng.randint(-6, 6))
-    c = field.elem(rng.randrange(field.p) if isinstance(field, PrimeField)
-                   else rng.randint(-6, 6))
-    return Matrix.from_rows(field, [[a, b], [c, -(a + field.one)]])
-
-
-def test_sl2_randomized_conjugation_identity():
-    rng = random.Random(9)
-    for _ in range(60):
-        m = _rand_trace_minus_one(F101, rng)
-        if m == Matrix.identity(F101, 2) * F101.elem(Fraction(-1, 2)):
-            continue
-        _assert_sl2_conjugates(m, *_sl2_canonical(m))
-    # conjugates of the Jordan block, half of them needing the square root
-    # of a non-residue
-    done = extended = 0
-    while done < 30:
-        g = _rand_matrix(F101, 2, rng)
-        if g.det().is_zero():
-            continue
-        m = g * _jordan_block(F101) * g.inverse()
-        p = sl2_jordan(m)
-        if p.field != F101:
-            # the square root of det [v w] was adjoined: t^2 - det
-            assert p.field.minpoly[1] == F101.zero
-            assert _sqrt_in_depth0(F101, (-p.field.minpoly[0]).value) is None
-            extended += 1
-        _assert_sl2_conjugates(m, p, _jordan_block(p.field))
-        done += 1
-    assert 0 < extended < done
-
-
-def test_sl2_split_adjoins_the_eigenvalue_field():
-    # det = 1 gives discriminant -3, not a square in Q: the eigenvalues live
-    # in the extension, and the diagonalizing P is taken over it
-    m = Matrix.from_rows(QQ, [[QQ.zero, -QQ.one], [QQ.one, -QQ.one]])
-    p, canonical = _sl2_canonical(m)
-    assert p.field.minpoly == (QQ.one, QQ.one)
-    _assert_sl2_conjugates(m, p, canonical)
-
-
-def test_sl2_jordan_extension_square_root():
-    # v = (2, 0), w = e2 gives det [v w] = 2: needs sqrt(2) over Q
-    half = QQ.elem(Fraction(-1, 2))
-    m = Matrix.from_rows(QQ, [[half, QQ.elem(2)], [QQ.zero, half]])
-    p = sl2_jordan(m)
-    assert p.field.minpoly == (QQ.elem(-2), QQ.zero)
-    _assert_sl2_conjugates(m, p, _jordan_block(p.field))
-
-
-def test_gl2_square_det_conjugation_invariance():
-    # conjugating by any g with square determinant does not change the
-    # canonical form
-    rng = random.Random(21)
-    done = 0
-    while done < 40:
-        m = _rand_trace_minus_one(F101, rng)
-        g = _rand_matrix(F101, 2, rng)
-        h = g * g  # det(h) = det(g)^2 is a square
-        if h.det().is_zero() or m == Matrix.identity(F101, 2) * F101.elem(Fraction(-1, 2)):
-            continue
-        m2 = h.inverse() * m * h
-        p1, canonical = _sl2_canonical(m)
-        p2, _ = _sl2_canonical(m2)
-        _assert_sl2_conjugates(m, p1, canonical)
-        _assert_sl2_conjugates(m2, p2, canonical)
-        done += 1

@@ -11,8 +11,13 @@ gives each orbit one answer and different orbits different answers.
 The points and the group action are computed in plain int arithmetic mod 3;
 only classify and the objects it takes come from the package.  A second test
 checks that, without allow_extension, classify refuses exactly the points whose
-flagged result needs the extension."""
+flagged result needs the extension.
 
+Each orbit's size is |G| / |Aut| for its family (the orbit-stabilizer
+theorem), and the class sizes of the q + 4 classes sum to the q^6 - q^3
+points of the variety over every odd prime field q (the class equation)."""
+
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -130,6 +135,44 @@ def answer(field, form, pt):
     return str(res.label), ext
 
 
+def aut_order(label, extension, q):
+    """The order of the automorphism group of a class over F_q, by family: the
+    C parameters split into -1/2, the pairs of distinct roots in F_q, and the
+    irreducible t^2 + t + delta that need the extension."""
+    if label == "A":
+        return q
+    if label == "B":
+        return 2 * q
+    if label == "D":
+        return q * (q - 1)
+    if extension is not None:
+        return q + 1
+    if label == f"C:{(q - 1) // 2}":  # -1/2 mod q
+        return q * (q * q - 1)
+    return q - 1
+
+
+def class_sizes(q):
+    """|G| / |Aut| over the q + 4 classes over F_q, with aut_order's orders: A,
+    B with and without the extension, D, C:-1/2, and (q - 1)/2 classes each of
+    split and of irreducible C parameters."""
+    order = q ** 3 * (q * q - 1) * (q - 1)
+    auts = [q, 2 * q, 2 * q, q * (q - 1), q * (q * q - 1)] + [q - 1, q + 1] * ((q - 1) // 2)
+    return [Fraction(order, aut) for aut in auts]
+
+
+def test_the_class_sizes_sum_to_the_point_count():
+    # the class equation: the orbits of the q + 4 classes fill the q^6 - q^3
+    # points of the variety over every odd prime field
+    primes = [q for q in range(3, 200) if all(q % k for k in range(2, q))]
+    for q in primes:
+        sizes = class_sizes(q)
+        assert len(sizes) == q + 4
+        assert sum(sizes) == q ** 6 - q ** 3, q
+    assert sorted(class_sizes(P)) == [18, 72, 72, 72, 108, 144, 216]
+    assert P ** 6 - P ** 3 == 702
+
+
 def test_orbits_over_f3_match_the_classification():
     pts = points()
     assert len(pts) == 702
@@ -146,6 +189,9 @@ def test_orbits_over_f3_match_the_classification():
         got = {answer(field, form, pt) for pt in orbit}
         assert len(got) == 1, got  # one (label, extension) per orbit
         answers += got
+        # the orbit-stabilizer theorem: each orbit is |G| / |Aut| points
+        (label, extension), = got
+        assert len(orbit) == GROUP_ORDER // aut_order(label, extension, P), got
     assert len(set(answers)) == len(found), answers  # distinct orbits, distinct answers
 
 

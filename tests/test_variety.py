@@ -1,13 +1,18 @@
 import random
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 from omegalie.fields import QQ, FieldElement, PrimeField
 from omegalie.groebner import (
+    Ideal,
     buchberger,
+    colon_of_meet,
     format_polynomial,
     ideal_equal,
+    intersect,
+    parse_polynomial,
     reduce_basis,
 )
 from omegalie.linalg import Matrix, SkewForm, solve_vector, standard_j
@@ -241,3 +246,109 @@ def _ideal_golden_lines(field):
 def test_ideal_golden(field, name):
     want = (GOLDEN / f"variety_ideals_{name}.txt").read_text().splitlines()
     assert _ideal_golden_lines(field) == want
+
+
+# ---------------------------------------------------------------------------
+# primality certificates: the structure ideal P and the two components
+# ---------------------------------------------------------------------------
+# P = <f1, f2, f3> is linear in z with a coefficient matrix M over k[x, y].
+# When det M is nonzero and a non-zero-divisor mod P (P : det M = P), R/P
+# embeds in its localization at det M, which Cramer's rule identifies with the
+# domain k[x, y]_{det M}; so P is prime.  A component that is a graph (each
+# generator a variable minus a polynomial in the variables no generator
+# solves) has a polynomial ring as its quotient, so it is prime too.
+
+def _variables_of(poly):
+    ring, used = poly.ring, 0
+    for m in poly.terms:
+        used |= ring.support(m)
+    return {v for i, v in enumerate(ring.variables) if used >> i & 1}
+
+
+def _cofactor_det(m):
+    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+
+def _colon(ideal, f):
+    return colon_of_meet(intersect(ideal, Ideal(ideal.ring, [f])), f)
+
+
+def _cramer_colon(gens, m):
+    """The colon of the ideal of the three generators by det m, when each
+    gens[i] - m[i] . z and each entry of the coefficient rows m is free of z1,
+    z2, z3 and det m is nonzero; None otherwise.  The certificate holds when
+    it is the ideal itself."""
+    ring = gens[0].ring
+    z = [ring.var(f"z{i}") for i in (1, 2, 3)]
+    rests = [g - (row[0] * z[0] + row[1] * z[1] + row[2] * z[2]) for g, row in zip(gens, m)]
+    det = _cofactor_det(m)
+    if det.is_zero() or any(_variables_of(p) & {"z1", "z2", "z3"}
+                            for p in rests + [c for row in m for c in row]):
+        return None
+    return _colon(Ideal(ring, gens), det)
+
+
+def _structure_matrix(ring):
+    x1, x2, x3, y1, y2, y3 = (ring.var(v) for v in ("x1", "x2", "x3", "y1", "y2", "y3"))
+    zero = ring.zero()
+    return [[x2 + y3, -x1, -y1], [zero, x3, -x2], [zero, -y3, y2]]
+
+
+def test_structure_ideal_is_linear_in_z_with_determinant_detm():
+    ring = structure_ring(QQ)
+    f1, f2, f3, _, _ = reference_polys(ring)
+    m = _structure_matrix(ring)
+    assert _cofactor_det(m) == parse_polynomial(ring, variety.DETM_TEXT)
+    assert ideal_equal(_cramer_colon([f1, f2, f3], m), Ideal(ring, [f1, f2, f3]))
+
+
+def test_the_certificate_refuses_x1_times_the_structure_ideal():
+    # x1 * P is linear in z with the matrix x1 * M, of determinant x1^3 det M;
+    # its colon by that is P, not x1 * P, while its colon by det M alone is
+    # x1 * P again
+    ring = structure_ring(QQ)
+    x1 = ring.var("x1")
+    gens = [x1 * f for f in reference_polys(ring)[:3]]
+    m = [[x1 * c for c in row] for row in _structure_matrix(ring)]
+    detm = parse_polynomial(ring, variety.DETM_TEXT)
+    assert _cofactor_det(m) == x1 * x1 * x1 * detm
+    p, x1p = Ideal(ring, reference_polys(ring)[:3]), Ideal(ring, gens)
+    colon = _cramer_colon(gens, m)
+    assert ideal_equal(colon, p) and not ideal_equal(colon, x1p)
+    assert ideal_equal(_colon(x1p, detm), x1p)
+
+
+def _graph_free_variables(gens):
+    """The variables left free when each generator solves one variable, as
+    c * v + h with c a nonzero constant and h free of every solved variable;
+    None when no choice of one solved variable per generator does that."""
+    ring = gens[0].ring
+    rests = []  # per generator: {candidate variable: h}
+    for g in gens:
+        options = {}
+        for v in ring.variables:
+            c = g.terms.get(next(iter(ring.var(v).terms)))
+            if c is not None:
+                h = g - ring.var(v) * FieldElement(ring.field, c)
+                if v not in _variables_of(h):
+                    options[v] = h
+        rests.append(options)
+    for solved in product(*rests):
+        if len(set(solved)) == len(gens) and not any(
+                _variables_of(options[v]) & set(solved) for options, v in zip(rests, solved)):
+            return sorted(set(ring.variables) - set(solved))
+    return None
+
+
+def test_both_components_are_graphs_of_dimensions_4_and_3():
+    p1, p2 = x1_component_ideals(QQ)
+    assert _graph_free_variables(list(p1.gens)) == ["x3", "y1", "y3", "z3"]
+    assert _graph_free_variables(list(p2.gens)) == ["x3", "x4", "z3"]
+
+
+def test_a_component_that_is_not_a_graph_is_refused():
+    ring = x1_configuration_ring(QQ)
+    gens = [parse_polynomial(ring, t.replace("z1", "z1*z3")) for t in variety.P1_TEXTS]
+    assert _graph_free_variables(gens) is None
